@@ -25,17 +25,20 @@ from .fas import (
     Mode,
     PopulationModel,
     RelevanceSelection,
+    fas_by_mode,
     fas_estimate,
     fas_from_estimates,
+    fas_frontier,
     frontier,
     identified_set,
     population_fas,
+    population_fas_by_mode,
     population_frontier,
     population_spec_moments,
     select_relevant,
     specs_for_mode,
 )
-from .linalg import RegressionFit, ols, partial_out, residualize
+from .linalg import RegressionFit, ols, partial_out, partial_out_columns, residualize
 from .specs import (
     JustIdSpec,
     TransformedInstrument,
@@ -64,15 +67,19 @@ __all__ = [
     "TslsResult",
     "derive_seed",
     "enumerate_specs",
+    "fas_by_mode",
     "fas_estimate",
     "fas_from_estimates",
+    "fas_frontier",
     "frontier",
     "identified_set",
     "just_id_iv",
     "load_csv",
     "ols",
     "partial_out",
+    "partial_out_columns",
     "population_fas",
+    "population_fas_by_mode",
     "population_frontier",
     "population_spec_moments",
     "residualize",

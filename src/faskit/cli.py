@@ -25,14 +25,11 @@ from .fas import (
     FasResult,
     Mode,
     PopulationModel,
-    estimate_specs,
-    fas_from_estimates,
-    population_fas,
-    population_frontier,
-    specs_for_mode,
+    fas_by_mode,
+    fas_frontier,
+    population_fas_by_mode,
 )
 from .linalg import partial_out
-from .specs import enumerate_specs, is_fully_controlled, is_marginal
 
 SCHEMA_VERSION = 1
 
@@ -46,16 +43,19 @@ class RunConfig:
     mode: str = "all"
     cutoff: float = DEFAULT_CUTOFF
     robust_flavor: str = "hc1"
-    emit: str = "text"
     frontier_grid: int = 201
     pairwise: bool = False
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODE_CHOICES:
             raise ValueError(f"mode must be one of {_MODE_CHOICES}, got {self.mode!r}")
         if self.frontier_grid < 2:
             raise ValueError(f"frontier grid needs at least 2 points, got {self.frontier_grid}")
+
+    @property
+    def modes(self) -> list[Mode]:
+        """The FAS modes to report: all three for ``"all"``."""
+        return list(Mode) if self.mode == "all" else [Mode(self.mode)]
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +151,7 @@ def _interval_json(interval: tuple[float, float] | None):
 
 def _spec_row(est, selection) -> dict:
     spec = est.spec
-    if est.failure is not None:
-        status = est.failure
-    elif spec.spec_id in selection.selected:
-        status = "selected"
-    else:
-        status = selection.rejected.get(spec.spec_id, "low-F")
+    selected = spec.spec_id in selection.selected
     return {
         "spec_id": spec.spec_id,
         "label": spec.label,
@@ -167,7 +162,7 @@ def _spec_row(est, selection) -> dict:
         "pi_hat": None if est.pi_hat is None else float(est.pi_hat),
         "psi_hat": None if est.psi_hat is None else float(est.psi_hat),
         "f_stat": float(est.f_stat),
-        "status": status,
+        "status": "selected" if selected else selection.rejected[spec.spec_id],
     }
 
 
@@ -203,29 +198,15 @@ def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
     selection status, and one interval per requested mode. Everything in it
     is JSON-serializable.
     """
-    modes = [Mode(config.mode)] if config.mode != "all" else [Mode.EXCL, Mode.EXO, Mode.GENERAL]
     partialled = partial_out(dataset)
+    results = fas_by_mode(partialled, config.modes, config.cutoff, config.robust_flavor)
+    spec_rows = {
+        est.spec.spec_id: _spec_row(est, result.selection)
+        for result in results.values()
+        for est in result.estimates
+    }
 
-    if config.mode == "all":
-        family = enumerate_specs(dataset.k_z)
-    else:
-        family = specs_for_mode(modes[0], dataset.k_z)
-    estimates = estimate_specs(partialled, family, config.robust_flavor, config.threads)
-    by_id = {est.spec.spec_id: est for est in estimates}
-
-    fas_results: dict[str, FasResult] = {}
-    for mode in modes:
-        if mode == Mode.GENERAL:
-            subset = estimates
-        elif mode == Mode.EXCL:
-            subset = [e for e in estimates if is_fully_controlled(e.spec, dataset.k_z)]
-        else:
-            subset = [e for e in estimates if is_marginal(e.spec)]
-        fas_results[mode.value] = fas_from_estimates(subset, config.cutoff, mode)
-
-    general_selection = fas_from_estimates(estimates, config.cutoff, Mode.GENERAL).selection
-
-    full = tsls(dataset, robust_flavor=config.robust_flavor)
+    full = tsls(partialled, robust_flavor=config.robust_flavor)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "estimate",
@@ -240,11 +221,11 @@ def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
         "cutoff": float(config.cutoff),
         "robust": config.robust_flavor,
         "tsls": _tsls_json(full, list(dataset.z_names)),
-        "specs": [_spec_row(by_id[s.spec_id], general_selection) for s in family],
-        "fas": {name: _fas_section(result) for name, result in fas_results.items()},
+        "specs": [spec_rows[spec_id] for spec_id in sorted(spec_rows)],
+        "fas": {mode.value: _fas_section(result) for mode, result in results.items()},
     }
     if config.pairwise:
-        rows = tsls_pairwise_report(dataset, config.robust_flavor)
+        rows = tsls_pairwise_report(partialled, config.robust_flavor)
         report["pairwise"] = [
             {
                 "pair": list(row.pair),
@@ -264,30 +245,22 @@ def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
 
 def oracle_report(model: PopulationModel, config: RunConfig, model_path: str = "") -> dict:
     """Population FAS and frontier for the requested mode(s)."""
-    modes = [Mode(config.mode)] if config.mode != "all" else [Mode.EXCL, Mode.EXO, Mode.GENERAL]
     sections: dict[str, dict] = {}
-    for mode in modes:
-        result = population_fas(model, mode)
-        family, pi_t, psi_t, points = population_frontier(
-            model, mode, config.frontier_grid
-        )
-        spec_rows = []
-        for pos, spec in enumerate(family):
-            relevant = spec.spec_id in result.selection.selected
-            ratio = float(psi_t[pos] / pi_t[pos]) if relevant else None
-            spec_rows.append(
-                {
-                    "spec_id": spec.spec_id,
-                    "label": spec.label,
-                    "pi": float(pi_t[pos]),
-                    "psi": float(psi_t[pos]),
-                    "ratio": ratio,
-                    "relevant": relevant,
-                }
-            )
+    for mode, result in population_fas_by_mode(model, config.modes).items():
+        points = fas_frontier(result, config.frontier_grid)
         sections[mode.value] = {
             "interval": _interval_json(result.interval),
-            "specs": spec_rows,
+            "specs": [
+                {
+                    "spec_id": est.spec.spec_id,
+                    "label": est.spec.label,
+                    "pi": est.pi_hat,
+                    "psi": est.psi_hat,
+                    "ratio": est.beta_hat,
+                    "relevant": est.spec.spec_id in result.selection.selected,
+                }
+                for est in result.estimates
+            ],
             "frontier": [
                 {
                     "b": float(p.b),
@@ -319,13 +292,13 @@ def simulate_report(
     error_law: ErrorLaw = ErrorLaw.GAUSSIAN,
     csv_path: str | None = None,
 ) -> dict:
-    """Draw data, estimate every FAS mode, and summarize against population."""
+    """Draw data, estimate the requested FAS modes, and summarize against population."""
     population = {
-        mode.value: _interval_json(population_fas(model, mode).interval)
-        for mode in (Mode.EXCL, Mode.EXO, Mode.GENERAL)
+        mode.value: _interval_json(result.interval)
+        for mode, result in population_fas_by_mode(model, config.modes).items()
     }
     endpoint_samples: dict[str, list[tuple[float, float] | None]] = {
-        m.value: [] for m in (Mode.EXCL, Mode.EXO, Mode.GENERAL)
+        mode.value: [] for mode in config.modes
     }
     first_dataset: Dataset | None = None
     for rep in range(replications):
@@ -335,17 +308,8 @@ def simulate_report(
         )
         if first_dataset is None:
             first_dataset = dataset
-        partialled = partial_out(dataset)
-        family = enumerate_specs(dataset.k_z)
-        estimates = estimate_specs(partialled, family, config.robust_flavor, config.threads)
-        for mode in (Mode.EXCL, Mode.EXO, Mode.GENERAL):
-            if mode == Mode.GENERAL:
-                subset = estimates
-            elif mode == Mode.EXCL:
-                subset = [e for e in estimates if is_fully_controlled(e.spec, dataset.k_z)]
-            else:
-                subset = [e for e in estimates if is_marginal(e.spec)]
-            result = fas_from_estimates(subset, config.cutoff, mode)
+        results = fas_by_mode(dataset, config.modes, config.cutoff, config.robust_flavor)
+        for mode, result in results.items():
             endpoint_samples[mode.value].append(result.interval)
 
     if csv_path is not None and first_dataset is not None:
@@ -544,12 +508,12 @@ def render_simulate_text(report: dict) -> str:
                 _fmt_interval(report["population"][name]),
                 _fmt_interval(report["estimates"][name]),
             ]
-            for name in ("excl", "exo", "general")
+            for name in report["population"]
         ]
         lines += _table(["mode", "population", "estimated"], rows)
     else:
         rows = []
-        for name in ("excl", "exo", "general"):
+        for name in report["population"]:
             s = report["replication_summary"][name]
             if s.get("n_nonempty"):
                 rows.append(
@@ -582,11 +546,13 @@ def main() -> None:
     """Falsification adaptive sets for linear IV models."""
 
 
+_cutoff_option = click.option(
+    "--cutoff", type=float, default=DEFAULT_CUTOFF, show_default=True,
+    help="First-stage F relevance cutoff.",
+)
+
+
 def _common_options(command):
-    command = click.option(
-        "--cutoff", type=float, default=DEFAULT_CUTOFF, show_default=True,
-        help="First-stage F relevance cutoff.",
-    )(command)
     command = click.option(
         "--mode", type=click.Choice(_MODE_CHOICES), default="all", show_default=True,
         help="Which FAS to report.",
@@ -610,14 +576,11 @@ def _common_options(command):
     help="Sandwich covariance flavor.",
 )
 @click.option("--pairwise", is_flag=True, help="Add the pairwise 2SLS/J table.")
-@click.option(
-    "--threads", type=int, default=None, envvar="FASKIT_THREADS",
-    help="Worker threads for the per-spec sweep (default: hardware).",
-)
+@_cutoff_option
 @_common_options
 def estimate(
     data_path, outcome, treatment, instruments, controls, no_intercept,
-    robust, pairwise, threads, cutoff, mode, emit,
+    robust, pairwise, cutoff, mode, emit,
 ):
     """Estimate falsification adaptive sets from a CSV file."""
     instrument_names = [s.strip() for s in instruments.split(",") if s.strip()]
@@ -626,10 +589,7 @@ def estimate(
         data_path, outcome, treatment, instrument_names,
         control_names, intercept=not no_intercept,
     )
-    config = RunConfig(
-        mode=mode, cutoff=cutoff, robust_flavor=robust,
-        emit=emit, pairwise=pairwise, threads=threads,
-    )
+    config = RunConfig(mode=mode, cutoff=cutoff, robust_flavor=robust, pairwise=pairwise)
     report = run(dataset, config, dropped_rows=dropped)
     _emit(report, emit, render_estimate_text)
 
@@ -638,10 +598,10 @@ def estimate(
 @click.option("--model", "model_path", required=True, type=click.Path(), help="Model file.")
 @click.option("--grid", type=int, default=201, show_default=True, help="Frontier grid points.")
 @_common_options
-def oracle(model_path, grid, cutoff, mode, emit):
+def oracle(model_path, grid, mode, emit):
     """Population FAS and falsification frontier of a model file."""
     model, _ = load_model(model_path)
-    config = RunConfig(mode=mode, cutoff=cutoff, emit=emit, frontier_grid=grid)
+    config = RunConfig(mode=mode, frontier_grid=grid)
     report = oracle_report(model, config, model_path)
     _emit(report, emit, render_oracle_text)
 
@@ -656,11 +616,12 @@ def oracle(model_path, grid, cutoff, mode, emit):
     "--law", type=click.Choice([law.value for law in ErrorLaw]),
     default=ErrorLaw.GAUSSIAN.value, show_default=True, help="Error shock law.",
 )
+@_cutoff_option
 @_common_options
 def simulate_command(model_path, n, seed, out_path, reps, law, cutoff, mode, emit):
     """Draw synthetic data from a model file; summarize FAS estimates."""
     model, extras = load_model(model_path)
-    config = RunConfig(mode=mode, cutoff=cutoff, emit=emit)
+    config = RunConfig(mode=mode, cutoff=cutoff)
     report = simulate_report(
         model, n, seed, config,
         replications=max(1, reps),

@@ -22,7 +22,7 @@ from .errors import (
     WeakIdentificationError,
     ZeroFirstStageError,
 )
-from .linalg import ols, projection_basis, residualize
+from .linalg import ols, partial_out, partial_out_columns, projection_basis, residualize
 from .specs import JustIdSpec, TransformedInstrument
 
 # Relative threshold below which a just-identifying moment z'x counts as zero.
@@ -110,24 +110,16 @@ class PairwiseTsls:
     result: TslsResult
 
 
-def _demean_if(dataset: Dataset):
-    """(y, x, Z, n_absorbed) with the intercept absorbed when present."""
-    if dataset.intercept:
-        return (
-            dataset.y - dataset.y.mean(),
-            dataset.x - dataset.x.mean(),
-            dataset.Z - dataset.Z.mean(axis=0),
-            dataset.n_absorbed + 1,
-        )
-    return dataset.y, dataset.x, dataset.Z, dataset.n_absorbed
-
-
 def just_id_iv(
     dataset: Dataset,
     zt: TransformedInstrument,
     robust_flavor: str = "hc1",
 ) -> SpecEstimate:
     """Estimate one just-identified specification.
+
+    A dataset that still carries an intercept or controls is partialled of
+    them, and so is the transformed instrument; by Frisch-Waugh-Lovell the
+    estimates equal those of the design that includes them.
 
     Parameters
     ----------
@@ -155,12 +147,8 @@ def just_id_iv(
         raise DimensionMismatchError(
             f"transformed instrument has {w.shape[0]} rows, dataset has {dataset.n}"
         )
-    if dataset.intercept:
-        design = np.column_stack([np.ones(dataset.n), w])
-        coef_pos = 1
-    else:
-        design = w[:, None]
-        coef_pos = 0
+    w = partial_out_columns(dataset, w)
+    dataset = partial_out(dataset)
 
     ww = float(w @ w)
     if ww <= 0.0:
@@ -173,32 +161,21 @@ def just_id_iv(
             f"{zt.spec.label}: z'x = {wx:.3e} is numerically zero"
         )
 
+    design = w[:, None]
     first = ols(design, dataset.x, robust_flavor, dataset.n_absorbed)
     reduced = ols(design, dataset.y, robust_flavor, dataset.n_absorbed)
-    pi_hat = float(first.coefficients[coef_pos])
-    psi_hat = float(reduced.coefficients[coef_pos])
-    var_pi = float(first.robust_cov[coef_pos, coef_pos])
+    pi_hat = float(first.coefficients[0])
+    psi_hat = float(reduced.coefficients[0])
+    var_pi = float(first.robust_cov[0, 0])
     f_stat = pi_hat * pi_hat / var_pi if var_pi > 0.0 else np.inf
 
     beta_hat = float(w @ dataset.y) / wx
 
     # robust IV sandwich for the coefficient on x
-    if dataset.intercept:
-        X_iv = np.column_stack([np.ones(dataset.n), dataset.x])
-        WtX = design.T @ X_iv
-        coefs = np.linalg.solve(WtX, design.T @ dataset.y)
-        resid = dataset.y - X_iv @ coefs
-        bread = np.linalg.inv(WtX)
-        scored = design * resid[:, None]
-        cov = bread @ (scored.T @ scored) @ bread.T
-        p = 2
-        var_beta = cov[1, 1]
-    else:
-        resid = dataset.y - dataset.x * beta_hat
-        var_beta = float((w * resid) @ (w * resid)) / (wx * wx)
-        p = 1
+    resid = dataset.y - dataset.x * beta_hat
+    var_beta = float((w * resid) @ (w * resid)) / (wx * wx)
     if robust_flavor.lower() == "hc1":
-        var_beta *= dataset.n / (dataset.n - p - dataset.n_absorbed)
+        var_beta *= dataset.n / (dataset.n - 1 - dataset.n_absorbed)
     se = float(np.sqrt(var_beta)) if var_beta >= 0.0 else float("nan")
 
     return SpecEstimate(
@@ -234,7 +211,7 @@ def _tsls_core(
 ) -> TslsResult:
     """2SLS of y on x with instrument matrix Zm, no intercept.
 
-    Callers absorb the intercept by demeaning first.
+    Callers partial the intercept and controls out of y, x and Zm first.
     """
     n, q = Zm.shape
     Q = projection_basis(Zm)  # full-rank check lives here
@@ -308,6 +285,9 @@ def tsls(
 ) -> TslsResult:
     """2SLS of the treatment effect using a subset of the instruments.
 
+    The intercept and controls are partialled out of y, x and the
+    instruments first.
+
     Parameters
     ----------
     dataset : Dataset
@@ -329,9 +309,9 @@ def tsls(
         raise DimensionMismatchError(
             f"instrument indices out of range 1..{dataset.k_z}: {bad}"
         )
-    y, x, Z, n_absorbed = _demean_if(dataset)
-    Zm = Z[:, [i - 1 for i in instrument_indices]]
-    return _tsls_core(y, x, Zm, n_absorbed, robust_flavor)
+    part = partial_out(dataset)
+    Zm = part.Z[:, [i - 1 for i in instrument_indices]]
+    return _tsls_core(part.y, part.x, Zm, part.n_absorbed, robust_flavor)
 
 
 def tsls_matrix(
@@ -339,14 +319,18 @@ def tsls_matrix(
     instrument_matrix: np.ndarray,
     robust_flavor: str = "hc1",
 ) -> TslsResult:
-    """2SLS with an explicit instrument matrix (e.g. transformed columns)."""
-    y, x, _, n_absorbed = _demean_if(dataset)
+    """2SLS with an explicit instrument matrix (e.g. transformed columns).
+
+    The matrix is partialled of the dataset's intercept and controls along
+    with y and x.
+    """
     Zm = np.atleast_2d(np.asarray(instrument_matrix, dtype=np.float64))
     if Zm.shape[0] != dataset.n and Zm.shape[1] == dataset.n:
         Zm = Zm.T
-    if dataset.intercept:
-        Zm = Zm - Zm.mean(axis=0)
-    return _tsls_core(y, x, Zm, n_absorbed, robust_flavor)
+    part = partial_out(dataset)
+    return _tsls_core(
+        part.y, part.x, partial_out_columns(dataset, Zm), part.n_absorbed, robust_flavor
+    )
 
 
 def tsls_pairwise_report(
@@ -361,12 +345,14 @@ def tsls_pairwise_report(
     between the two J p-values localizes which instruments a rejection comes
     from.
 
+    Every fit runs on the dataset partialled of its intercept and controls.
     Requires at least two instruments. Rows are ordered pair-major with the
     raw variant first.
     """
     if dataset.k_z < 2:
         raise DimensionMismatchError("pairwise report needs at least two instruments")
-    y, x, Z, n_absorbed = _demean_if(dataset)
+    part = partial_out(dataset)
+    y, x, Z, n_absorbed = part.y, part.x, part.Z, part.n_absorbed
     k_z = dataset.k_z
     rows: list[PairwiseTsls] = []
     for a in range(1, k_z + 1):

@@ -3,14 +3,14 @@ population oracle, and the falsification frontier.
 
 Three reporting modes share one engine. Excl keeps each instrument with all
 others as controls, Exo keeps each instrument alone, General enumerates every
-control partition. In each mode the reported interval is the span of the
-just-identified estimates whose first-stage F clears the cutoff.
+control partition. The families of the requested modes are swept once, as
+their union, and each mode views its own family in that sweep. In each mode
+the reported interval is the span of the just-identified estimates whose
+first-stage F clears the cutoff.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -164,16 +164,28 @@ class FrontierPoint:
     on_frontier: bool
 
 
+def _in_mode(spec: JustIdSpec, mode: Mode, k_z: int) -> bool:
+    if mode == Mode.EXCL:
+        return is_fully_controlled(spec, k_z)
+    if mode == Mode.EXO:
+        return is_marginal(spec)
+    return True
+
+
+def _mode_views(modes: list[Mode], k_z: int) -> tuple[list[JustIdSpec], dict[Mode, list[int]]]:
+    """The union of the modes' spec families in enumeration order, and the
+    positions of each mode's family within it."""
+    modes = [Mode(m) for m in modes]
+    family = [s for s in enumerate_specs(k_z) if any(_in_mode(s, m, k_z) for m in modes)]
+    views = {
+        m: [pos for pos, s in enumerate(family) if _in_mode(s, m, k_z)] for m in modes
+    }
+    return family, views
+
+
 def specs_for_mode(mode: Mode, k_z: int) -> list[JustIdSpec]:
     """The spec family a mode reports over, in enumeration order."""
-    all_specs = enumerate_specs(k_z)
-    if mode == Mode.GENERAL:
-        return all_specs
-    if mode == Mode.EXCL:
-        return [s for s in all_specs if is_fully_controlled(s, k_z)]
-    if mode == Mode.EXO:
-        return [s for s in all_specs if is_marginal(s)]
-    raise ValueError(f"unknown mode: {mode!r}")
+    return _mode_views([mode], k_z)[0]
 
 
 def _estimate_one(dataset: Dataset, spec: JustIdSpec, robust_flavor: str) -> SpecEstimate:
@@ -193,22 +205,13 @@ def estimate_specs(
     dataset: Dataset,
     specs: list[JustIdSpec],
     robust_flavor: str = "hc1",
-    threads: int | None = None,
 ) -> list[SpecEstimate]:
     """Estimate a list of specifications on an already-partialled dataset.
 
     Failures (collinear transform, zero first stage) become placeholder
     estimates with a recorded reason instead of aborting the sweep. Results
-    are returned in the order of ``specs`` regardless of thread schedule;
-    per-spec computations are independent, so the numbers do not depend on
-    the degree of parallelism.
+    are returned in the order of ``specs``.
     """
-    workers = os.cpu_count() or 1 if threads is None else max(1, threads)
-    if workers > 1 and len(specs) >= 16:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda s: _estimate_one(dataset, s, robust_flavor), specs)
-            )
     return [_estimate_one(dataset, spec, robust_flavor) for spec in specs]
 
 
@@ -252,12 +255,33 @@ def fas_from_estimates(
     return FasResult(mode=mode, interval=interval, selection=selection, estimates=estimates)
 
 
+def fas_by_mode(
+    dataset: Dataset,
+    modes: list[Mode],
+    cutoff: float = DEFAULT_CUTOFF,
+    robust_flavor: str = "hc1",
+) -> dict[Mode, FasResult]:
+    """Estimate the FAS of each requested mode from one sweep.
+
+    The dataset is partialled of (intercept, controls) first; the union of
+    the modes' spec families is then estimated once on the partialled
+    sample. Each mode's interval spans the estimates of its own family that
+    clear the relevance cutoff. A spec shared by several modes is one
+    estimate object in all of their results.
+    """
+    family, views = _mode_views(modes, dataset.k_z)
+    estimates = estimate_specs(partial_out(dataset), family, robust_flavor)
+    return {
+        mode: fas_from_estimates([estimates[pos] for pos in view], cutoff, mode)
+        for mode, view in views.items()
+    }
+
+
 def fas_estimate(
     dataset: Dataset,
     mode: Mode = Mode.GENERAL,
     cutoff: float = DEFAULT_CUTOFF,
     robust_flavor: str = "hc1",
-    threads: int | None = None,
 ) -> FasResult:
     """Estimate the FAS of the requested mode from data.
 
@@ -266,10 +290,7 @@ def fas_estimate(
     interval spans the estimates that clear the relevance cutoff.
     """
     mode = Mode(mode)
-    partialled = partial_out(dataset)
-    family = specs_for_mode(mode, dataset.k_z)
-    estimates = estimate_specs(partialled, family, robust_flavor, threads)
-    return fas_from_estimates(estimates, cutoff, mode)
+    return fas_by_mode(dataset, [mode], cutoff, robust_flavor)[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -316,53 +337,51 @@ def _relevance_mask(pi_t: np.ndarray) -> np.ndarray:
     return np.abs(pi_t) > POPULATION_RELEVANCE_TOL * scale
 
 
+def _population_result(
+    mode: Mode, family: list[JustIdSpec], pi_t: np.ndarray, psi_t: np.ndarray
+) -> FasResult:
+    mask = _relevance_mask(pi_t)
+    estimates = [
+        SpecEstimate(
+            spec=spec,
+            beta_hat=float(psi_t[pos] / pi_t[pos]) if mask[pos] else None,
+            se=None,
+            pi_hat=float(pi_t[pos]),
+            psi_hat=float(psi_t[pos]),
+            f_stat=float("inf") if mask[pos] else 0.0,
+            degenerate=not mask[pos],
+            failure=None if mask[pos] else "zero-first-stage",
+        )
+        for pos, spec in enumerate(family)
+    ]
+    return fas_from_estimates(estimates, POPULATION_RELEVANCE_TOL, mode)
+
+
+def population_fas_by_mode(model: PopulationModel, modes: list[Mode]) -> dict[Mode, FasResult]:
+    """Population FAS of each requested mode from one set of moments.
+
+    :func:`population_spec_moments` runs once over the union of the modes'
+    families; each mode's result views its own family in it. Relevance is
+    exact: |pi~| above 1e-12 relative to the mode family's largest. The
+    returned estimates carry the population ratios with f_stat +inf for
+    relevant specs and 0 for irrelevant ones; the selection's ``cutoff``
+    field records the relevance tolerance.
+    """
+    family, views = _mode_views(modes, model.k_z)
+    pi_t, psi_t = population_spec_moments(model, family)
+    return {
+        mode: _population_result(mode, [family[pos] for pos in view], pi_t[view], psi_t[view])
+        for mode, view in views.items()
+    }
+
+
 def population_fas(model: PopulationModel, mode: Mode = Mode.GENERAL) -> FasResult:
     """Population FAS: the span of the relevant specs' estimand ratios.
 
-    Relevance is exact: |pi~| above 1e-12 relative. The returned estimates
-    carry the population ratios with f_stat +inf for relevant specs and 0
-    for irrelevant ones; the selection's ``cutoff`` field records the
-    relevance tolerance.
+    The one-mode case of :func:`population_fas_by_mode`.
     """
     mode = Mode(mode)
-    family = specs_for_mode(mode, model.k_z)
-    pi_t, psi_t = population_spec_moments(model, family)
-    mask = _relevance_mask(pi_t)
-
-    estimates: list[SpecEstimate] = []
-    selection = RelevanceSelection(cutoff=POPULATION_RELEVANCE_TOL)
-    ratios: list[float] = []
-    for pos, spec in enumerate(family):
-        if mask[pos]:
-            ratio = float(psi_t[pos] / pi_t[pos])
-            ratios.append(ratio)
-            selection.selected.add(spec.spec_id)
-            estimates.append(
-                SpecEstimate(
-                    spec=spec,
-                    beta_hat=ratio,
-                    se=None,
-                    pi_hat=float(pi_t[pos]),
-                    psi_hat=float(psi_t[pos]),
-                    f_stat=float("inf"),
-                )
-            )
-        else:
-            selection.rejected[spec.spec_id] = "zero-first-stage"
-            estimates.append(
-                SpecEstimate(
-                    spec=spec,
-                    beta_hat=None,
-                    se=None,
-                    pi_hat=float(pi_t[pos]),
-                    psi_hat=float(psi_t[pos]),
-                    f_stat=0.0,
-                    degenerate=True,
-                    failure="zero-first-stage",
-                )
-            )
-    interval = (min(ratios), max(ratios)) if ratios else None
-    return FasResult(mode=mode, interval=interval, selection=selection, estimates=estimates)
+    return population_fas_by_mode(model, [mode])[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +488,27 @@ def frontier(
     return points
 
 
+def fas_frontier(result: FasResult, grid_points: int = 201) -> list[FrontierPoint]:
+    """Frontier of a population FAS over an even grid spanning it.
+
+    The grid runs from the smallest to the largest relevant ratio with
+    ``grid_points`` points; a degenerate span yields a single point.
+
+    Raises
+    ------
+    ZeroFirstStageError
+        If no spec is relevant.
+    """
+    if result.interval is None:
+        raise ZeroFirstStageError("no relevant component; frontier is undefined")
+    pi_t = np.array([est.pi_hat for est in result.estimates])
+    psi_t = np.array([est.psi_hat for est in result.estimates])
+    relevant = [est.spec.spec_id in result.selection.selected for est in result.estimates]
+    lo, hi = result.interval
+    grid = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
+    return frontier(pi_t, psi_t, relevant, grid)
+
+
 def population_frontier(
     model: PopulationModel,
     mode: Mode = Mode.EXCL,
@@ -476,17 +516,12 @@ def population_frontier(
 ) -> tuple[list[JustIdSpec], np.ndarray, np.ndarray, list[FrontierPoint]]:
     """Frontier of a population model over an even grid spanning its FAS.
 
-    Returns (specs, pi~, psi~, points). The grid runs from the smallest to
-    the largest relevant ratio with ``grid_points`` points; a degenerate
-    span yields a single point.
+    Returns (specs, pi~, psi~, points); see :func:`fas_frontier`.
     """
-    mode = Mode(mode)
-    family = specs_for_mode(mode, model.k_z)
-    pi_t, psi_t = population_spec_moments(model, family)
-    mask = _relevance_mask(pi_t)
-    if not np.any(mask):
-        raise ZeroFirstStageError("no relevant component; frontier is undefined")
-    ratios = psi_t[mask] / pi_t[mask]
-    lo, hi = float(np.min(ratios)), float(np.max(ratios))
-    grid = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
-    return family, pi_t, psi_t, frontier(pi_t, psi_t, mask, grid)
+    result = population_fas(model, mode)
+    return (
+        [est.spec for est in result.estimates],
+        np.array([est.pi_hat for est in result.estimates]),
+        np.array([est.psi_hat for est in result.estimates]),
+        fas_frontier(result, grid_points),
+    )

@@ -175,44 +175,58 @@ def residualize(A: np.ndarray, B: np.ndarray | None) -> np.ndarray:
     return out[:, 0] if one_dim else out
 
 
-def partial_out(dataset: Dataset) -> Dataset:
-    """Residualize y, x, and every instrument on (intercept, controls).
-
-    Returns a new dataset with controls removed, the intercept flag cleared,
-    and ``n_absorbed`` increased by the number of partialled columns so that
-    later degrees-of-freedom corrections stay correct. With no intercept and
-    no controls this is an identity copy.
-
-    A column the controls absorb completely comes back as rounding residue;
-    any column whose residual norm falls below 1e-12 of its input norm is
-    snapped to exact zeros so downstream degeneracy guards see it as such.
-    """
+def _absorbed_basis(dataset: Dataset) -> np.ndarray | None:
+    """Orthonormal basis of the dataset's (intercept, controls) block, or None
+    when it has neither."""
     pieces = []
     if dataset.intercept:
         pieces.append(np.ones((dataset.n, 1)))
     if dataset.controls.shape[1]:
         pieces.append(dataset.controls)
-    if not pieces:
-        return dataset.with_arrays(
-            dataset.y.copy(), dataset.x.copy(), dataset.Z.copy(),
-            controls=np.empty((dataset.n, 0)), control_names=[],
-        )
-    B = np.hstack(pieces)
-    Q = projection_basis(B)
+    return projection_basis(np.hstack(pieces)) if pieces else None
 
-    def strip(a: np.ndarray) -> np.ndarray:
-        a2 = a[:, None] if a.ndim == 1 else a
-        out = a2 - Q @ (Q.T @ a2)
-        dead = np.linalg.norm(out, axis=0) <= 1e-12 * np.linalg.norm(a2, axis=0)
-        out[:, dead] = 0.0
-        return out[:, 0] if a.ndim == 1 else out
 
+def _strip(a: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    a2 = a[:, None] if a.ndim == 1 else a
+    out = a2 - Q @ (Q.T @ a2)
+    dead = np.linalg.norm(out, axis=0) <= 1e-12 * np.linalg.norm(a2, axis=0)
+    out[:, dead] = 0.0
+    return out[:, 0] if a.ndim == 1 else out
+
+
+def partial_out(dataset: Dataset) -> Dataset:
+    """Residualize y, x, and every instrument on (intercept, controls).
+
+    Returns a new dataset with controls removed, the intercept flag cleared,
+    and ``n_absorbed`` increased by the number of partialled columns so that
+    later degrees-of-freedom corrections stay correct. A dataset with no
+    intercept and no controls is already partialled and comes back as is.
+
+    A column the controls absorb completely comes back as rounding residue;
+    any column whose residual norm falls below 1e-12 of its input norm is
+    snapped to exact zeros so downstream degeneracy guards see it as such.
+    """
+    Q = _absorbed_basis(dataset)
+    if Q is None:
+        return dataset
     return dataset.with_arrays(
-        strip(dataset.y),
-        strip(dataset.x),
-        strip(dataset.Z),
+        _strip(dataset.y, Q),
+        _strip(dataset.x, Q),
+        _strip(dataset.Z, Q),
         controls=np.empty((dataset.n, 0)),
         control_names=[],
         intercept=False,
-        n_absorbed=dataset.n_absorbed + B.shape[1],
+        n_absorbed=dataset.n_absorbed + Q.shape[1],
     )
+
+
+def partial_out_columns(dataset: Dataset, A: np.ndarray) -> np.ndarray:
+    """Residualize the columns of A on the dataset's (intercept, controls).
+
+    The same projection :func:`partial_out` applies to y, x and Z, for
+    instrument columns built outside the dataset. A comes back as is when
+    the dataset is already partialled.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    Q = _absorbed_basis(dataset)
+    return A if Q is None else _strip(A, Q)

@@ -19,7 +19,7 @@ from .errors import (
     InvalidCountError,
     TooManyInstrumentsError,
 )
-from .linalg import residualize
+from .linalg import partial_out, residualize
 
 # Enumeration cap: 20 * 2^19 specs is already ~10.5 million.
 MAX_INSTRUMENTS = 20
@@ -124,12 +124,12 @@ class TransformedInstrument:
     spec : JustIdSpec
         The specification the transform realizes.
     values : ndarray, shape (n,)
-        Residual of Z_l on (intercept, Z_C); equals demeaned Z_l when C is
-        empty and the dataset carries an intercept, and raw Z_l when both
-        are absent.
+        Residual of Z_l on (intercept, controls, Z_C); equals Z_l partialled
+        of (intercept, controls) when C is empty.
     projection_coeffs : ndarray
         Coefficients of Z_l on the control instruments (excluding any
-        intercept), in ``spec.control_subset`` order. Empty when C is empty.
+        intercept and controls), in ``spec.control_subset`` order. Empty
+        when C is empty.
     """
 
     spec: JustIdSpec
@@ -140,10 +140,10 @@ class TransformedInstrument:
 def transform_instrument(dataset: Dataset, spec: JustIdSpec) -> TransformedInstrument:
     """Residualize the spec's instrument on its control instruments.
 
-    The projection block is (intercept if the dataset has one, Z columns in
-    ``spec.control_subset``). In the usual pipeline the dataset has already
-    been partialled of user controls, so the intercept flag is off and the
-    columns are zero mean.
+    A dataset that still carries an intercept or controls is partialled of
+    them first; by Frisch-Waugh-Lovell this is the residual of Z_l on
+    (intercept, controls, Z_C). In the usual pipeline the dataset is
+    already partialled, and the partialling step is a no-op.
 
     Raises
     ------
@@ -151,34 +151,22 @@ def transform_instrument(dataset: Dataset, spec: JustIdSpec) -> TransformedInstr
         If the residual variance is below ``1e-12 * var(Z_l)``, i.e. the
         instrument is numerically collinear with its controls (or constant).
     """
+    dataset = partial_out(dataset)
     z = dataset.Z[:, spec.instrument_index - 1]
     controls = dataset.Z[:, [i - 1 for i in spec.control_subset]]
 
-    pieces = []
-    if dataset.intercept:
-        pieces.append(np.ones((dataset.n, 1)))
-    if controls.shape[1]:
-        pieces.append(controls)
-
-    center = z - z.mean() if dataset.intercept else z
-    base_ss = float(center @ center)
+    base_ss = float(z @ z)
     if base_ss <= 0.0:
         raise DegenerateInstrumentError(
             f"{spec.label}: instrument has zero variance"
         )
 
-    if not pieces:
+    if controls.shape[1]:
+        values = residualize(z, controls)
+        coeffs, *_ = np.linalg.lstsq(controls, z, rcond=None)
+    else:
         values = z.copy()
         coeffs = np.empty(0)
-    else:
-        B = np.hstack(pieces)
-        values = residualize(z, B)
-        if controls.shape[1]:
-            # projection coefficients on the instrument controls only
-            fit_coef, *_ = np.linalg.lstsq(B, z, rcond=None)
-            coeffs = fit_coef[-controls.shape[1]:]
-        else:
-            coeffs = np.empty(0)
 
     resid_ss = float(values @ values)
     if resid_ss < DEGENERACY_TOL * base_ss:

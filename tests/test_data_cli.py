@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import example1_model, random_model
-from faskit import Mode, SimulationConfig, load_csv, simulate, write_csv
+from faskit import Mode, SimulationConfig, fas_estimate, load_csv, simulate, write_csv
 from faskit.cli import (
     RunConfig,
     load_model,
@@ -155,6 +155,10 @@ def test_run_report_shape_and_consistency():
     # interval re-derivable from the per-spec records
     for mode in Mode:
         section = report["fas"][mode.value]
+        # one sweep viewed per mode equals the mode estimated on its own
+        alone = fas_estimate(data, mode=mode)
+        assert section["interval"] == (None if alone.interval is None else list(alone.interval))
+        assert section["selected"] == sorted(alone.selection.selected)
         rows = [r for r in report["specs"] if r["spec_id"] in section["selected"]]
         betas = [r["beta_hat"] for r in rows]
         if mode is Mode.EXCL:
@@ -290,15 +294,37 @@ def test_cli_simulate_writes_csv_and_summarizes(tmp_path):
         assert math.isfinite(stats["lo_mean"]) and stats["lo_sd"] >= 0.0
 
 
-def test_cli_threads_env_var(tmp_path, monkeypatch):
+def test_cli_simulate_reports_only_the_requested_mode(tmp_path):
+    model_path = _write(tmp_path, MODEL_FILE, "model.txt")
+    for reps in ("1", "3"):
+        res = CliRunner().invoke(
+            main,
+            ["simulate", "--model", model_path, "--n", "300", "--seed", "9",
+             "--reps", reps, "--mode", "excl", "--emit", "json"],
+        )
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        assert list(report["population"]) == ["excl"]
+        block = report["estimates"] if reps == "1" else report["replication_summary"]
+        assert list(block) == ["excl"]
+        text = CliRunner().invoke(
+            main,
+            ["simulate", "--model", model_path, "--n", "300", "--seed", "9",
+             "--reps", reps, "--mode", "excl"],
+        ).output
+        assert "FAS_excl" in text and "FAS_exo" not in text
+
+
+def test_cli_removed_options_are_usage_errors(tmp_path):
     data = _seeded_dataset(k=3)
     path = str(tmp_path / "sim.csv")
     write_csv(data, path)
-    monkeypatch.setenv("FASKIT_THREADS", "2")
-    res = CliRunner().invoke(
-        main, _estimate_args(path, ["--emit", "json"], instruments="Z1,Z2,Z3")
-    )
-    assert res.exit_code == 0
+    model_path = _write(tmp_path, MODEL_FILE, "model.txt")
+    runner = CliRunner()
+    res = runner.invoke(main, _estimate_args(path, ["--threads", "2"], instruments="Z1,Z2,Z3"))
+    assert res.exit_code == 2
+    res = runner.invoke(main, ["oracle", "--model", model_path, "--cutoff", "5"])
+    assert res.exit_code == 2
 
 
 def test_cli_robust_flavor_changes_standard_errors(tmp_path):
@@ -318,14 +344,20 @@ def test_cli_robust_flavor_changes_standard_errors(tmp_path):
 
 def test_console_script_prints_one_line_error_and_exits_1(tmp_path):
     # the installed wrapper, not CliRunner: diagnostics go to stderr as "error: ..."
+    import os
     import subprocess
     import sys
 
+    import faskit
+
+    # the child imports the same faskit as this suite, however it was found
+    src = os.path.dirname(os.path.dirname(faskit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", "from faskit.cli import entry; entry()",
          "estimate", "--data", str(tmp_path / "nope.csv"),
          "--outcome", "y", "--treatment", "x", "--instruments", "z1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")

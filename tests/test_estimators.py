@@ -35,6 +35,70 @@ def _estimate(data, spec):
     return just_id_iv(part, transform_instrument(part, spec))
 
 
+def _controlled_sample(seed=107, n=400, k=3):
+    # two controls that drive the instruments, the treatment and the outcome
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((n, 2))
+    Z = rng.standard_normal((n, k)) + W @ rng.uniform(0.5, 1.5, size=(2, k))
+    x = Z @ rng.uniform(0.5, 1.0, size=k) + W @ np.array([0.7, -0.4]) + rng.standard_normal(n)
+    y = x + W @ np.array([1.5, 2.0]) + rng.standard_normal(n)
+    names = tuple(f"Z{i + 1}" for i in range(k))
+    return Dataset(y=y, x=x, Z=Z, z_names=names, controls=W, control_names=("w1", "w2"))
+
+
+def test_controls_are_partialled_inside_the_per_spec_estimate():
+    # Frisch-Waugh-Lovell: a dataset that still carries its intercept and
+    # controls gives the numbers of the partialled dataset, and those of the
+    # full regressions that include the controls.
+    data = _controlled_sample()
+    part = partial_out(data)
+    exog = np.column_stack([np.ones(data.n), data.controls])
+    fields = ("beta_hat", "se", "pi_hat", "psi_hat", "f_stat")
+    for spec in enumerate_specs(3):
+        raw = just_id_iv(data, transform_instrument(data, spec))
+        ref = just_id_iv(part, transform_instrument(part, spec))
+        for name in fields:
+            assert getattr(raw, name) == pytest.approx(getattr(ref, name), rel=1e-10)
+        C = [c - 1 for c in spec.control_subset]
+        design = np.column_stack([data.Z[:, spec.instrument_index - 1], exog, data.Z[:, C]])
+        pi = np.linalg.lstsq(design, data.x, rcond=None)[0][0]
+        psi = np.linalg.lstsq(design, data.y, rcond=None)[0][0]
+        assert raw.pi_hat == pytest.approx(pi, rel=1e-10)
+        assert raw.psi_hat == pytest.approx(psi, rel=1e-10)
+
+
+def test_tsls_and_pairwise_partial_out_the_controls():
+    data = _controlled_sample()
+    part = partial_out(data)
+    fields = ("beta_2sls", "se", "first_stage_f", "j_stat", "j_pvalue")
+    for got, ref in [(tsls(data), tsls(part))] + [
+        (a.result, b.result)
+        for a, b in zip(tsls_pairwise_report(data), tsls_pairwise_report(part))
+    ]:
+        for name in fields:
+            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-10)
+        assert got.weights == pytest.approx(ref.weights, rel=1e-10)
+    # the 2SLS that carries the controls as exogenous regressors agrees
+    exog = np.column_stack([np.ones(data.n), data.controls])
+    X = np.column_stack([data.x, exog])
+    Q, _ = np.linalg.qr(np.column_stack([data.Z, exog]))
+    Xhat = Q @ (Q.T @ X)
+    full = np.linalg.solve(Xhat.T @ X, Xhat.T @ data.y)
+    assert tsls(data).beta_2sls == pytest.approx(full[0], rel=1e-10)
+
+    # without controls, 2SLS is the plain demeaned one
+    plain = Dataset(y=data.y, x=data.x, Z=data.Z, z_names=data.z_names)
+    y, x, Z = plain.y - plain.y.mean(), plain.x - plain.x.mean(), plain.Z - plain.Z.mean(axis=0)
+    xhat = Z @ np.linalg.solve(Z.T @ Z, Z.T @ x)
+    beta = float(xhat @ y) / float(xhat @ x)
+    resid = y - x * beta
+    var = float((xhat * resid) @ (xhat * resid)) / float(xhat @ x) ** 2
+    se = np.sqrt(var * plain.n / (plain.n - 2))
+    res = tsls(plain)
+    assert res.beta_2sls == pytest.approx(beta, rel=1e-10)
+    assert res.se == pytest.approx(se, rel=1e-10)
+
+
 def test_identity_outcome_gives_unit_beta_and_zero_se():
     rng = np.random.default_rng(53)
     Z = rng.standard_normal((60, 2))

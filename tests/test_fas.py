@@ -22,7 +22,6 @@ from faskit import (
 )
 from faskit.errors import DimensionMismatchError, SingularSigmaError
 from faskit.estimators import SpecEstimate
-from faskit.fas import estimate_specs
 
 
 def _fake_estimates(f_stats, betas=None):
@@ -257,22 +256,6 @@ def test_disjoint_violation_predicate():
         pi=np.ones(2), sigma_z=np.eye(2),
     )
     assert not both.violations_disjoint()
-
-
-def test_threaded_estimation_is_schedule_independent():
-    rng = np.random.default_rng(127)
-    from faskit import partial_out
-
-    data = partial_out(
-        simulate(SimulationConfig(model=random_model(rng, 4), n=400, seed=127))
-    )
-    specs = enumerate_specs(4)
-    serial = estimate_specs(data, specs, threads=1)
-    threaded = estimate_specs(data, specs, threads=4)
-    for a, b in zip(serial, threaded):
-        assert a.spec.spec_id == b.spec.spec_id
-        assert a.beta_hat == b.beta_hat  # bit identical, not approx
-        assert a.f_stat == b.f_stat
 
 
 def test_interval_width_shrinks_when_all_instruments_are_valid():
