@@ -611,7 +611,10 @@ def oracle(model_path, grid, mode, emit):
 @click.option("--n", type=int, required=True, help="Sample size.")
 @click.option("--seed", type=int, required=True, help="RNG seed.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write the draw as CSV.")
-@click.option("--reps", type=int, default=1, show_default=True, help="Replications to summarize.")
+@click.option(
+    "--reps", type=click.IntRange(min=1), default=1, show_default=True,
+    help="Replications to summarize.",
+)
 @click.option(
     "--law", type=click.Choice([law.value for law in ErrorLaw]),
     default=ErrorLaw.GAUSSIAN.value, show_default=True, help="Error shock law.",
@@ -624,7 +627,7 @@ def simulate_command(model_path, n, seed, out_path, reps, law, cutoff, mode, emi
     config = RunConfig(mode=mode, cutoff=cutoff)
     report = simulate_report(
         model, n, seed, config,
-        replications=max(1, reps),
+        replications=reps,
         rho_uv=extras.get("rho_uv", 0.5),
         error_law=ErrorLaw(law),
         csv_path=out_path,

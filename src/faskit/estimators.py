@@ -19,10 +19,18 @@ from .data import Dataset
 from .errors import (
     DegenerateInstrumentError,
     DimensionMismatchError,
+    InsufficientObservationsError,
     WeakIdentificationError,
     ZeroFirstStageError,
 )
-from .linalg import ols, partial_out, partial_out_columns, projection_basis, residualize
+from .linalg import (
+    _check_flavor,
+    ols,
+    partial_out,
+    partial_out_columns,
+    projection_basis,
+    residualize,
+)
 from .specs import JustIdSpec, TransformedInstrument
 
 # Relative threshold below which a just-identifying moment z'x counts as zero.
@@ -110,6 +118,54 @@ class PairwiseTsls:
     result: TslsResult
 
 
+def iv_columns(
+    W: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    n_absorbed: int = 0,
+    robust_flavor: str = "hc1",
+) -> tuple[np.ndarray, ...]:
+    """Just-identified IV of y on x with each row of W, shape (b, n), as the
+    instrument.
+
+    W, x and y are partialled upstream, which absorbed ``n_absorbed``
+    columns. Returns per-row arrays in :class:`SpecEstimate` field order:
+    ``beta_hat = w'y / w'x``, ``se`` from the robust IV variance ``sum(w^2
+    u^2) / (w'x)^2`` with ``u = y - x beta_hat``, ``pi_hat = w'x / w'w``,
+    ``psi_hat = w'y / w'w`` and ``f_stat``, the squared robust t-ratio of
+    pi_hat (+inf when its variance is zero); hc1 scales both variances by
+    ``n / (n - 1 - n_absorbed)``. Last comes the mask of rows with ``|w'x|
+    <= 1e-12 * |w| * |x|``, whose estimates are not estimates. Every sum
+    runs along one row, so a row's numbers do not depend on the other rows.
+
+    Raises ValueError for an unknown ``robust_flavor`` and
+    InsufficientObservationsError when ``n <= 1 + n_absorbed``.
+    """
+    flavor = _check_flavor(robust_flavor)
+    n = W.shape[1]
+    if n <= 1 + n_absorbed:
+        raise InsufficientObservationsError(f"need n > p: n={n}, p=1, absorbed={n_absorbed}")
+    scale = n / (n - 1 - n_absorbed) if flavor == "hc1" else 1.0
+    buf = np.empty_like(W)  # one reused buffer, to hold working memory down
+    ww = np.multiply(W, W, out=buf).sum(axis=1)
+    wx = np.multiply(W, x, out=buf).sum(axis=1)
+    wy = np.multiply(W, y, out=buf).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi_hat = wx / ww
+        beta_hat = wy / wx
+        np.multiply(W, -pi_hat[:, None], out=buf)
+        buf += x
+        buf *= W  # w * (x - w pi_hat)
+        var_pi = scale * np.square(buf, out=buf).sum(axis=1) / (ww * ww)
+        np.multiply.outer(-beta_hat, x, out=buf)
+        buf += y
+        buf *= W  # w * (y - x beta_hat)
+        var_beta = scale * np.square(buf, out=buf).sum(axis=1) / (wx * wx)
+        f_stat = np.where(var_pi > 0.0, pi_hat * pi_hat / var_pi, np.inf)
+        zero_first_stage = np.abs(wx) <= FIRST_STAGE_TOL * np.sqrt(ww * float(x @ x))
+    return beta_hat, np.sqrt(var_beta), pi_hat, wy / ww, f_stat, zero_first_stage
+
+
 def just_id_iv(
     dataset: Dataset,
     zt: TransformedInstrument,
@@ -117,23 +173,10 @@ def just_id_iv(
 ) -> SpecEstimate:
     """Estimate one just-identified specification.
 
+    The one-column case of :func:`iv_columns`, which defines every field.
     A dataset that still carries an intercept or controls is partialled of
     them, and so is the transformed instrument; by Frisch-Waugh-Lovell the
     estimates equal those of the design that includes them.
-
-    Parameters
-    ----------
-    dataset : Dataset
-        Sample, normally already partialled of user controls.
-    zt : TransformedInstrument
-        Transformed instrument realizing the spec.
-    robust_flavor : {"hc1", "hc0"}
-
-    Returns
-    -------
-    SpecEstimate
-        With ``beta_hat = z'y / z'x`` and ``f_stat`` equal to the squared
-        robust t-ratio of the first-stage coefficient.
 
     Raises
     ------
@@ -149,43 +192,16 @@ def just_id_iv(
         )
     w = partial_out_columns(dataset, w)
     dataset = partial_out(dataset)
-
-    ww = float(w @ w)
-    if ww <= 0.0:
+    if float(w @ w) <= 0.0:
         raise DegenerateInstrumentError(f"{zt.spec.label}: instrument is identically zero")
-
-    wx = float(w @ dataset.x)
-    xx = float(dataset.x @ dataset.x)
-    if abs(wx) <= FIRST_STAGE_TOL * np.sqrt(ww * xx):
-        raise ZeroFirstStageError(
-            f"{zt.spec.label}: z'x = {wx:.3e} is numerically zero"
-        )
-
-    design = w[:, None]
-    first = ols(design, dataset.x, robust_flavor, dataset.n_absorbed)
-    reduced = ols(design, dataset.y, robust_flavor, dataset.n_absorbed)
-    pi_hat = float(first.coefficients[0])
-    psi_hat = float(reduced.coefficients[0])
-    var_pi = float(first.robust_cov[0, 0])
-    f_stat = pi_hat * pi_hat / var_pi if var_pi > 0.0 else np.inf
-
-    beta_hat = float(w @ dataset.y) / wx
-
-    # robust IV sandwich for the coefficient on x
-    resid = dataset.y - dataset.x * beta_hat
-    var_beta = float((w * resid) @ (w * resid)) / (wx * wx)
-    if robust_flavor.lower() == "hc1":
-        var_beta *= dataset.n / (dataset.n - 1 - dataset.n_absorbed)
-    se = float(np.sqrt(var_beta)) if var_beta >= 0.0 else float("nan")
-
-    return SpecEstimate(
-        spec=zt.spec,
-        beta_hat=beta_hat,
-        se=se,
-        pi_hat=pi_hat,
-        psi_hat=psi_hat,
-        f_stat=float(f_stat),
+    *values, zero_first_stage = iv_columns(
+        w[None, :], dataset.x, dataset.y, dataset.n_absorbed, robust_flavor
     )
+    if zero_first_stage[0]:
+        raise ZeroFirstStageError(
+            f"{zt.spec.label}: z'x = {float(w @ dataset.x):.3e} is numerically zero"
+        )
+    return SpecEstimate(zt.spec, *(float(v[0]) for v in values))
 
 
 def failed_estimate(spec: JustIdSpec, reason: str) -> SpecEstimate:
@@ -213,22 +229,18 @@ def _tsls_core(
 
     Callers partial the intercept and controls out of y, x and Zm first.
     """
-    n, q = Zm.shape
+    q = Zm.shape[1]
     Q = projection_basis(Zm)  # full-rank check lives here
     xhat = Q @ (Q.T @ x)
     denom = float(x @ xhat)
-    xx = float(x @ x)
-    if denom <= FIRST_STAGE_TOL * xx or denom <= 0.0:
+    if denom <= FIRST_STAGE_TOL * float(x @ x) or denom <= 0.0:
         raise WeakIdentificationError(
             f"projected first stage x'P_Z x = {denom:.3e} is numerically zero"
         )
-    beta = float(xhat @ y) / denom
+    # 2SLS is the just-identified IV with the projected treatment as instrument
+    beta, se = iv_columns(xhat[None, :], x, y, n_absorbed, robust_flavor)[:2]
+    beta, se = float(beta[0]), float(se[0])
     resid = y - x * beta
-
-    var_beta = float((xhat * resid) @ (xhat * resid)) / (denom * denom)
-    if robust_flavor.lower() == "hc1":
-        var_beta *= n / (n - 1 - n_absorbed)
-    se = float(np.sqrt(var_beta))
 
     first = ols(Zm, x, robust_flavor, n_absorbed)
     pi = first.coefficients
@@ -358,24 +370,13 @@ def tsls_pairwise_report(
     for a in range(1, k_z + 1):
         for b in range(a + 1, k_z + 1):
             cols = Z[:, [a - 1, b - 1]]
-            rows.append(
-                PairwiseTsls(
-                    pair=(a, b),
-                    variant="raw",
-                    labels=(f"Z{a}", f"Z{b}"),
-                    result=_tsls_core(y, x, cols, n_absorbed, robust_flavor),
-                )
-            )
+            variants = [("raw", cols, (f"Z{a}", f"Z{b}"))]
             rest = [i for i in range(1, k_z + 1) if i not in (a, b)]
             if rest:
-                part = residualize(cols, Z[:, [i - 1 for i in rest]])
                 tag = ",".join(str(i) for i in rest)
-                rows.append(
-                    PairwiseTsls(
-                        pair=(a, b),
-                        variant="partialled",
-                        labels=(f"Z{a}|{tag}", f"Z{b}|{tag}"),
-                        result=_tsls_core(y, x, part, n_absorbed, robust_flavor),
-                    )
-                )
+                partialled = residualize(cols, Z[:, [i - 1 for i in rest]])
+                variants.append(("partialled", partialled, (f"Z{a}|{tag}", f"Z{b}|{tag}")))
+            for variant, instruments, labels in variants:
+                result = _tsls_core(y, x, instruments, n_absorbed, robust_flavor)
+                rows.append(PairwiseTsls((a, b), variant, labels, result))
     return rows

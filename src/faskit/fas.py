@@ -17,20 +17,15 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    DegenerateInstrumentError,
-    DimensionMismatchError,
-    SingularSigmaError,
-    ZeroFirstStageError,
-)
-from .estimators import SpecEstimate, failed_estimate, just_id_iv
+from .errors import DimensionMismatchError, SingularSigmaError, ZeroFirstStageError
+from .estimators import SpecEstimate, failed_estimate, iv_columns
 from .linalg import partial_out
 from .specs import (
     JustIdSpec,
     enumerate_specs,
     is_fully_controlled,
     is_marginal,
-    transform_instrument,
+    spec_coefficients,
 )
 
 # Relative tolerance for population-level "pi != 0" decisions.
@@ -41,6 +36,9 @@ POPULATION_RELEVANCE_TOL = 1e-12
 _EMPTY_SLACK = 1e-10
 
 DEFAULT_CUTOFF = 10.0
+
+# Elements per block of transformed instruments: caps the sweep's working memory.
+_BLOCK_ELEMENTS = 2**15
 
 
 class Mode(str, Enum):
@@ -188,19 +186,6 @@ def specs_for_mode(mode: Mode, k_z: int) -> list[JustIdSpec]:
     return _mode_views([mode], k_z)[0]
 
 
-def _estimate_one(dataset: Dataset, spec: JustIdSpec, robust_flavor: str) -> SpecEstimate:
-    try:
-        zt = transform_instrument(dataset, spec)
-    except DegenerateInstrumentError:
-        return failed_estimate(spec, "degenerate")
-    try:
-        return just_id_iv(dataset, zt, robust_flavor)
-    except DegenerateInstrumentError:
-        return failed_estimate(spec, "degenerate")
-    except ZeroFirstStageError:
-        return failed_estimate(spec, "zero-first-stage")
-
-
 def estimate_specs(
     dataset: Dataset,
     specs: list[JustIdSpec],
@@ -208,11 +193,29 @@ def estimate_specs(
 ) -> list[SpecEstimate]:
     """Estimate a list of specifications on an already-partialled dataset.
 
-    Failures (collinear transform, zero first stage) become placeholder
-    estimates with a recorded reason instead of aborting the sweep. Results
-    are returned in the order of ``specs``.
+    A block at a time, :func:`spec_coefficients` on one QR of the
+    instruments gives ``A`` and :func:`iv_columns` estimates ``Z A``, with
+    one matrix-vector product per spec, so that a spec's estimate does not
+    depend on the family it is swept in. Failures (collinear controls or
+    transform, zero first stage) become placeholder estimates with a
+    recorded reason. Results are returned in the order of ``specs``.
     """
-    return [_estimate_one(dataset, spec, robust_flavor) for spec in specs]
+    dataset = partial_out(dataset)
+    R = np.linalg.qr(dataset.Z, mode="r")
+    width = max(1, _BLOCK_ELEMENTS // dataset.n)
+    estimates = []
+    for start in range(0, len(specs), width):
+        A, degenerate = spec_coefficients(R, specs[start : start + width])
+        W = np.matmul(dataset.Z, A.T[:, :, None])[:, :, 0]
+        cols = iv_columns(W, dataset.x, dataset.y, dataset.n_absorbed, robust_flavor)
+        for pos, (*values, zero) in enumerate(zip(*(field.tolist() for field in cols)), start):
+            if degenerate[pos - start]:
+                estimates.append(failed_estimate(specs[pos], "degenerate"))
+            elif zero:
+                estimates.append(failed_estimate(specs[pos], "zero-first-stage"))
+            else:
+                estimates.append(SpecEstimate(specs[pos], *values))
+    return estimates
 
 
 def select_relevant(estimates: list[SpecEstimate], cutoff: float) -> RelevanceSelection:
@@ -306,30 +309,19 @@ def population_spec_moments(
 
         pi~ = cov(Z_res, x) / var(Z_res),  psi~ = cov(Z_res, y) / var(Z_res).
 
+    The sweep's coefficient solve on the Cholesky factor of ``sigma_z``
+    gives ``Z_res = Z'a``, so ``pi~ = a'cov(Z, x) / |R a|^2``, and so on.
+
     Returns (pi~, psi~) arrays aligned with ``specs``.
     """
     model.validate()
-    sigma = model.sigma_z
-    cov_zx = sigma @ model.pi
-    cov_zy = sigma @ (model.pi * model.beta + model.gamma) + model.alpha
-
-    pi_t = np.empty(len(specs))
-    psi_t = np.empty(len(specs))
-    for pos, spec in enumerate(specs):
-        ell = spec.instrument_index - 1
-        C = [i - 1 for i in spec.control_subset]
-        if not C:
-            variance = sigma[ell, ell]
-            cx = cov_zx[ell]
-            cy = cov_zy[ell]
-        else:
-            phi = np.linalg.solve(sigma[np.ix_(C, C)], sigma[C, ell])
-            variance = sigma[ell, ell] - sigma[ell, C] @ phi
-            cx = cov_zx[ell] - phi @ cov_zx[C]
-            cy = cov_zy[ell] - phi @ cov_zy[C]
-        pi_t[pos] = cx / variance
-        psi_t[pos] = cy / variance
-    return pi_t, psi_t
+    R = np.linalg.cholesky(model.sigma_z).T
+    # validate() bounds the condition number of sigma_z, so no spec is degenerate
+    A, _ = spec_coefficients(R, specs)
+    cov_zx = model.sigma_z @ model.pi
+    cov_zy = model.sigma_z @ (model.pi * model.beta + model.gamma) + model.alpha
+    variance = np.sum((R @ A) ** 2, axis=0)
+    return cov_zx @ A / variance, cov_zy @ A / variance
 
 
 def _relevance_mask(pi_t: np.ndarray) -> np.ndarray:
@@ -461,12 +453,9 @@ def frontier(
     """
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
     psi = np.asarray(psi, dtype=np.float64).reshape(-1)
-    mask = np.zeros(pi.shape[0], dtype=bool)
     rel = np.asarray(relevant)
-    if rel.dtype == bool:
-        mask = rel.copy()
-    else:
-        mask[np.asarray(relevant, dtype=int)] = True
+    mask = np.zeros(pi.shape[0], dtype=bool)
+    mask[rel if rel.dtype == bool else rel.astype(int)] = True
     if not np.any(mask):
         raise DimensionMismatchError("frontier needs at least one relevant component")
     ratios = psi[mask] / pi[mask]

@@ -1,10 +1,9 @@
 """Least squares with heteroskedasticity-robust covariances, and projections.
 
-Everything downstream (transformed instruments, per-spec estimates, 2SLS)
-reduces to the three operations here: :func:`ols`, :func:`residualize`, and
-:func:`partial_out`. Rank decisions come from a rank-revealing factorization
-with a relative pivot tolerance of 1e-10, so they are deterministic for a
-given input.
+Partialling (:func:`partial_out`) runs before every estimator; 2SLS and
+the pairwise report also use :func:`ols` and :func:`residualize`. Rank
+decisions, here and in the spec engine, use a relative singular value
+tolerance of 1e-10, so they are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -161,18 +160,12 @@ def residualize(A: np.ndarray, B: np.ndarray | None) -> np.ndarray:
     application is a numerical no-op.
     """
     A = np.asarray(A, dtype=np.float64)
-    one_dim = A.ndim == 1
-    A2 = A[:, None] if one_dim else A
     if B is None or np.size(B) == 0:
-        out = A2.copy()
-        return out[:, 0] if one_dim else out
+        return A.copy()
     Q = projection_basis(B)
-    if Q.shape[0] != A2.shape[0]:
-        raise DimensionMismatchError(
-            f"A has {A2.shape[0]} rows but B has {Q.shape[0]}"
-        )
-    out = A2 - Q @ (Q.T @ A2)
-    return out[:, 0] if one_dim else out
+    if Q.shape[0] != A.shape[0]:
+        raise DimensionMismatchError(f"A has {A.shape[0]} rows but B has {Q.shape[0]}")
+    return A - Q @ (Q.T @ A)
 
 
 def _absorbed_basis(dataset: Dataset) -> np.ndarray | None:

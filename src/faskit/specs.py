@@ -19,12 +19,12 @@ from .errors import (
     InvalidCountError,
     TooManyInstrumentsError,
 )
-from .linalg import partial_out, residualize
+from .linalg import RANK_TOL, partial_out
 
 # Enumeration cap: 20 * 2^19 specs is already ~10.5 million.
 MAX_INSTRUMENTS = 20
 
-# A transform whose residual variance falls below this times var(Z_l) is
+# A transform whose residual variance is at most this times var(Z_l) is
 # treated as collinear with its controls.
 DEGENERACY_TOL = 1e-12
 
@@ -124,12 +124,10 @@ class TransformedInstrument:
     spec : JustIdSpec
         The specification the transform realizes.
     values : ndarray, shape (n,)
-        Residual of Z_l on (intercept, controls, Z_C); equals Z_l partialled
-        of (intercept, controls) when C is empty.
+        Residual of Z_l on (intercept, controls, Z_C).
     projection_coeffs : ndarray
-        Coefficients of Z_l on the control instruments (excluding any
-        intercept and controls), in ``spec.control_subset`` order. Empty
-        when C is empty.
+        Coefficients of Z_l on the control instruments (not the intercept or
+        controls), in ``spec.control_subset`` order; empty when C is empty.
     """
 
     spec: JustIdSpec
@@ -137,41 +135,57 @@ class TransformedInstrument:
     projection_coeffs: np.ndarray
 
 
+def spec_coefficients(
+    R: np.ndarray, specs: list[JustIdSpec]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors a of the specs' transformed instruments ``Z a``.
+
+    ``R`` is a triangular factor of the instrument Gram, ``G = R'R``: the R
+    of a QR of the partialled sample instruments, or the transposed
+    Cholesky factor of a population ``sigma_z``. Column s of ``A`` has
+    ``a_l = 1`` and ``a_C = -phi``, phi being the least squares coefficients
+    of ``R[:, l]`` on ``R[:, C]``, which are those of Z_l on Z_C. A spec is
+    degenerate when Z_C is rank deficient at the 1e-10 relative singular
+    value tolerance, or when ``|R a|^2 <= 1e-12 * |R_l|^2``.
+    """
+    A = np.zeros((R.shape[1], len(specs)))
+    degenerate = np.zeros(len(specs), dtype=bool)
+    base_ss = np.sum(R * R, axis=0)
+    for pos, spec in enumerate(specs):
+        ell = spec.instrument_index - 1
+        C = [i - 1 for i in spec.control_subset]
+        # resid_ss holds |R a|^2, or nothing when that is zero or Z_C is rank
+        # deficient, so both of those cases come out degenerate
+        phi, resid_ss, _, _ = np.linalg.lstsq(R[:, C], R[:, ell], rcond=RANK_TOL)
+        A[ell, pos] = 1.0
+        A[C, pos] = -phi
+        degenerate[pos] = resid_ss.sum() <= DEGENERACY_TOL * base_ss[ell]
+    return A, degenerate
+
+
 def transform_instrument(dataset: Dataset, spec: JustIdSpec) -> TransformedInstrument:
     """Residualize the spec's instrument on its control instruments.
 
-    A dataset that still carries an intercept or controls is partialled of
-    them first; by Frisch-Waugh-Lovell this is the residual of Z_l on
-    (intercept, controls, Z_C). In the usual pipeline the dataset is
-    already partialled, and the partialling step is a no-op.
+    The one-spec case of :func:`spec_coefficients`, on the QR factor of the
+    instruments partialled of any intercept and controls (a no-op on an
+    already-partialled dataset): ``values = Z a`` and ``projection_coeffs
+    = -a_C``. By Frisch-Waugh-Lovell this is the residual of Z_l on
+    (intercept, controls, Z_C).
 
     Raises
     ------
     DegenerateInstrumentError
-        If the residual variance is below ``1e-12 * var(Z_l)``, i.e. the
-        instrument is numerically collinear with its controls (or constant).
+        If Z_C is rank deficient, or the residual variance is below
+        ``1e-12 * var(Z_l)``, i.e. the instrument is numerically collinear
+        with its controls (or constant).
     """
     dataset = partial_out(dataset)
-    z = dataset.Z[:, spec.instrument_index - 1]
-    controls = dataset.Z[:, [i - 1 for i in spec.control_subset]]
-
-    base_ss = float(z @ z)
-    if base_ss <= 0.0:
+    A, degenerate = spec_coefficients(np.linalg.qr(dataset.Z, mode="r"), [spec])
+    if degenerate[0]:
         raise DegenerateInstrumentError(
-            f"{spec.label}: instrument has zero variance"
+            f"{spec.label}: controls are collinear, or the residual variance is "
+            f"below {DEGENERACY_TOL:g} of var(Z_{spec.instrument_index})"
         )
-
-    if controls.shape[1]:
-        values = residualize(z, controls)
-        coeffs, *_ = np.linalg.lstsq(controls, z, rcond=None)
-    else:
-        values = z.copy()
-        coeffs = np.empty(0)
-
-    resid_ss = float(values @ values)
-    if resid_ss < DEGENERACY_TOL * base_ss:
-        raise DegenerateInstrumentError(
-            f"{spec.label}: residual variance {resid_ss / dataset.n:.3e} is below "
-            f"{DEGENERACY_TOL:g} of var(Z_{spec.instrument_index})"
-        )
-    return TransformedInstrument(spec=spec, values=values, projection_coeffs=coeffs)
+    a = A[:, 0]
+    coeffs = -a[[i - 1 for i in spec.control_subset]]
+    return TransformedInstrument(spec=spec, values=dataset.Z @ a, projection_coeffs=coeffs)

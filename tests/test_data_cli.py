@@ -327,6 +327,17 @@ def test_cli_removed_options_are_usage_errors(tmp_path):
     assert res.exit_code == 2
 
 
+def test_cli_simulate_rejects_nonpositive_reps(tmp_path):
+    model_path = _write(tmp_path, MODEL_FILE, "model.txt")
+    runner = CliRunner()
+    for reps in ("0", "-5"):
+        res = runner.invoke(
+            main, ["simulate", "--model", model_path, "--n", "300", "--seed", "9", "--reps", reps]
+        )
+        assert res.exit_code == 2
+        assert "--reps" in res.output
+
+
 def test_cli_robust_flavor_changes_standard_errors(tmp_path):
     data = _seeded_dataset()
     path = str(tmp_path / "sim.csv")

@@ -19,8 +19,9 @@ from faskit import (
     select_relevant,
     simulate,
     specs_for_mode,
+    transform_instrument,
 )
-from faskit.errors import DimensionMismatchError, SingularSigmaError
+from faskit.errors import DegenerateInstrumentError, DimensionMismatchError, SingularSigmaError
 from faskit.estimators import SpecEstimate
 
 
@@ -99,6 +100,34 @@ def test_duplicated_instrument_column_degenerates_not_raises():
     result = fas_estimate(data, mode=Mode.EXCL, cutoff=10.0)
     assert result.interval is None
     assert set(result.selection.rejected.values()) == {"degenerate"}
+
+
+def test_collinear_control_instruments_degenerate_in_every_mode():
+    # Z3 repeats Z1, so every spec that controls for both, or that
+    # residualizes one on the other, has nothing left to identify with
+    rng = np.random.default_rng(113)
+    z1, z2 = rng.standard_normal((2, 300))
+    x = z1 + 0.8 * z2 + rng.standard_normal(300)
+    data = Dataset(
+        y=x + rng.standard_normal(300), x=x,
+        Z=np.column_stack([z1, z2, z1]), z_names=("Z1", "Z2", "Z3"),
+    )
+    by_id = {s.spec_id: s.label for s in enumerate_specs(3)}
+    expected = {
+        Mode.EXCL: {"Z1|2,3", "Z2|1,3", "Z3|1,2"},
+        Mode.EXO: set(),
+        Mode.GENERAL: {"Z1|3", "Z1|2,3", "Z2|1,3", "Z3|1", "Z3|1,2"},
+    }
+    for mode, labels in expected.items():
+        result = fas_estimate(data, mode=mode)
+        degenerate = {by_id[i] for i, why in result.selection.rejected.items() if why == "degenerate"}
+        assert degenerate == labels
+        assert all(est.failure in (None, "degenerate") for est in result.estimates)
+    assert fas_estimate(data, mode=Mode.EXCL).interval is None
+    assert fas_estimate(data, mode=Mode.GENERAL).interval is not None
+    spec = next(s for s in enumerate_specs(3) if s.label == "Z2|1,3")
+    with pytest.raises(DegenerateInstrumentError):
+        transform_instrument(data, spec)
 
 
 def test_example_population_excl_interval_is_exact():
