@@ -264,7 +264,7 @@ def oracle_report(model: PopulationModel, config: RunConfig, model_path: str = "
             "frontier": [
                 {
                     "b": float(p.b),
-                    "delta": [float(d) for d in p.delta],
+                    "delta": p.delta.tolist(),
                     "interval": _interval_json(p.identified_set),
                     "on_frontier": bool(p.on_frontier),
                 }

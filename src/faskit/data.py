@@ -200,19 +200,16 @@ def load_csv(
             if not row or all(not cell.strip() for cell in row):
                 continue
             parsed: list[float] = []
-            missing = False
             for name in referenced:
                 idx = position[name]
                 token = row[idx] if idx < len(row) else ""
                 value = _parse_cell(token, name, row_number)
                 if value is None:
-                    missing = True
+                    dropped += 1
                     break
                 parsed.append(value)
-            if missing:
-                dropped += 1
-                continue
-            rows.append(parsed)
+            else:
+                rows.append(parsed)
 
     if not rows:
         raise EmptyAfterFilteringError(
@@ -244,5 +241,4 @@ def write_csv(dataset: Dataset, path: str, outcome: str = "y", treatment: str = 
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in table:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(row.tolist() for row in table)

@@ -218,6 +218,14 @@ def failed_estimate(spec: JustIdSpec, reason: str) -> SpecEstimate:
     )
 
 
+def _solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M^{-1} v, through the pseudo-inverse when M is singular."""
+    try:
+        return np.linalg.solve(M, v)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(M) @ v
+
+
 def _tsls_core(
     y: np.ndarray,
     x: np.ndarray,
@@ -244,11 +252,7 @@ def _tsls_core(
 
     first = ols(Zm, x, robust_flavor, n_absorbed)
     pi = first.coefficients
-    try:
-        wald = float(pi @ np.linalg.solve(first.robust_cov, pi))
-    except np.linalg.LinAlgError:
-        wald = float(pi @ (np.linalg.pinv(first.robust_cov) @ pi))
-    first_stage_f = wald / q
+    first_stage_f = float(pi @ _solve(first.robust_cov, pi)) / q
 
     weights = pi * (Zm.T @ x) / denom
 
@@ -263,20 +267,11 @@ def _tsls_core(
         moments_y = Zm.T @ y
         scored = Zm * resid[:, None]
         S = scored.T @ scored
-        try:
-            S_inv_x = np.linalg.solve(S, moments_x)
-            S_inv_y = np.linalg.solve(S, moments_y)
-        except np.linalg.LinAlgError:
-            S_pinv = np.linalg.pinv(S)
-            S_inv_x = S_pinv @ moments_x
-            S_inv_y = S_pinv @ moments_y
+        S_inv_x = _solve(S, moments_x)
+        S_inv_y = _solve(S, moments_y)
         beta_two = float(moments_x @ S_inv_y) / float(moments_x @ S_inv_x)
         gap = moments_y - moments_x * beta_two
-        try:
-            j_stat = float(gap @ np.linalg.solve(S, gap))
-        except np.linalg.LinAlgError:
-            j_stat = float(gap @ (np.linalg.pinv(S) @ gap))
-        j_stat = max(0.0, j_stat)
+        j_stat = max(0.0, float(gap @ _solve(S, gap)))
         j_pvalue = chi2_sf(j_stat, j_dof)
 
     return TslsResult(

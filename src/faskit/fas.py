@@ -325,8 +325,7 @@ def population_spec_moments(
 
 
 def _relevance_mask(pi_t: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(pi_t))) if pi_t.size else 1.0)
-    return np.abs(pi_t) > POPULATION_RELEVANCE_TOL * scale
+    return np.abs(pi_t) > POPULATION_RELEVANCE_TOL * np.max(np.abs(pi_t), initial=1.0)
 
 
 def _population_result(
@@ -379,6 +378,35 @@ def population_fas(model: PopulationModel, mode: Mode = Mode.GENERAL) -> FasResu
 # ---------------------------------------------------------------------------
 # identified sets and the falsification frontier
 
+def _finite(name: str, values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
+def _identified_sets(
+    pi: np.ndarray, psi: np.ndarray, delta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lo, hi, empty)`` of :func:`identified_set` at each row of a
+    (grid x components) delta matrix, in one array pass."""
+    rel = _relevance_mask(pi)
+    empty = np.any(np.abs(psi[~rel]) > delta[:, ~rel], axis=1)
+    center = psi[rel] / pi[rel]
+    radius = delta[:, rel]
+    radius /= np.abs(pi[rel])
+    bound = center - radius
+    lo = bound.max(axis=1, initial=-np.inf)
+    hi = np.add(center, radius, out=bound).min(axis=1, initial=np.inf)
+    # both sides are pinned where the bounds cross, so this arithmetic is finite
+    crossed = lo > hi
+    lo_x, hi_x = lo[crossed], hi[crossed]
+    slack = _EMPTY_SLACK * np.maximum(1.0, np.maximum(np.abs(lo_x), np.abs(hi_x)))
+    empty[crossed] |= lo_x - hi_x > slack
+    lo[crossed] = hi[crossed] = 0.5 * (lo_x + hi_x)
+    return lo, hi, empty
+
+
 def identified_set(
     pi: np.ndarray,
     psi: np.ndarray,
@@ -394,37 +422,19 @@ def identified_set(
 
     A guard band of 1e-10 (relative) absorbs rounding noise when bounds
     cross by a few ulp; genuinely conflicting constraints still come out
-    empty.
+    empty. NaN or negative delta (+inf is fine) and non-finite pi or psi
+    raise ValueError. This is the one-row case of :func:`frontier`'s kernel.
     """
-    pi = np.asarray(pi, dtype=np.float64).reshape(-1)
-    psi = np.asarray(psi, dtype=np.float64).reshape(-1)
+    pi, psi = _finite("pi", pi), _finite("psi", psi)
     delta = np.asarray(delta, dtype=np.float64).reshape(-1)
     if not pi.shape == psi.shape == delta.shape:
         raise DimensionMismatchError(
             f"component counts disagree: {pi.shape[0]}, {psi.shape[0]}, {delta.shape[0]}"
         )
-    if np.any(delta < 0.0):
-        raise ValueError("delta components must be nonnegative")
-
-    mask = _relevance_mask(pi)
-    lo = -np.inf
-    hi = np.inf
-    for j in range(pi.shape[0]):
-        if mask[j]:
-            center = psi[j] / pi[j]
-            radius = delta[j] / abs(pi[j])
-            lo = max(lo, center - radius)
-            hi = min(hi, center + radius)
-        else:
-            if abs(psi[j]) > delta[j]:
-                return None
-    if lo > hi:
-        slack = _EMPTY_SLACK * max(1.0, abs(lo), abs(hi))
-        if lo - hi > slack:
-            return None
-        mid = 0.5 * (lo + hi)
-        return (float(mid), float(mid))
-    return (float(lo), float(hi))
+    if not np.all(delta >= 0.0):
+        raise ValueError("delta components must be nonnegative, not NaN")
+    lo, hi, empty = _identified_sets(pi, psi, delta[None, :])
+    return None if empty[0] else (float(lo[0]), float(hi[0]))
 
 
 def frontier(
@@ -438,21 +448,21 @@ def frontier(
     Parameters
     ----------
     pi, psi : ndarray
-        Population moment vectors, one entry per spec of the mode in force.
+        Finite population moment vectors, one entry per spec of the mode.
     relevant : boolean mask or list of 0-based positions
         Components whose ratios span the frontier range.
     b_grid : ndarray
-        Candidate effect values. Values outside the span of the relevant
-        ratios are computed but flagged ``on_frontier=False``.
+        Finite candidate effect values. Values outside the span of the
+        relevant ratios are computed but flagged ``on_frontier=False``.
 
     Returns
     -------
     list of FrontierPoint
         For each b: delta_j(b) = |psi_j - b * pi_j| and the identified set
-        at that delta, which is {b} itself on the frontier.
+        at that delta, which is {b} itself on the frontier. One array pass
+        over the (grid x components) delta matrix gives every identified set.
     """
-    pi = np.asarray(pi, dtype=np.float64).reshape(-1)
-    psi = np.asarray(psi, dtype=np.float64).reshape(-1)
+    pi, psi, b = _finite("pi", pi), _finite("psi", psi), _finite("b_grid", b_grid)
     rel = np.asarray(relevant)
     mask = np.zeros(pi.shape[0], dtype=bool)
     mask[rel if rel.dtype == bool else rel.astype(int)] = True
@@ -462,19 +472,17 @@ def frontier(
     b_lo = float(np.min(ratios))
     b_hi = float(np.max(ratios))
     span_slack = 1e-12 * max(1.0, abs(b_lo), abs(b_hi))
+    on_frontier = (b_lo - span_slack <= b) & (b <= b_hi + span_slack)
 
-    points: list[FrontierPoint] = []
-    for b in np.asarray(b_grid, dtype=np.float64).reshape(-1):
-        delta = np.abs(psi - b * pi)
-        points.append(
-            FrontierPoint(
-                b=float(b),
-                delta=delta,
-                identified_set=identified_set(pi, psi, delta),
-                on_frontier=b_lo - span_slack <= b <= b_hi + span_slack,
-            )
+    delta = np.multiply.outer(b, pi)
+    np.abs(np.subtract(psi, delta, out=delta), out=delta)
+    lo, hi, empty = _identified_sets(pi, psi, delta)
+    return [
+        FrontierPoint(b=b_j, delta=row, identified_set=None if e else (lo_j, hi_j), on_frontier=on)
+        for b_j, row, lo_j, hi_j, e, on in zip(
+            b.tolist(), delta, lo.tolist(), hi.tolist(), empty.tolist(), on_frontier.tolist()
         )
-    return points
+    ]
 
 
 def fas_frontier(result: FasResult, grid_points: int = 201) -> list[FrontierPoint]:

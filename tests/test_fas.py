@@ -1,7 +1,11 @@
 """Relevance selection, FAS assembly, the population oracle, and the frontier."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import example1_model, example2_model, random_model
 from faskit import (
@@ -252,6 +256,119 @@ def test_population_frontier_spans_the_fas():
     assert points[-1].b == pytest.approx(3.0, abs=1e-12)
     assert all(p.on_frontier for p in points)
     assert [s.label for s in family] == ["Z1|2,3", "Z2|1,3", "Z3|1,2"]
+
+
+def test_identified_set_rejects_nan_and_nonfinite_inputs():
+    ones = np.ones(2)
+    # a NaN delta used to drop its component's constraint: (1.5, 2.5)
+    with pytest.raises(ValueError):
+        identified_set(ones, np.array([1.0, 2.0]), np.array([np.nan, 0.5]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            identified_set(np.array([1.0, bad]), ones, ones)
+        with pytest.raises(ValueError):
+            identified_set(ones, np.array([1.0, bad]), ones)
+
+
+def test_infinite_delta_constrains_nothing():
+    ones = np.ones(2)
+    assert identified_set(ones, np.array([1.0, 2.0]), np.array([np.inf, 0.5])) == (1.5, 2.5)
+    assert identified_set(ones, ones, np.full(2, np.inf)) == (-np.inf, np.inf)
+
+
+def test_frontier_rejects_nonfinite_inputs():
+    ones = np.ones(2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            frontier(np.array([1.0, bad]), ones, [0], np.zeros(1))
+        with pytest.raises(ValueError):
+            frontier(ones, np.array([1.0, bad]), [0], np.zeros(1))
+        # a NaN grid point used to report the identified set (-inf, inf)
+        with pytest.raises(ValueError):
+            frontier(ones, ones, [0], np.array([0.0, bad]))
+
+
+def _reference_identified_set(pi, psi, delta):
+    """The per-component loop identified_set used to run, as a plain reference."""
+    scale = max(1.0, float(np.max(np.abs(pi))) if pi.size else 1.0)
+    mask = np.abs(pi) > 1e-12 * scale
+    lo = -np.inf
+    hi = np.inf
+    for j in range(pi.shape[0]):
+        if mask[j]:
+            center = psi[j] / pi[j]
+            radius = delta[j] / abs(pi[j])
+            lo = max(lo, center - radius)
+            hi = min(hi, center + radius)
+        elif abs(psi[j]) > delta[j]:
+            return None
+    if lo > hi:
+        slack = 1e-10 * max(1.0, abs(lo), abs(hi))
+        if lo - hi > slack:
+            return None
+        mid = 0.5 * (lo + hi)
+        return (float(mid), float(mid))
+    return (float(lo), float(hi))
+
+
+@st.composite
+def moment_vectors(draw):
+    """(pi, psi, free): pi mixes strong components with zeros and ones just
+    below and just above the 1e-12 relative relevance tolerance; some psi are
+    zero; ``free`` marks components to give an infinite delta."""
+    kind = st.sampled_from(("zero", "below", "above", "strong"))
+    kinds = draw(st.lists(kind, min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = len(kinds)
+    strong = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.1, 5.0, size=m)
+    scale = max([1.0] + [abs(p) for p, kind in zip(strong, kinds) if kind == "strong"])
+    tiny = {"zero": 0.0, "below": 1e-12 * scale * (1 - 1e-6), "above": 1e-12 * scale * (1 + 1e-6)}
+    pi = np.array(
+        [p if kind == "strong" else np.sign(p) * tiny[kind] for p, kind in zip(strong, kinds)]
+    )
+    psi = rng.uniform(-5.0, 5.0, size=m)
+    psi[rng.random(m) < 0.2] = 0.0
+    return pi, psi, rng.random(m) < 0.3
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    moments=moment_vectors(),
+    b=st.floats(-20.0, 20.0),
+    # shrinking a frontier delta makes the bounds cross, by less than the
+    # 1e-10 guard band for the small factors and by more for the large ones
+    shrink=st.sampled_from([0.0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-9, 1e-6, 1e-2, -1e-2]),
+)
+def test_identified_set_equals_the_per_component_reference(moments, b, shrink):
+    pi, psi, free = moments
+    delta = np.abs(psi - b * pi) * (1.0 - shrink)
+    delta[free] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert identified_set(pi, psi, delta) == _reference_identified_set(pi, psi, delta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(moments=moment_vectors(), grid=st.lists(st.floats(-60.0, 60.0), max_size=8))
+def test_frontier_points_equal_the_per_component_reference(moments, grid):
+    pi, psi, _ = moments
+    relevant = np.abs(pi) >= 0.1
+    assume(relevant.any())
+    ratios = psi[relevant] / pi[relevant]
+    # the grid holds the ratios themselves and points beyond their span
+    grid = np.concatenate([ratios, grid])
+    b_lo, b_hi = float(np.min(ratios)), float(np.max(ratios))
+    span_slack = 1e-12 * max(1.0, abs(b_lo), abs(b_hi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = frontier(pi, psi, relevant, grid)
+        assert len(points) == len(grid)
+        for b, point in zip(grid, points):
+            delta = np.abs(psi - b * pi)
+            assert point.b == b
+            assert np.array_equal(point.delta, delta)
+            assert point.identified_set == _reference_identified_set(pi, psi, delta)
+            assert point.on_frontier == (b_lo - span_slack <= b <= b_hi + span_slack)
 
 
 def test_model_validation():
