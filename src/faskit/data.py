@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -112,11 +113,17 @@ class Dataset:
 
 
 def _parse_cell(token: str, column: str, row_number: int) -> float | None:
-    """None for a missing token, float for a finite value, ParseError otherwise."""
+    """None for a missing token, float for a finite value, ParseError otherwise.
+
+    A number is ASCII decimal or scientific notation. ``float`` alone also
+    takes Python's ``1_5`` and non-ASCII digits, which numpy's parser does not.
+    """
     stripped = token.strip()
     if stripped.lower() in _MISSING_TOKENS:
         return None
     try:
+        if "_" in stripped or not stripped.isascii():
+            raise ValueError(stripped)
         value = float(stripped)
     except ValueError:
         raise ParseError(
@@ -125,6 +132,90 @@ def _parse_cell(token: str, column: str, row_number: int) -> float | None:
     if not math.isfinite(value):
         raise ParseError(f"row {row_number}, column '{column}': non-finite value {stripped!r}")
     return value
+
+
+def _read_header(path: str, referenced: list[str]) -> tuple[list[int], int]:
+    """Header positions of the referenced columns, and the lines the header spans."""
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise FileNotFoundError(f"cannot open data file: {path}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        header_lines = reader.line_num
+    header = [h.strip() for h in header]
+    for name in referenced:
+        hits = [i for i, h in enumerate(header) if h == name]
+        if not hits:
+            raise MissingColumnError(f"column '{name}' not found in {path}")
+        if len(hits) > 1:
+            raise AmbiguousColumnError(
+                f"column '{name}' appears {len(hits)} times in the header of {path}"
+            )
+    return [header.index(name) for name in referenced], header_lines
+
+
+def _loadtxt_table(path: str, usecols: list[int], header_lines: int) -> np.ndarray | None:
+    """The referenced columns of a clean file, from one call to numpy's C parser.
+
+    None when the file needs :func:`_row_table`: the parser raised or warned
+    (a missing, blank or malformed cell, a short row, no data rows) or a cell
+    is not finite. ``comments=None`` keeps a cell starting with ``#`` a bad
+    cell, not a comment. ``quotechar`` splits quoted cells as ``csv`` does, so
+    a comma inside quotes in an unreferenced column cannot shift the columns.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                skiprows=header_lines,
+                usecols=usecols,
+                ndmin=2,
+            )
+    except (ValueError, Warning):
+        return None
+    if table.shape[0] == 0 or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _row_table(path: str, referenced: list[str], usecols: list[int]) -> tuple[np.ndarray, int]:
+    """The referenced columns read row by row, with listwise deletion.
+
+    Rows whose cells are all blank are skipped and not counted. A row with a
+    missing referenced cell (blank, a missing token, or past the row's end) is
+    dropped and counted. Any other cell that is not a finite number raises
+    :class:`~faskit.errors.ParseError` naming its row and column.
+    """
+    rows: list[list[float]] = []
+    dropped = 0
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for row_number, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            parsed: list[float] = []
+            for name, idx in zip(referenced, usecols):
+                token = row[idx] if idx < len(row) else ""
+                value = _parse_cell(token, name, row_number)
+                if value is None:
+                    dropped += 1
+                    break
+                parsed.append(value)
+            else:
+                rows.append(parsed)
+    if not rows:
+        raise EmptyAfterFilteringError(f"{path}: no complete rows remain ({dropped} dropped)")
+    return np.asarray(rows, dtype=np.float64), dropped
 
 
 def load_csv(
@@ -137,10 +228,17 @@ def load_csv(
 ) -> tuple[Dataset, int]:
     """Read a CSV file into a :class:`Dataset` with listwise deletion.
 
-    Rows with a missing value (blank, NA, NaN) in any referenced column are
-    dropped; unreferenced columns are ignored entirely. Any referenced cell
-    that is present but does not parse as a finite decimal raises
-    :class:`~faskit.errors.ParseError`.
+    The first record is the header; lines may end in LF or CRLF. A number
+    is ASCII decimal or scientific notation (``-1.5``, ``.5``, ``2.``,
+    ``3e-8``), with optional padding and no ``_``. Rows with a missing value
+    (blank, NA, NaN, N/A or ``.``, in any case) in any referenced column
+    are dropped and counted; rows whose cells are all blank are skipped
+    and not counted. Unreferenced columns are ignored entirely. Any
+    referenced cell that is present but is not a finite number raises
+    :class:`~faskit.errors.ParseError` naming its row and column.
+
+    A file with no missing or bad cell is read in one call to numpy's C
+    parser; any other file is read row by row.
 
     Parameters
     ----------
@@ -173,57 +271,19 @@ def load_csv(
         seen[name] = role
     referenced = list(seen)
 
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot open data file: {path}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for name in referenced:
-            hits = [i for i, h in enumerate(header) if h == name]
-            if not hits:
-                raise MissingColumnError(f"column '{name}' not found in {path}")
-            if len(hits) > 1:
-                raise AmbiguousColumnError(
-                    f"column '{name}' appears {len(hits)} times in the header of {path}"
-                )
-        position = {name: header.index(name) for name in referenced}
+    usecols, header_lines = _read_header(path, referenced)
+    table = _loadtxt_table(path, usecols, header_lines)
+    dropped = 0
+    if table is None:
+        table, dropped = _row_table(path, referenced, usecols)
 
-        rows: list[list[float]] = []
-        dropped = 0
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            parsed: list[float] = []
-            for name in referenced:
-                idx = position[name]
-                token = row[idx] if idx < len(row) else ""
-                value = _parse_cell(token, name, row_number)
-                if value is None:
-                    dropped += 1
-                    break
-                parsed.append(value)
-            else:
-                rows.append(parsed)
-
-    if not rows:
-        raise EmptyAfterFilteringError(
-            f"{path}: no complete rows remain ({dropped} dropped)"
-        )
-
-    table = np.asarray(rows, dtype=np.float64)
     col = {name: i for i, name in enumerate(referenced)}
     dataset = Dataset(
         y=table[:, col[outcome]],
         x=table[:, col[treatment]],
         Z=table[:, [col[m] for m in instruments]],
         z_names=list(instruments),
-        controls=table[:, [col[m] for m in controls]] if controls else np.empty((len(rows), 0)),
+        controls=table[:, [col[m] for m in controls]],
         control_names=controls,
         intercept=intercept,
         provenance=path,
@@ -231,14 +291,26 @@ def load_csv(
     return dataset, dropped
 
 
+# Rows per block of the CSV writer: each block's text is built in one join,
+# so only a block, not the whole table, is ever held as Python floats.
+_WRITE_ROWS = 1024
+
+
 def write_csv(dataset: Dataset, path: str, outcome: str = "y", treatment: str = "x") -> None:
-    """Write a dataset in the same CSV layout :func:`load_csv` ingests."""
+    """Write a dataset in the CSV layout :func:`load_csv` reads.
+
+    The header row is quoted where a name needs it. Each value is written as
+    its shortest round-trip text (``repr``), so reading the file back gives
+    the same float64 bits. Lines end in CRLF. The bytes are those
+    ``csv.writer`` writes for the same rows.
+    """
     header = [outcome, treatment] + list(dataset.z_names) + list(dataset.control_names)
     blocks = [dataset.y[:, None], dataset.x[:, None], dataset.Z]
     if dataset.controls.shape[1]:
         blocks.append(dataset.controls)
     table = np.hstack(blocks)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(row.tolist() for row in table)
+        csv.writer(handle).writerow(header)
+        for start in range(0, table.shape[0], _WRITE_ROWS):
+            rows = table[start : start + _WRITE_ROWS].tolist()
+            handle.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))

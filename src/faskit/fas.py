@@ -450,7 +450,8 @@ def frontier(
     pi, psi : ndarray
         Finite population moment vectors, one entry per spec of the mode.
     relevant : boolean mask or list of 0-based positions
-        Components whose ratios span the frontier range.
+        Components whose ratios span the frontier range. Each needs a
+        nonzero ``pi``; a zero one raises ``ValueError``.
     b_grid : ndarray
         Finite candidate effect values. Values outside the span of the
         relevant ratios are computed but flagged ``on_frontier=False``.
@@ -468,6 +469,8 @@ def frontier(
     mask[rel if rel.dtype == bool else rel.astype(int)] = True
     if not np.any(mask):
         raise DimensionMismatchError("frontier needs at least one relevant component")
+    if np.any(pi[mask] == 0):
+        raise ValueError("a relevant component has pi == 0, so its ratio psi/pi is undefined")
     ratios = psi[mask] / pi[mask]
     b_lo = float(np.min(ratios))
     b_hi = float(np.max(ratios))

@@ -1,14 +1,21 @@
 """CSV ingestion, model files, report assembly, and the command line."""
 
+import csv
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import example1_model, random_model
-from faskit import Mode, SimulationConfig, fas_estimate, load_csv, simulate, write_csv
+from faskit import Dataset, Mode, SimulationConfig, fas_estimate, load_csv, simulate, write_csv
+from faskit import data as data_module
 from faskit.cli import (
     RunConfig,
     load_model,
@@ -99,6 +106,142 @@ def test_csv_round_trip_is_lossless(tmp_path):
     assert np.array_equal(back.y, data.y)
     assert np.array_equal(back.x, data.x)
     assert np.array_equal(back.Z, data.Z)
+
+
+@pytest.mark.parametrize(
+    "column, text",
+    [
+        ("y", "y,x,z1\n1.0,0.5,0.1\n1_5,1.5,0.3\n"),
+        ("z1", "y,x,z1\n1.0,0.5,0.1\n2.0,1.5,\u0661\n"),
+        ("x", "y,x,z1\n1.0,0.5,0.1\n2.0,\uff11.5,0.3\n"),
+    ],
+    ids=["digit separator", "arabic-indic digit", "fullwidth digit"],
+)
+def test_python_only_number_syntax_is_a_parse_error(tmp_path, column, text):
+    # float() takes these; the CSV grammar is ASCII decimal without separators
+    with pytest.raises(ParseError) as err:
+        load_csv(_write(tmp_path, text), "y", "x", ["z1"])
+    assert str(err.value).startswith(f"row 3, column '{column}': cannot parse")
+
+
+# Referenced in another order than the header's, with one unreferenced column.
+PARITY_HEADER = "note,z,y,w,x"
+PARITY_NAMES = ["y", "x", "z", "w"]
+# name, file text, whether the C parser reads it (else the row path does)
+PARITY_FILES = [
+    ("lf", PARITY_HEADER + "\na,1,2,3,4\nb,5,6,7,8\n", True),
+    ("crlf", PARITY_HEADER + "\r\na,1,2,3,4\r\nb,5,6,7,8\r\n", True),
+    ("no final newline", PARITY_HEADER + "\na,1,2,3,4\nb,5,6,7,8", True),
+    ("padded", PARITY_HEADER + "\n a , 1 ,\t2, 3 ,4 \nb,  5,6  ,7,8\n", True),
+    ("number forms", PARITY_HEADER + "\na,+.5,-1.,1E+2,-0\nb,1e-400,2.5e-3,-7,0012\n", True),
+    ("quoted numbers", PARITY_HEADER + '\na,"1",2,"3",4\nb,5,"6",7," 8 "\n', True),
+    ("quoted comma", PARITY_HEADER + '\n"a,b",1,2,3,4\n"c,d,e",5,6,7,8\n', True),
+    ("quoted newline", PARITY_HEADER + '\n"a\nb",1,2,3,4\nc,5,6,7,8\n', True),
+    ("header spans lines", '"no\nte",z,y,w,x\na,1,2,3,4\nb,5,6,7,8\n', True),
+    ("non-ascii text", PARITY_HEADER + "\nhéllo ١,1,2,3,4\nü,5,6,7,8\n", True),
+    ("long rows", PARITY_HEADER + "\na,1,2,3,4,9,9\nb,5,6,7,8\n", True),
+    ("one row", PARITY_HEADER + "\na,1,2,3,4\n", True),
+    ("hash text", PARITY_HEADER + "\n#a,1,2,3,4\nb,5,6,7,8\n", True),
+    ("hash cell", PARITY_HEADER + "\na,1,2,3,4\nb,#5,6,7,8\n", False),
+    ("hash after a number", PARITY_HEADER + "\na,1,2,3,4 #c\nb,5,6,7,8\n", False),
+    ("blank lines", PARITY_HEADER + "\n\na,1,2,3,4\n\n   \nb,5,6,7,8\n\n", False),
+    ("all-blank row", PARITY_HEADER + "\na,1,2,3,4\n, , ,,\nb,5,6,7,8\n", False),
+    ("short rows", PARITY_HEADER + "\na,1,2,3,4\nb,5,6\nc,9,10,11,12\n", False),
+    (
+        "missing tokens",
+        PARITY_HEADER + "\na,NA,2,3,4\nb,5,n/a,7,8\nc,9,10,.,12\nd,1,2,3,4\n",
+        False,
+    ),
+    ("blank referenced cell", PARITY_HEADER + "\na,1,,3,4\nb,5,6,7,8\n", False),
+    ("nan", PARITY_HEADER + "\na,1,2,nan,4\nb,5,6,7,8\n", False),
+    ("inf", PARITY_HEADER + "\na,1,2,3,4\nb,5,6,-inf,8\n", False),
+    ("1e400", PARITY_HEADER + "\na,1,2,3,4\nb,5,6,7,1e400\n", False),
+    ("digit separator", PARITY_HEADER + "\na,1_0,2,3,4\n", False),
+    ("non-ascii digit", PARITY_HEADER + "\na,1,٢,3,4\n", False),
+    ("all rows dropped", PARITY_HEADER + "\na,NA,2,3,4\n", False),
+    ("header only", PARITY_HEADER + "\n", False),
+]
+
+
+def _outcome(read):
+    """(table, dropped) of a read, or the type and message it raised."""
+    try:
+        table, dropped = read()
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+    return (table, dropped), None
+
+
+@pytest.mark.parametrize(
+    "text, fast", [f[1:] for f in PARITY_FILES], ids=[f[0] for f in PARITY_FILES]
+)
+def test_load_csv_matches_the_row_path(tmp_path, text, fast):
+    path = str(tmp_path / "parity.csv")
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(text)
+
+    def public():
+        data, dropped = load_csv(path, "y", "x", ["z"], controls=["w"])
+        return np.column_stack([data.y, data.x, data.Z, data.controls]), dropped
+
+    def row_path():
+        usecols, _ = data_module._read_header(path, PARITY_NAMES)
+        return data_module._row_table(path, PARITY_NAMES, usecols)
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got, got_error = _outcome(public)
+    assert not seen  # numpy's warning on a file without data rows stays inside
+    want, want_error = _outcome(row_path)
+    assert got_error == want_error
+    if want is not None:
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
+        assert got[1] == want[1]
+    usecols, header_lines = data_module._read_header(path, PARITY_NAMES)
+    assert (data_module._loadtxt_table(path, usecols, header_lines) is not None) == fast
+
+
+# Values whose shortest text is easy to get wrong: signed zero, the smallest
+# subnormal, a subnormal, an integer-valued float past 2**53, a huge negative.
+EDGE_FLOATS = [-0.0, 5e-324, 1e-310, 1.2e17, -1e300]
+# A header name that csv.writer must quote.
+QUOTED_NAME = 'z "one", 1'
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    table=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 40), st.just(4)),
+        elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS),
+    )
+)
+@example(table=np.array([EDGE_FLOATS[:4], EDGE_FLOATS[1:]]))
+@example(table=np.random.default_rng(7).standard_normal((2 * data_module._WRITE_ROWS + 3, 4)))
+def test_write_csv_then_load_csv_is_exact(tmp_path_factory, table):
+    path = str(tmp_path_factory.mktemp("roundtrip") / "data.csv")
+    data = Dataset(
+        y=table[:, 0],
+        x=table[:, 1],
+        Z=table[:, 2:3],
+        z_names=[QUOTED_NAME],
+        controls=table[:, 3:],
+        control_names=["w"],
+    )
+    write_csv(data, path)
+
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(["y", "x", QUOTED_NAME, "w"])
+    writer.writerows(table.tolist())
+    with open(path, "rb") as handle:
+        assert handle.read() == reference.getvalue().encode()
+
+    back, dropped = load_csv(path, "y", "x", [QUOTED_NAME], controls=["w"])
+    assert dropped == 0
+    loaded = np.column_stack([back.y, back.x, back.Z, back.controls])
+    assert np.array_equal(loaded.view(np.uint64), table.view(np.uint64))
 
 
 MODEL_FILE = """# two instruments, one exclusion violation

@@ -288,6 +288,14 @@ def test_frontier_rejects_nonfinite_inputs():
             frontier(ones, ones, [0], np.array([0.0, bad]))
 
 
+def test_frontier_rejects_a_relevant_component_with_zero_pi():
+    # its ratio psi/pi is infinite, which would put every grid point on the frontier
+    with pytest.raises(ValueError, match="pi == 0"):
+        frontier(np.array([0.0, 1.0]), np.ones(2), [0, 1], np.array([-1e6, 0.5, 1e6]))
+    with pytest.raises(ValueError, match="pi == 0"):
+        frontier(np.array([0.0, 1.0]), np.ones(2), np.array([True, True]), np.zeros(1))
+
+
 def _reference_identified_set(pi, psi, delta):
     """The per-component loop identified_set used to run, as a plain reference."""
     scale = max(1.0, float(np.max(np.abs(pi))) if pi.size else 1.0)
