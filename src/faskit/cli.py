@@ -244,10 +244,14 @@ def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
 
 
 def oracle_report(model: PopulationModel, config: RunConfig, model_path: str = "") -> dict:
-    """Population FAS and frontier for the requested mode(s)."""
+    """Population FAS and frontier for the requested mode(s).
+
+    A mode with no relevant spec has an empty FAS: its interval is None and
+    its frontier is an empty list.
+    """
     sections: dict[str, dict] = {}
     for mode, result in population_fas_by_mode(model, config.modes).items():
-        points = fas_frontier(result, config.frontier_grid)
+        points = [] if result.interval is None else fas_frontier(result, config.frontier_grid)
         sections[mode.value] = {
             "interval": _interval_json(result.interval),
             "specs": [
@@ -484,11 +488,12 @@ def render_oracle_text(report: dict) -> str:
         lines += _table(["spec", "pi", "psi", "ratio", "relevant"], rows)
         points = section["frontier"]
         on = [p for p in points if p["on_frontier"]]
-        lines.append(
-            f"frontier: {len(points)} grid points on "
-            f"[{_fmt(points[0]['b'])}, {_fmt(points[-1]['b'])}]"
-            + (f", {len(on)} on the frontier" if on else "")
-        )
+        if points:
+            lines.append(
+                f"frontier: {len(points)} grid points on "
+                f"[{_fmt(points[0]['b'])}, {_fmt(points[-1]['b'])}]"
+                + (f", {len(on)} on the frontier" if on else "")
+            )
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 

@@ -42,7 +42,7 @@ class SpecEstimate:
     """Estimate of one just-identified specification.
 
     ``beta_hat`` is absent (None) when the spec could not be estimated; the
-    ``failure`` field then says why ("degenerate" or "zero-first-stage").
+    ``failure`` field then says why, and is None otherwise.
 
     Attributes
     ----------
@@ -57,10 +57,10 @@ class SpecEstimate:
         Reduced-form coefficient of y on the transformed instrument.
     f_stat : float
         Squared robust t-ratio of ``pi_hat``; 0.0 for failed specs.
-    degenerate : bool
-        True when no estimate exists.
     failure : str or None
-        "degenerate", "zero-first-stage", or None.
+        None for an estimated spec; otherwise "degenerate" (collinear
+        controls or transform) or "zero-first-stage" (the transformed
+        instrument is orthogonal to the treatment).
     """
 
     spec: JustIdSpec
@@ -69,7 +69,6 @@ class SpecEstimate:
     pi_hat: float | None
     psi_hat: float | None
     f_stat: float
-    degenerate: bool = False
     failure: str | None = None
 
 
@@ -213,7 +212,6 @@ def failed_estimate(spec: JustIdSpec, reason: str) -> SpecEstimate:
         pi_hat=None,
         psi_hat=None,
         f_stat=0.0,
-        degenerate=True,
         failure=reason,
     )
 

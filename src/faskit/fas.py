@@ -20,13 +20,7 @@ from .data import Dataset
 from .errors import DimensionMismatchError, SingularSigmaError, ZeroFirstStageError
 from .estimators import SpecEstimate, failed_estimate, iv_columns
 from .linalg import partial_out
-from .specs import (
-    JustIdSpec,
-    enumerate_specs,
-    is_fully_controlled,
-    is_marginal,
-    spec_coefficients,
-)
+from .specs import JustIdSpec, enumerate_specs, instrument_specs, spec_coefficients
 
 # Relative tolerance for population-level "pi != 0" decisions.
 POPULATION_RELEVANCE_TOL = 1e-12
@@ -102,10 +96,12 @@ class PopulationModel:
     var_u: float = 1.0
 
     def __post_init__(self) -> None:
-        self.gamma = np.asarray(self.gamma, dtype=np.float64).reshape(-1)
-        self.alpha = np.asarray(self.alpha, dtype=np.float64).reshape(-1)
-        self.pi = np.asarray(self.pi, dtype=np.float64).reshape(-1)
+        self.gamma = _finite("gamma", self.gamma)
+        self.alpha = _finite("alpha", self.alpha)
+        self.pi = _finite("pi", self.pi)
         self.sigma_z = np.atleast_2d(np.asarray(self.sigma_z, dtype=np.float64))
+        for name in ("beta", "var_u", "var_v", "sigma_z"):
+            _finite(name, getattr(self, name))
         k = self.pi.shape[0]
         if self.gamma.shape[0] != k or self.alpha.shape[0] != k:
             raise DimensionMismatchError(
@@ -162,28 +158,24 @@ class FrontierPoint:
     on_frontier: bool
 
 
-def _in_mode(spec: JustIdSpec, mode: Mode, k_z: int) -> bool:
-    if mode == Mode.EXCL:
-        return is_fully_controlled(spec, k_z)
-    if mode == Mode.EXO:
-        return is_marginal(spec)
-    return True
+def specs_for_mode(mode: Mode, k_z: int) -> list[JustIdSpec]:
+    """The spec family a mode reports over, in enumeration order: all of
+    :func:`enumerate_specs` for General, and k_z specs built directly for
+    Excl and Exo. Every mode raises the count errors enumerate_specs does."""
+    mode = Mode(mode)
+    if mode == Mode.GENERAL:
+        return enumerate_specs(k_z)
+    return instrument_specs(k_z, all_controls=mode == Mode.EXCL)
 
 
 def _mode_views(modes: list[Mode], k_z: int) -> tuple[list[JustIdSpec], dict[Mode, list[int]]]:
-    """The union of the modes' spec families in enumeration order, and the
+    """The union of the modes' spec families in spec_id order, and the
     positions of each mode's family within it."""
-    modes = [Mode(m) for m in modes]
-    family = [s for s in enumerate_specs(k_z) if any(_in_mode(s, m, k_z) for m in modes)]
-    views = {
-        m: [pos for pos, s in enumerate(family) if _in_mode(s, m, k_z)] for m in modes
-    }
-    return family, views
-
-
-def specs_for_mode(mode: Mode, k_z: int) -> list[JustIdSpec]:
-    """The spec family a mode reports over, in enumeration order."""
-    return _mode_views([mode], k_z)[0]
+    families = {Mode(m): specs_for_mode(m, k_z) for m in modes}
+    by_id = {s.spec_id: s for family in families.values() for s in family}
+    union = [by_id[i] for i in sorted(by_id)]
+    position = {s.spec_id: pos for pos, s in enumerate(union)}
+    return union, {m: [position[s.spec_id] for s in f] for m, f in families.items()}
 
 
 def estimate_specs(
@@ -267,10 +259,11 @@ def fas_by_mode(
     """Estimate the FAS of each requested mode from one sweep.
 
     The dataset is partialled of (intercept, controls) first; the union of
-    the modes' spec families is then estimated once on the partialled
-    sample. Each mode's interval spans the estimates of its own family that
-    clear the relevance cutoff. A spec shared by several modes is one
-    estimate object in all of their results.
+    the modes' families from :func:`specs_for_mode` (k_z specs each for
+    Excl and Exo, the whole lattice only for General) is then estimated
+    once on the partialled sample. Each mode's interval spans the estimates
+    of its own family that clear the relevance cutoff. A spec shared by
+    several modes is one estimate object in all of their results.
     """
     family, views = _mode_views(modes, dataset.k_z)
     estimates = estimate_specs(partial_out(dataset), family, robust_flavor)
@@ -340,7 +333,6 @@ def _population_result(
             pi_hat=float(pi_t[pos]),
             psi_hat=float(psi_t[pos]),
             f_stat=float("inf") if mask[pos] else 0.0,
-            degenerate=not mask[pos],
             failure=None if mask[pos] else "zero-first-stage",
         )
         for pos, spec in enumerate(family)

@@ -65,6 +65,16 @@ def spec_count(k_z: int) -> int:
     return k_z * 2 ** (k_z - 1)
 
 
+def _check_count(k_z: int) -> None:
+    if k_z < 1:
+        raise InvalidCountError(f"instrument count must be >= 1, got {k_z}")
+    if k_z > MAX_INSTRUMENTS:
+        raise TooManyInstrumentsError(
+            f"k_z={k_z} exceeds the cap of {MAX_INSTRUMENTS} "
+            f"({spec_count(k_z)} specifications)"
+        )
+
+
 def enumerate_specs(k_z: int) -> list[JustIdSpec]:
     """All just-identified specifications for ``k_z`` instruments.
 
@@ -80,13 +90,7 @@ def enumerate_specs(k_z: int) -> list[JustIdSpec]:
     TooManyInstrumentsError
         If ``k_z`` exceeds :data:`MAX_INSTRUMENTS`.
     """
-    if k_z < 1:
-        raise InvalidCountError(f"instrument count must be >= 1, got {k_z}")
-    if k_z > MAX_INSTRUMENTS:
-        raise TooManyInstrumentsError(
-            f"k_z={k_z} exceeds the cap of {MAX_INSTRUMENTS} "
-            f"({spec_count(k_z)} specifications)"
-        )
+    _check_count(k_z)
     specs: list[JustIdSpec] = []
     spec_id = 0
     for ell in range(1, k_z + 1):
@@ -105,14 +109,18 @@ def enumerate_specs(k_z: int) -> list[JustIdSpec]:
     return specs
 
 
-def is_fully_controlled(spec: JustIdSpec, k_z: int) -> bool:
-    """True when the spec's controls are all other instruments (Excl family)."""
-    return len(spec.control_subset) == k_z - 1
-
-
-def is_marginal(spec: JustIdSpec) -> bool:
-    """True when the spec has no instrument controls (Exo family)."""
-    return not spec.control_subset
+def instrument_specs(k_z: int, all_controls: bool) -> list[JustIdSpec]:
+    """One spec per instrument l, equal to its :func:`enumerate_specs` entry
+    and built without the lattice: the last of l's block, with all other
+    instruments as controls, or the first, with none. Raises as it does."""
+    _check_count(k_z)
+    block = 2 ** (k_z - 1)
+    specs = []
+    for ell in range(1, k_z + 1):
+        subset = tuple(i for i in range(1, k_z + 1) if i != ell) if all_controls else ()
+        spec_id = ell * block if all_controls else (ell - 1) * block + 1
+        specs.append(JustIdSpec(ell, subset, spec_id, _label(ell, subset)))
+    return specs
 
 
 @dataclass(eq=False)

@@ -35,7 +35,6 @@ from faskit import (
 )
 from faskit.cli import main
 from faskit.fas import estimate_specs
-from faskit.specs import is_fully_controlled, is_marginal
 
 CUTOFF = 10.0
 
@@ -69,7 +68,7 @@ def test_criterion_1_example_frontier_exact(tmp_path):
         beta=1.0, gamma=np.array([-1.0, 0.0, 2.0]), alpha=np.zeros(3),
         pi=np.ones(3), sigma_z=np.eye(3),
     )
-    excl_specs = [s for s in enumerate_specs(3) if is_fully_controlled(s, 3)]
+    excl_specs = [s for s in enumerate_specs(3) if len(s.control_subset) == 2]
     pi_t, psi_t = population_spec_moments(model, excl_specs)
     named = {0.0: (0.0, 1.0, 3.0), 0.5: (0.5, 0.5, 2.5),
              1.0: (1.0, 0.0, 2.0), 3.0: (3.0, 2.0, 0.0)}
@@ -135,9 +134,9 @@ def test_criterion_3_algebraic_identities():
         controlled = {}
         marginal = {}
         for est in estimates:
-            if is_fully_controlled(est.spec, k):
+            if len(est.spec.control_subset) == k - 1:
                 controlled[est.spec.instrument_index] = est.beta_hat
-            elif is_marginal(est.spec):
+            elif not est.spec.control_subset:
                 marginal[est.spec.instrument_index] = est.beta_hat
         for family in (controlled, marginal):
             recon = sum(res.weights[l - 1] * family[l] for l in range(1, k + 1))
@@ -280,8 +279,8 @@ def test_criterion_7_subfamilies_nest_in_general():
     for entry in _CORPUS:
         k, estimates = entry["k"], entry["estimates"]
         general = fas_from_estimates(estimates, CUTOFF, Mode.GENERAL).interval
-        excl = [e for e in estimates if is_fully_controlled(e.spec, k)]
-        exo = [e for e in estimates if is_marginal(e.spec)]
+        excl = [e for e in estimates if len(e.spec.control_subset) == k - 1]
+        exo = [e for e in estimates if not e.spec.control_subset]
         for family, mode in ((excl, Mode.EXCL), (exo, Mode.EXO)):
             sub = fas_from_estimates(family, CUTOFF, mode).interval
             if sub is None:
@@ -345,9 +344,9 @@ def test_criterion_8_published_interval_fixtures():
         assert all(figures[label][1] < CUTOFF for label in low_f)
         for mode, want in expected.items():
             if mode is Mode.EXCL:
-                family = [e for e in estimates if is_fully_controlled(e.spec, k)]
+                family = [e for e in estimates if len(e.spec.control_subset) == k - 1]
             elif mode is Mode.EXO:
-                family = [e for e in estimates if is_marginal(e.spec)]
+                family = [e for e in estimates if not e.spec.control_subset]
             else:
                 family = estimates
             lo, hi = fas_from_estimates(family, CUTOFF, mode).interval

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import example1_model, random_model
-from faskit import Dataset, Mode, SimulationConfig, fas_estimate, load_csv, simulate, write_csv
+from faskit import (
+    Dataset,
+    Mode,
+    SimulationConfig,
+    fas_estimate,
+    load_csv,
+    population_frontier,
+    simulate,
+    write_csv,
+)
 from faskit import data as data_module
 from faskit.cli import (
     RunConfig,
@@ -30,6 +39,7 @@ from faskit.errors import (
     EmptyAfterFilteringError,
     MissingColumnError,
     ParseError,
+    ZeroFirstStageError,
 )
 
 CSV = """y,x,z1,z2,w
@@ -408,6 +418,42 @@ def test_cli_oracle_json(tmp_path):
     report = json.loads(res.output)
     assert report["modes"]["excl"]["interval"] == [0.0, 3.0]
     assert len(report["modes"]["excl"]["frontier"]) == 201
+
+
+def test_cli_oracle_reports_an_empty_fas(tmp_path):
+    path = _write(tmp_path, "beta = 1.0\npi = 0, 0\n", "zero.model")
+    res = CliRunner().invoke(main, ["oracle", "--model", path, "--emit", "json"])
+    assert res.exit_code == 0, res.output
+    modes = json.loads(res.output)["modes"]
+    assert list(modes) == ["excl", "exo", "general"]
+    for section in modes.values():
+        assert section["interval"] is None
+        assert section["frontier"] == []
+        assert not any(spec["relevant"] for spec in section["specs"])
+    res = CliRunner().invoke(main, ["oracle", "--model", path, "--mode", "excl"])
+    assert res.exit_code == 0, res.output
+    assert "FAS_excl: (empty: no relevant specification)\n" in res.output
+    assert "frontier" not in res.output
+    # the library calls still refuse a frontier with no relevant spec
+    model, _ = load_model(path)
+    with pytest.raises(ZeroFirstStageError):
+        population_frontier(model, Mode.EXCL)
+
+
+@pytest.mark.parametrize(
+    "field, lines",
+    [("beta", "beta = nan\npi = 1, 1\n"),
+     ("pi", "beta = 1\npi = 1, inf\n"),
+     ("var_u", "beta = 1\npi = 1, 1\nvar_u = nan\n")],
+    ids=["beta", "pi", "var_u"],
+)
+def test_cli_non_finite_model_values_are_errors(tmp_path, field, lines):
+    path = _write(tmp_path, lines, "bad.model")
+    for args in (["oracle"], ["simulate", "--n", "200", "--seed", "1"]):
+        res = CliRunner().invoke(main, [*args, "--model", path])
+        assert res.exit_code == 1, (args, res.output)
+        assert isinstance(res.exception, ValueError)
+        assert str(res.exception) == f"{field} must be finite"
 
 
 def test_cli_simulate_writes_csv_and_summarizes(tmp_path):

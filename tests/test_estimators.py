@@ -22,7 +22,6 @@ from faskit.errors import (
     WeakIdentificationError,
     ZeroFirstStageError,
 )
-from faskit.specs import is_fully_controlled, is_marginal
 
 
 def _sample(seed=47, k=3, n=200):
@@ -174,9 +173,9 @@ def test_weights_sum_to_one_and_reconstruct_both_families():
     marginal = {}
     for spec in enumerate_specs(3):
         est = just_id_iv(part, transform_instrument(part, spec))
-        if is_fully_controlled(spec, 3):
+        if len(spec.control_subset) == 2:
             controlled[spec.instrument_index] = est.beta_hat
-        elif is_marginal(spec):
+        elif not spec.control_subset:
             marginal[spec.instrument_index] = est.beta_hat
     for family in (controlled, marginal):
         recon = sum(res.weights[l - 1] * family[l] for l in (1, 2, 3))
@@ -201,11 +200,11 @@ def test_negative_weight_exactly_on_first_stage_sign_flips():
         part = partial_out(data)
         for spec in enumerate_specs(2):
             est = just_id_iv(part, transform_instrument(part, spec))
-            if is_fully_controlled(spec, 2):
+            if len(spec.control_subset) == 1:
                 ctrl = est if spec.instrument_index == 2 else None
                 if ctrl is not None:
                     pi_c = ctrl.pi_hat
-            if is_marginal(spec) and spec.instrument_index == 2:
+            if not spec.control_subset and spec.instrument_index == 2:
                 pi_m = est.pi_hat
         flip = (pi_c < 0) != (pi_m < 0)
         assert (res.weights[1] < 0) == flip

@@ -1,5 +1,6 @@
 """Relevance selection, FAS assembly, the population oracle, and the frontier."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -14,10 +15,12 @@ from faskit import (
     PopulationModel,
     SimulationConfig,
     enumerate_specs,
+    fas_by_mode,
     fas_estimate,
     frontier,
     identified_set,
     population_fas,
+    population_fas_by_mode,
     population_frontier,
     population_spec_moments,
     select_relevant,
@@ -25,7 +28,15 @@ from faskit import (
     specs_for_mode,
     transform_instrument,
 )
-from faskit.errors import DegenerateInstrumentError, DimensionMismatchError, SingularSigmaError
+from faskit import fas as fas_module
+from faskit import specs as specs_module
+from faskit.errors import (
+    DegenerateInstrumentError,
+    DimensionMismatchError,
+    InvalidCountError,
+    SingularSigmaError,
+    TooManyInstrumentsError,
+)
 from faskit.estimators import SpecEstimate
 
 
@@ -72,6 +83,68 @@ def test_specs_for_mode_families():
     ]
     assert [s.label for s in specs_for_mode(Mode.EXO, 3)] == ["Z1", "Z2", "Z3"]
     assert len(specs_for_mode(Mode.GENERAL, 3)) == 12
+
+
+def _lattice_views(modes, lattice, k):
+    """Reference for fas._mode_views: filter the whole lattice per mode."""
+    def member(spec, mode):
+        excl, exo = len(spec.control_subset) == k - 1, not spec.control_subset
+        return {Mode.EXCL: excl, Mode.EXO: exo, Mode.GENERAL: True}[mode]
+
+    union = [s for s in lattice if any(member(s, m) for m in modes)]
+    views = {m: [pos for pos, s in enumerate(union) if member(s, m)] for m in modes}
+    return union, views
+
+
+def test_mode_views_equal_a_lattice_filter():
+    for k in range(1, 13):
+        lattice = enumerate_specs(k)
+        for size in (1, 2, 3):
+            for modes in itertools.combinations(Mode, size):
+                # the views follow the order the modes are asked in
+                modes = modes[::-1] if k % 2 else modes
+                union, views = fas_module._mode_views(list(modes), k)
+                want_union, want_views = _lattice_views(modes, lattice, k)
+                assert union == want_union, (k, modes)
+                assert views == want_views and list(views) == list(modes), (k, modes)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_every_mode_raises_the_lattice_count_errors(mode):
+    for k, error in ((0, InvalidCountError), (21, TooManyInstrumentsError)):
+        with pytest.raises(error) as want:
+            enumerate_specs(k)
+        with pytest.raises(error) as got:
+            specs_for_mode(mode, k)
+        assert str(got.value) == str(want.value)
+
+
+def test_excl_and_exo_never_build_the_lattice(monkeypatch):
+    def no_lattice(k_z):
+        raise AssertionError(f"enumerate_specs({k_z}) was called")
+
+    monkeypatch.setattr(fas_module, "enumerate_specs", no_lattice)
+    monkeypatch.setattr(specs_module, "enumerate_specs", no_lattice)
+    k = 20
+    model = random_model(np.random.default_rng(151), k)
+    modes = [Mode.EXCL, Mode.EXO]
+    block = 2 ** (k - 1)
+    ids = {Mode.EXCL: [ell * block for ell in range(1, k + 1)],
+           Mode.EXO: [(ell - 1) * block + 1 for ell in range(1, k + 1)]}
+    sample = fas_by_mode(simulate(SimulationConfig(model=model, n=300, seed=151)), modes)
+    population = population_fas_by_mode(model, modes)
+    for results in (sample, population):
+        for mode in modes:
+            assert [e.spec.spec_id for e in results[mode].estimates] == ids[mode]
+    # closed forms: Excl has the full-regression coefficients, Exo the marginal ones
+    sigma, pi = model.sigma_z, model.pi
+    cov_zy = sigma @ (pi * model.beta + model.gamma) + model.alpha
+    excl = population[Mode.EXCL].estimates
+    exo = population[Mode.EXO].estimates
+    np.testing.assert_allclose([e.pi_hat for e in excl], pi, rtol=1e-9)
+    np.testing.assert_allclose([e.psi_hat for e in excl], np.linalg.solve(sigma, cov_zy), rtol=1e-9)
+    np.testing.assert_allclose([e.pi_hat for e in exo], sigma @ pi / np.diag(sigma), rtol=1e-12)
+    np.testing.assert_allclose([e.psi_hat for e in exo], cov_zy / np.diag(sigma), rtol=1e-12)
 
 
 def test_single_instrument_modes_coincide():
@@ -397,6 +470,24 @@ def test_model_validation():
     )
     with pytest.raises(SingularSigmaError):
         skew.validate()
+
+
+@pytest.mark.parametrize(
+    "field, changes",
+    [
+        ("beta", {"beta": float("nan")}),
+        ("pi", {"pi": np.array([1.0, np.inf])}),
+        ("var_u", {"var_u": float("nan")}),
+        ("gamma", {"gamma": np.array([0.0, -np.inf])}),
+        ("alpha", {"alpha": np.array([np.nan, 0.0])}),
+        ("sigma_z", {"sigma_z": np.array([[1.0, 0.0], [0.0, np.inf]])}),
+        ("var_v", {"var_v": float("inf")}),
+    ],
+)
+def test_model_rejects_non_finite_parameters(field, changes):
+    params = dict(beta=1.0, gamma=np.zeros(2), alpha=np.zeros(2), pi=np.ones(2), sigma_z=np.eye(2))
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        PopulationModel(**{**params, **changes})
 
 
 def test_disjoint_violation_predicate():

@@ -10,7 +10,6 @@ from faskit.errors import (
     TooManyInstrumentsError,
 )
 from faskit.linalg import residualize
-from faskit.specs import is_fully_controlled, is_marginal
 
 
 def test_counts_for_small_k():
@@ -38,14 +37,6 @@ def test_ordering_is_instrument_major_binary_counter():
     assert [s.spec_id for s in specs] == list(range(1, 13))
     assert [s.label for s in specs[4:8]] == ["Z2", "Z2|1", "Z2|3", "Z2|1,3"]
     assert specs[11].label == "Z3|1,2"
-
-
-def test_family_predicates():
-    specs = enumerate_specs(3)
-    controlled = [s.label for s in specs if is_fully_controlled(s, 3)]
-    marginal = [s.label for s in specs if is_marginal(s)]
-    assert controlled == ["Z1|2,3", "Z2|1,3", "Z3|1,2"]
-    assert marginal == ["Z1", "Z2", "Z3"]
 
 
 def test_k_out_of_range():
