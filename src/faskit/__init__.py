@@ -38,7 +38,7 @@ from .fas import (
     select_relevant,
     specs_for_mode,
 )
-from .linalg import RegressionFit, ols, partial_out, partial_out_columns, residualize
+from .linalg import partial_out, partial_out_columns
 from .specs import (
     JustIdSpec,
     TransformedInstrument,
@@ -59,7 +59,6 @@ __all__ = [
     "Mode",
     "PairwiseTsls",
     "PopulationModel",
-    "RegressionFit",
     "RelevanceSelection",
     "SimulationConfig",
     "SpecEstimate",
@@ -75,14 +74,12 @@ __all__ = [
     "identified_set",
     "just_id_iv",
     "load_csv",
-    "ols",
     "partial_out",
     "partial_out_columns",
     "population_fas",
     "population_fas_by_mode",
     "population_frontier",
     "population_spec_moments",
-    "residualize",
     "select_relevant",
     "simulate",
     "spec_count",

@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, load_csv, write_csv
 from .dgp import ErrorLaw, SimulationConfig, derive_seed, simulate
 from .errors import FaskitError, ParseError
-from .estimators import tsls, tsls_pairwise_report
+from .estimators import TSLS_FAILURES, tsls, tsls_pairwise_report
 from .fas import (
     DEFAULT_CUTOFF,
     FasResult,
@@ -175,7 +175,7 @@ def _fas_section(result: FasResult) -> dict:
     }
 
 
-def _tsls_json(result, names: list[str]) -> dict:
+def _fit_json(result) -> dict:
     return {
         "beta_2sls": float(result.beta_2sls),
         "se": float(result.se),
@@ -183,11 +183,26 @@ def _tsls_json(result, names: list[str]) -> dict:
         "j_stat": float(result.j_stat),
         "j_pvalue": None if result.j_pvalue is None else float(result.j_pvalue),
         "j_dof": int(result.j_dof),
-        "weights": [
-            {"instrument": f"Z{i + 1}", "name": names[i], "weight": float(w)}
-            for i, w in enumerate(result.weights)
-        ],
     }
+
+
+def _tsls_section(dataset: Dataset, config: RunConfig) -> dict:
+    """The full-instrument 2SLS block with its weights, or only its failure
+    code when the fit raised one of the recorded errors."""
+    try:
+        result = tsls(dataset, robust_flavor=config.robust_flavor)
+    except tuple(TSLS_FAILURES) as exc:
+        return {"failure": TSLS_FAILURES[type(exc)]}
+    weights = [
+        {"instrument": f"Z{i + 1}", "name": dataset.z_names[i], "weight": float(w)}
+        for i, w in enumerate(result.weights)
+    ]
+    return {**_fit_json(result), "weights": weights}
+
+
+def _pairwise_json(row) -> dict:
+    fit = {"failure": row.failure} if row.result is None else _fit_json(row.result)
+    return {"pair": list(row.pair), "variant": row.variant, "labels": list(row.labels), **fit}
 
 
 def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
@@ -195,8 +210,10 @@ def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
 
     The report carries the full-instrument 2SLS fit with its weight
     decomposition and overidentification test, the per-spec table with
-    selection status, and one interval per requested mode. Everything in it
-    is JSON-serializable.
+    selection status, and one interval per requested mode. A 2SLS fit that
+    fails (rank-deficient instruments, a first stage orthogonal to them, too
+    few rows) is recorded as its failure code, and the rest of the report
+    stands. Everything in it is JSON-serializable.
     """
     partialled = partial_out(dataset)
     results = fas_by_mode(partialled, config.modes, config.cutoff, config.robust_flavor)
@@ -206,7 +223,6 @@ def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
         for est in result.estimates
     }
 
-    full = tsls(partialled, robust_flavor=config.robust_flavor)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "estimate",
@@ -220,26 +236,13 @@ def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
         "mode": config.mode,
         "cutoff": float(config.cutoff),
         "robust": config.robust_flavor,
-        "tsls": _tsls_json(full, list(dataset.z_names)),
+        "tsls": _tsls_section(partialled, config),
         "specs": [spec_rows[spec_id] for spec_id in sorted(spec_rows)],
         "fas": {mode.value: _fas_section(result) for mode, result in results.items()},
     }
     if config.pairwise:
         rows = tsls_pairwise_report(partialled, config.robust_flavor)
-        report["pairwise"] = [
-            {
-                "pair": list(row.pair),
-                "variant": row.variant,
-                "labels": list(row.labels),
-                "beta_2sls": float(row.result.beta_2sls),
-                "se": float(row.result.se),
-                "first_stage_f": float(row.result.first_stage_f),
-                "j_stat": float(row.result.j_stat),
-                "j_pvalue": None if row.result.j_pvalue is None else float(row.result.j_pvalue),
-                "j_dof": int(row.result.j_dof),
-            }
-            for row in rows
-        ]
+        report["pairwise"] = [_pairwise_json(row) for row in rows]
     return report
 
 
@@ -411,19 +414,22 @@ def render_estimate_text(report: dict) -> str:
     lines.append("")
 
     t = report["tsls"]
-    j_text = f"J={_fmt(t['j_stat'])}"
-    if t["j_pvalue"] is not None:
-        j_text += f" (p={_fmt(t['j_pvalue'])}, dof={t['j_dof']})"
+    if "failure" in t:
+        lines.append(f"2SLS (all instruments): not computed ({t['failure']})")
     else:
-        j_text += " (just identified)"
-    lines.append(
-        f"2SLS (all instruments): beta={_fmt(t['beta_2sls'])}  se={_fmt(t['se'])}  "
-        f"F={_fmt(t['first_stage_f'])}  {j_text}"
-    )
-    lines.append(
-        "weights: "
-        + "  ".join(f"{w['instrument']}={_fmt(w['weight'])}" for w in t["weights"])
-    )
+        j_text = f"J={_fmt(t['j_stat'])}"
+        if t["j_pvalue"] is not None:
+            j_text += f" (p={_fmt(t['j_pvalue'])}, dof={t['j_dof']})"
+        else:
+            j_text += " (just identified)"
+        lines.append(
+            f"2SLS (all instruments): beta={_fmt(t['beta_2sls'])}  se={_fmt(t['se'])}  "
+            f"F={_fmt(t['first_stage_f'])}  {j_text}"
+        )
+        lines.append(
+            "weights: "
+            + "  ".join(f"{w['instrument']}={_fmt(w['weight'])}" for w in t["weights"])
+        )
     lines.append("")
 
     rows = [
@@ -454,17 +460,12 @@ def render_estimate_text(report: dict) -> str:
         lines.append("")
         lines.append("pairwise 2SLS:")
         rows = [
-            [
-                "{" + row["labels"][0] + ", " + row["labels"][1] + "}",
-                _fmt(row["beta_2sls"]),
-                _fmt(row["se"]),
-                _fmt(row["first_stage_f"]),
-                _fmt(row["j_stat"]),
-                _fmt(row["j_pvalue"]),
-            ]
+            ["{" + row["labels"][0] + ", " + row["labels"][1] + "}"]
+            + [_fmt(row.get(key)) for key in ("beta_2sls", "se", "first_stage_f", "j_stat", "j_pvalue")]
+            + ([f"not computed ({row['failure']})"] if "failure" in row else [""])
             for row in report["pairwise"]
         ]
-        lines += _table(["pair", "beta", "se", "F", "J", "p"], rows)
+        lines += _table(["pair", "beta", "se", "F", "J", "p", ""], rows)
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,7 @@ just-identified estimates, and with a two-step efficient GMM J statistic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,21 +21,22 @@ from .errors import (
     DegenerateInstrumentError,
     DimensionMismatchError,
     InsufficientObservationsError,
+    RankDeficientError,
     WeakIdentificationError,
     ZeroFirstStageError,
 )
-from .linalg import (
-    _check_flavor,
-    ols,
-    partial_out,
-    partial_out_columns,
-    projection_basis,
-    residualize,
-)
-from .specs import JustIdSpec, TransformedInstrument
+from .linalg import _check_flavor, partial_out, partial_out_columns, projection_basis
+from .specs import JustIdSpec, TransformedInstrument, make_spec, spec_coefficients
 
 # Relative threshold below which a just-identifying moment z'x counts as zero.
 FIRST_STAGE_TOL = 1e-12
+
+# The code a report records for a 2SLS fit that raised one of these.
+TSLS_FAILURES = {
+    RankDeficientError: "rank-deficient",
+    WeakIdentificationError: "weak-identification",
+    InsufficientObservationsError: "insufficient-observations",
+}
 
 
 @dataclass(eq=False)
@@ -114,7 +116,8 @@ class PairwiseTsls:
     pair: tuple[int, int]
     variant: str  # "raw" or "partialled"
     labels: tuple[str, str]
-    result: TslsResult
+    result: TslsResult | None  # None when the fit failed
+    failure: str | None = None  # then its TSLS_FAILURES code
 
 
 def iv_columns(
@@ -151,6 +154,7 @@ def iv_columns(
     wy = np.multiply(W, y, out=buf).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pi_hat = wx / ww
+        psi_hat = wy / ww
         beta_hat = wy / wx
         np.multiply(W, -pi_hat[:, None], out=buf)
         buf += x
@@ -162,7 +166,7 @@ def iv_columns(
         var_beta = scale * np.square(buf, out=buf).sum(axis=1) / (wx * wx)
         f_stat = np.where(var_pi > 0.0, pi_hat * pi_hat / var_pi, np.inf)
         zero_first_stage = np.abs(wx) <= FIRST_STAGE_TOL * np.sqrt(ww * float(x @ x))
-    return beta_hat, np.sqrt(var_beta), pi_hat, wy / ww, f_stat, zero_first_stage
+    return beta_hat, np.sqrt(var_beta), pi_hat, psi_hat, f_stat, zero_first_stage
 
 
 def just_id_iv(
@@ -224,6 +228,12 @@ def _solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(M) @ v
 
 
+def _meat(Zm: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Robust meat ``sum_i e_i^2 z_i z_i'`` of residuals e."""
+    scored = Zm * e[:, None]
+    return scored.T @ scored
+
+
 def _tsls_core(
     y: np.ndarray,
     x: np.ndarray,
@@ -234,53 +244,55 @@ def _tsls_core(
     """2SLS of y on x with instrument matrix Zm, no intercept.
 
     Callers partial the intercept and controls out of y, x and Zm first.
+    Every number comes from one checked QR of the block, ``Zm = QR``:
+    ``xhat = QQ'x``, and ``beta``, ``se`` are the just-identified IV with
+    xhat as its instrument. The first stage is ``pi = R^-1 Q'x`` and, with
+    ``c = Zm'x``, ``weights = pi * c / x'xhat``. Because ``G pi = c`` for
+    the Gram ``G = Zm'Zm``, the robust Wald statistic ``pi'V^-1 pi / q``,
+    with ``V = s G^-1 M G^-1``, is ``c'M^-1 c / (s q)``; here ``M =
+    sum_i v_i^2 z_i z_i'`` is the meat of the first-stage residuals ``v = x
+    - xhat``, and s is ``n / (n - q - n_absorbed)`` for hc1, 1 for hc0. J
+    takes the same quadratic form in the meat of the 2SLS residuals, and is
+    0 when their norm is at most 1e-12 of y's: the moments then hold.
     """
-    q = Zm.shape[1]
-    Q = projection_basis(Zm)  # full-rank check lives here
-    xhat = Q @ (Q.T @ x)
+    flavor = _check_flavor(robust_flavor)
+    n, q = Zm.shape
+    Q, R = projection_basis(Zm)  # full-rank check lives here
+    Qx = Q.T @ x
+    xhat = Q @ Qx
     denom = float(x @ xhat)
     if denom <= FIRST_STAGE_TOL * float(x @ x) or denom <= 0.0:
         raise WeakIdentificationError(
             f"projected first stage x'P_Z x = {denom:.3e} is numerically zero"
         )
+    if n <= q + n_absorbed:
+        raise InsufficientObservationsError(f"need n > p: n={n}, p={q}, absorbed={n_absorbed}")
     # 2SLS is the just-identified IV with the projected treatment as instrument
-    beta, se = iv_columns(xhat[None, :], x, y, n_absorbed, robust_flavor)[:2]
+    beta, se = iv_columns(xhat[None, :], x, y, n_absorbed, flavor)[:2]
     beta, se = float(beta[0]), float(se[0])
     resid = y - x * beta
 
-    first = ols(Zm, x, robust_flavor, n_absorbed)
-    pi = first.coefficients
-    first_stage_f = float(pi @ _solve(first.robust_cov, pi)) / q
-
-    weights = pi * (Zm.T @ x) / denom
+    c = Zm.T @ x
+    weights = np.linalg.solve(R, Qx) * c / denom
+    scale = n / (n - q - n_absorbed) if flavor == "hc1" else 1.0
+    first_stage_f = float(c @ _solve(_meat(Zm, x - xhat), c)) / (scale * q)
 
     j_dof = q - 1
-    if j_dof == 0:
-        j_stat = 0.0
-        j_pvalue = None
-    else:
-        # two-step efficient GMM: weight from 2SLS residuals, re-minimize,
-        # evaluate the criterion at the second-step estimate
-        moments_x = Zm.T @ x
-        moments_y = Zm.T @ y
-        scored = Zm * resid[:, None]
-        S = scored.T @ scored
-        S_inv_x = _solve(S, moments_x)
-        S_inv_y = _solve(S, moments_y)
-        beta_two = float(moments_x @ S_inv_y) / float(moments_x @ S_inv_x)
-        gap = moments_y - moments_x * beta_two
-        j_stat = max(0.0, float(gap @ _solve(S, gap)))
+    j_stat, j_pvalue = 0.0, None
+    if j_dof:
+        # residuals at rounding level are an exact fit: every moment holds,
+        # and S is zero or noise that would make J arbitrary
+        if np.linalg.norm(resid) > FIRST_STAGE_TOL * np.linalg.norm(y):
+            # two-step efficient GMM: weight from 2SLS residuals, re-minimize,
+            # evaluate the criterion at the second-step estimate
+            moments_y = Zm.T @ y
+            S = _meat(Zm, resid)
+            beta_two = float(c @ _solve(S, moments_y)) / float(c @ _solve(S, c))
+            gap = moments_y - c * beta_two
+            j_stat = max(0.0, float(gap @ _solve(S, gap)))
         j_pvalue = chi2_sf(j_stat, j_dof)
 
-    return TslsResult(
-        beta_2sls=beta,
-        se=se,
-        first_stage_f=first_stage_f,
-        j_stat=j_stat,
-        j_pvalue=j_pvalue,
-        j_dof=j_dof,
-        weights=weights,
-    )
+    return TslsResult(beta, se, first_stage_f, j_stat, j_pvalue, j_dof, weights)
 
 
 def tsls(
@@ -346,11 +358,15 @@ def tsls_pairwise_report(
 
     For each unordered pair {a, b} the raw variant instruments with
     (Z_a, Z_b); when other instruments remain, the partialled variant
-    instruments with both columns residualized on all of them. Disagreement
-    between the two J p-values localizes which instruments a rejection comes
-    from.
+    instruments with both columns residualized on all of them. Either way
+    they are the transformed instruments of specs ``(a | C)`` and ``(b |
+    C)``, C empty or the rest, from one R factor of the instruments.
+    Disagreement between the two J p-values localizes which instruments a
+    rejection comes from.
 
     Every fit runs on the dataset partialled of its intercept and controls.
+    A fit that raises one of :data:`TSLS_FAILURES` (a degenerate spec is
+    rank-deficient) stays a row, with no result and its failure code.
     Requires at least two instruments. Rows are ordered pair-major with the
     raw variant first.
     """
@@ -359,17 +375,20 @@ def tsls_pairwise_report(
     part = partial_out(dataset)
     y, x, Z, n_absorbed = part.y, part.x, part.Z, part.n_absorbed
     k_z = dataset.k_z
+    R = np.linalg.qr(Z, mode="r")
     rows: list[PairwiseTsls] = []
-    for a in range(1, k_z + 1):
-        for b in range(a + 1, k_z + 1):
-            cols = Z[:, [a - 1, b - 1]]
-            variants = [("raw", cols, (f"Z{a}", f"Z{b}"))]
-            rest = [i for i in range(1, k_z + 1) if i not in (a, b)]
-            if rest:
-                tag = ",".join(str(i) for i in rest)
-                partialled = residualize(cols, Z[:, [i - 1 for i in rest]])
-                variants.append(("partialled", partialled, (f"Z{a}|{tag}", f"Z{b}|{tag}")))
-            for variant, instruments, labels in variants:
-                result = _tsls_core(y, x, instruments, n_absorbed, robust_flavor)
+    for a, b in itertools.combinations(range(1, k_z + 1), 2):
+        rest = tuple(i for i in range(1, k_z + 1) if i not in (a, b))
+        for variant, controls in [("raw", ())] + ([("partialled", rest)] if rest else []):
+            pair = [make_spec(k_z, a, controls), make_spec(k_z, b, controls)]
+            labels = (pair[0].label, pair[1].label)
+            A, degenerate = spec_coefficients(R, pair)
+            try:
+                if degenerate.any():
+                    raise RankDeficientError(f"{', '.join(labels)}: collinear with the controls")
+                result = _tsls_core(y, x, Z @ A, n_absorbed, robust_flavor)
+            except tuple(TSLS_FAILURES) as exc:
+                rows.append(PairwiseTsls((a, b), variant, labels, None, TSLS_FAILURES[type(exc)]))
+            else:
                 rows.append(PairwiseTsls((a, b), variant, labels, result))
     return rows

@@ -109,18 +109,24 @@ def enumerate_specs(k_z: int) -> list[JustIdSpec]:
     return specs
 
 
+def make_spec(k_z: int, ell: int, subset: tuple[int, ...]) -> JustIdSpec:
+    """The spec of :func:`enumerate_specs` that identifies with instrument
+    ``ell`` and controls for the sorted ``subset``, built without the
+    lattice: its mask over the other instruments gives its ``spec_id``."""
+    others = [i for i in range(1, k_z + 1) if i != ell]
+    mask = sum(1 << others.index(i) for i in subset)
+    return JustIdSpec(ell, subset, (ell - 1) * 2 ** (k_z - 1) + mask + 1, _label(ell, subset))
+
+
 def instrument_specs(k_z: int, all_controls: bool) -> list[JustIdSpec]:
-    """One spec per instrument l, equal to its :func:`enumerate_specs` entry
-    and built without the lattice: the last of l's block, with all other
-    instruments as controls, or the first, with none. Raises as it does."""
+    """One spec per instrument l, equal to its :func:`enumerate_specs` entry:
+    with all other instruments as controls, or with none. Raises as
+    :func:`enumerate_specs` does."""
     _check_count(k_z)
-    block = 2 ** (k_z - 1)
-    specs = []
-    for ell in range(1, k_z + 1):
-        subset = tuple(i for i in range(1, k_z + 1) if i != ell) if all_controls else ()
-        spec_id = ell * block if all_controls else (ell - 1) * block + 1
-        specs.append(JustIdSpec(ell, subset, spec_id, _label(ell, subset)))
-    return specs
+    return [
+        make_spec(k_z, ell, tuple(i for i in range(1, k_z + 1) if i != ell) if all_controls else ())
+        for ell in range(1, k_z + 1)
+    ]
 
 
 @dataclass(eq=False)

@@ -1,4 +1,5 @@
-"""Shared builders for population models used across the test modules."""
+"""Shared builders for population models, and a plain OLS reference, used
+across the test modules."""
 
 import numpy as np
 
@@ -59,3 +60,21 @@ def random_model(rng: np.random.Generator, k: int) -> PopulationModel:
         var_u=slack + float(rng.uniform(0.5, 1.5)),
         var_v=float(rng.uniform(0.5, 1.5)),
     )
+
+
+def ols_reference(
+    X: np.ndarray, y: np.ndarray, robust_flavor: str = "hc1", n_absorbed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """OLS coefficients of y on X and their sandwich covariance, written out:
+    ``(X'X)^-1 X'diag(e^2)X (X'X)^-1``, times ``n / (n - p - n_absorbed)``
+    for hc1."""
+    X = np.asarray(X, dtype=np.float64)
+    X = X[:, None] if X.ndim == 1 else X
+    n, p = X.shape
+    coef = np.linalg.lstsq(X, y, rcond=None)[0]
+    resid = y - X @ coef
+    bread = np.linalg.inv(X.T @ X)
+    cov = bread @ ((X * resid[:, None] ** 2).T @ X) @ bread
+    if robust_flavor == "hc1":
+        cov = cov * n / (n - p - n_absorbed)
+    return coef, cov

@@ -394,6 +394,72 @@ def test_cli_empty_selection_still_exits_zero(tmp_path):
     assert "empty" in res.output
 
 
+def _cli_reports(tmp_path, data, extra=()):
+    """The JSON and text reports of estimate --pairwise on a dataset, after
+    checking that both runs exit 0."""
+    path = str(tmp_path / "data.csv")
+    write_csv(data, path)
+    args = _estimate_args(path, ["--pairwise", *extra], instruments=",".join(data.z_names))
+    runner = CliRunner()
+    as_json = runner.invoke(main, args + ["--emit", "json"])
+    as_text = runner.invoke(main, args)
+    assert as_json.exit_code == 0, as_json.output
+    assert as_text.exit_code == 0, as_text.output
+    return json.loads(as_json.output), as_text.output
+
+
+@pytest.mark.parametrize("extra", [(), ("--no-intercept",)])
+def test_cli_exact_structural_fit_reports_a_zero_j(tmp_path, extra):
+    rng = np.random.default_rng(151)
+    Z = rng.standard_normal((50, 2))
+    x = Z @ np.array([1.0, 0.5]) + rng.standard_normal(50)
+    data = Dataset(y=2.0 * x, x=x, Z=Z, z_names=("Z1", "Z2"))
+    report, text = _cli_reports(tmp_path, data, extra)
+    assert report["tsls"]["beta_2sls"] == 2.0
+    assert report["tsls"]["j_stat"] == 0.0
+    assert report["tsls"]["j_pvalue"] == 1.0
+    assert "J=0 (p=1, dof=1)" in text
+
+
+def test_cli_records_a_rank_deficient_2sls_and_keeps_the_fas(tmp_path):
+    # Z3 repeats Z1: 2SLS over all instruments and some pairwise fits have
+    # no full-rank instrument block, while most specs still estimate
+    rng = np.random.default_rng(157)
+    z1, z2 = rng.standard_normal((2, 300))
+    x = z1 + 0.8 * z2 + rng.standard_normal(300)
+    data = Dataset(
+        y=x + rng.standard_normal(300), x=x,
+        Z=np.column_stack([z1, z2, z1]), z_names=("Z1", "Z2", "Z3"),
+    )
+    report, text = _cli_reports(tmp_path, data)
+    assert report["tsls"] == {"failure": "rank-deficient"}
+    assert report["fas"]["general"]["interval"] is not None
+    assert "degenerate" in {row["status"] for row in report["specs"]}
+    failed = [row for row in report["pairwise"] if "failure" in row]
+    assert len(failed) == 4
+    assert {row["failure"] for row in failed} == {"rank-deficient"}
+    assert set(failed[0]) == {"pair", "variant", "labels", "failure"}
+    assert "2SLS (all instruments): not computed (rank-deficient)" in text
+    (line,) = [line for line in text.splitlines() if line.startswith("{Z1, Z3}")]
+    assert line.split()[2:] == [".", ".", ".", ".", ".", "not", "computed", "(rank-deficient)"]
+
+
+def test_cli_records_a_weak_2sls_and_an_empty_fas(tmp_path):
+    # x orthogonal to every instrument: no spec and no 2SLS fit identifies
+    rng = np.random.default_rng(163)
+    x = rng.standard_normal(120)
+    raw = rng.standard_normal((120, 2))
+    basis = np.column_stack([np.ones(120), x])
+    Z = raw - basis @ np.linalg.lstsq(basis, raw, rcond=None)[0]
+    data = Dataset(y=rng.standard_normal(120), x=x, Z=Z, z_names=("Z1", "Z2"))
+    report, text = _cli_reports(tmp_path, data)
+    assert report["tsls"] == {"failure": "weak-identification"}
+    assert all(section["interval"] is None for section in report["fas"].values())
+    assert [row["failure"] for row in report["pairwise"]] == ["weak-identification"]
+    assert "2SLS (all instruments): not computed (weak-identification)" in text
+    assert "FAS: (empty: no relevant specification)" in text
+
+
 def test_cli_error_paths_exit_one(tmp_path):
     runner = CliRunner()
     entry_cases = [

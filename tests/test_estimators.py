@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import ols_reference, random_model
 from faskit import (
     Dataset,
     SimulationConfig,
     enumerate_specs,
     just_id_iv,
-    ols,
     partial_out,
     simulate,
     transform_instrument,
@@ -19,6 +18,7 @@ from faskit import (
 )
 from faskit.errors import (
     DimensionMismatchError,
+    RankDeficientError,
     WeakIdentificationError,
     ZeroFirstStageError,
 )
@@ -98,6 +98,82 @@ def test_tsls_and_pairwise_partial_out_the_controls():
     assert res.se == pytest.approx(se, rel=1e-10)
 
 
+def _explicit_fit(y, x, Zm, n_absorbed, flavor):
+    """2SLS, its weights, first-stage F and J, each written out from its
+    definition on data that is already partialled."""
+    n, q = Zm.shape
+    pi, cov = ols_reference(Zm, x, flavor, n_absorbed)
+    f_stat = float(pi @ np.linalg.solve(cov, pi)) / q
+    zx, zy = Zm.T @ x, Zm.T @ y
+    G = Zm.T @ Zm
+    denom = float(zx @ np.linalg.solve(G, zx))
+    beta = float(zx @ np.linalg.solve(G, zy)) / denom
+    weights = pi * zx / denom
+    # two-step efficient GMM: weight from the 2SLS residuals, re-minimize,
+    # take the criterion at the second-step estimate
+    resid = y - x * beta
+    S = (Zm * resid[:, None] ** 2).T @ Zm
+    beta_two = float(zx @ np.linalg.solve(S, zy)) / float(zx @ np.linalg.solve(S, zx))
+    gap = zy - zx * beta_two
+    j_stat = float(gap @ np.linalg.solve(S, gap))
+    return {"beta_2sls": beta, "first_stage_f": f_stat, "j_stat": j_stat, "weights": weights}
+
+
+def _exog_residuals(data, a):
+    """Residuals of the columns of a on the dataset's intercept and controls,
+    by lstsq, with the number of columns they absorb."""
+    exog = [np.ones((data.n, 1))] if data.intercept else []
+    exog += [data.controls] if data.controls.shape[1] else []
+    if not exog:
+        return a, 0
+    B = np.column_stack(exog)
+    return a - B @ np.linalg.lstsq(B, a, rcond=None)[0], B.shape[1]
+
+
+def _formula_samples():
+    controlled = _controlled_sample(seed=131)
+    bare = Dataset(
+        y=controlled.y, x=controlled.x, Z=controlled.Z, z_names=controlled.z_names,
+        intercept=False,
+    )
+    return {"intercept+controls": controlled, "no-intercept": bare}
+
+
+@pytest.mark.parametrize("flavor", ["hc0", "hc1"])
+@pytest.mark.parametrize("sample", ["intercept+controls", "no-intercept"])
+def test_tsls_f_j_and_weights_match_their_definitions(sample, flavor):
+    data = _formula_samples()[sample]
+    cols, n_absorbed = _exog_residuals(data, np.column_stack([data.y, data.x, data.Z]))
+    y, x, Z = cols[:, 0], cols[:, 1], cols[:, 2:]
+    want = _explicit_fit(y, x, Z, n_absorbed, flavor)
+    got = tsls(data, robust_flavor=flavor)
+    assert got.j_stat > 1.0  # away from zero, where a relative bound means something
+    for name in ("beta_2sls", "first_stage_f", "j_stat"):
+        assert getattr(got, name) == pytest.approx(want[name], rel=1e-10), name
+    assert got.weights == pytest.approx(want["weights"], rel=1e-10)
+
+
+@pytest.mark.parametrize("flavor", ["hc0", "hc1"])
+@pytest.mark.parametrize("sample", ["intercept+controls", "no-intercept"])
+def test_pairwise_rows_match_lstsq_residualized_instruments(sample, flavor):
+    data = _formula_samples()[sample]
+    cols, n_absorbed = _exog_residuals(data, np.column_stack([data.y, data.x, data.Z]))
+    y, x, Z = cols[:, 0], cols[:, 1], cols[:, 2:]
+    rows = tsls_pairwise_report(data, flavor)
+    assert len(rows) == 6
+    for row in rows:
+        a, b = row.pair
+        pair = Z[:, [a - 1, b - 1]]
+        if row.variant == "partialled":
+            (rest,) = [i for i in range(3) if i not in (a - 1, b - 1)]
+            Zr = Z[:, [rest]]
+            pair = pair - Zr @ np.linalg.lstsq(Zr, pair, rcond=None)[0]
+            assert row.labels == (f"Z{a}|{rest + 1}", f"Z{b}|{rest + 1}")
+        want = _explicit_fit(y, x, pair, n_absorbed, flavor)
+        for name in ("beta_2sls", "first_stage_f", "j_stat"):
+            assert getattr(row.result, name) == pytest.approx(want[name], rel=1e-10), (row, name)
+
+
 def test_identity_outcome_gives_unit_beta_and_zero_se():
     rng = np.random.default_rng(53)
     Z = rng.standard_normal((60, 2))
@@ -135,8 +211,8 @@ def test_ratio_identity_and_f_stat_definition():
         assert abs(est.beta_hat * est.pi_hat - est.psi_hat) <= 1e-10 * scale
         # F is the squared robust t ratio of the first-stage coefficient
         zt = transform_instrument(part, spec).values
-        fit = ols(zt[:, None], part.x, n_absorbed=part.n_absorbed)
-        t2 = fit.coefficients[0] ** 2 / fit.robust_cov[0, 0]
+        coef, cov = ols_reference(zt, part.x, n_absorbed=part.n_absorbed)
+        t2 = coef[0] ** 2 / cov[0, 0]
         assert est.f_stat == pytest.approx(float(t2), rel=1e-10)
 
 
@@ -255,6 +331,50 @@ def test_weak_identification_raises():
     data = Dataset(y=rng.standard_normal(120), x=x, Z=Z, z_names=("Z1", "Z2"))
     with pytest.raises(WeakIdentificationError):
         tsls(data)
+
+
+@pytest.mark.parametrize("slope", [2.0, 0.3])
+@pytest.mark.parametrize("intercept", [True, False])
+def test_exact_structural_fit_reports_a_zero_j(slope, intercept):
+    # y = slope * x: every 2SLS residual is zero (slope 2) or rounding
+    # residue (slope 0.3), so the moments hold and the efficient weight
+    # matrix is zero or noise
+    rng = np.random.default_rng(137)
+    Z = rng.standard_normal((50, 2))
+    x = Z @ np.array([1.0, 0.5]) + rng.standard_normal(50)
+    data = Dataset(y=slope * x, x=x, Z=Z, z_names=("Z1", "Z2"), intercept=intercept)
+    res = tsls(data)
+    assert res.beta_2sls == pytest.approx(slope, rel=1e-14)
+    assert res.se <= 1e-14
+    assert res.j_stat == 0.0
+    assert res.j_pvalue == 1.0
+    (row,) = tsls_pairwise_report(data)
+    assert row.failure is None
+    assert row.result.j_stat == 0.0
+
+
+def test_pairwise_failures_are_rows_with_a_code():
+    rng = np.random.default_rng(139)
+    z1, z2 = rng.standard_normal((2, 200))
+    x = z1 + 0.8 * z2 + rng.standard_normal(200)
+    data = Dataset(
+        y=x + rng.standard_normal(200), x=x,
+        Z=np.column_stack([z1, z2, z1]), z_names=("Z1", "Z2", "Z3"),
+    )
+    with pytest.raises(RankDeficientError):
+        tsls(data)
+    rows = {(r.pair, r.variant): r for r in tsls_pairwise_report(data)}
+    assert len(rows) == 6
+    # only the raw pairs with Z2 have two distinct columns: Z1 and Z3 are
+    # the same column raw or partialled on Z2, and partialling either on the
+    # other leaves nothing
+    failed = {key for key, r in rows.items() if r.failure is not None}
+    assert failed == set(rows) - {((1, 2), "raw"), ((2, 3), "raw")}
+    for key in failed:
+        assert rows[key].failure == "rank-deficient"
+        assert rows[key].result is None
+    assert rows[((1, 3), "partialled")].labels == ("Z1|2", "Z3|2")
+    assert rows[((1, 2), "partialled")].labels == ("Z1|3", "Z2|3")
 
 
 def test_hc1_scales_hc0_standard_errors():

@@ -179,6 +179,21 @@ def test_duplicated_instrument_column_degenerates_not_raises():
     assert set(result.selection.rejected.values()) == {"degenerate"}
 
 
+def test_an_exactly_zero_transform_is_degenerate_without_a_warning():
+    # here the Z1|3 transform comes out as exact zeros, so the column
+    # kernel divides 0 by 0 for it; the suite turns a RuntimeWarning into
+    # an error
+    rng = np.random.default_rng(157)
+    z1, z2 = rng.standard_normal((2, 300))
+    x = z1 + 0.8 * z2 + rng.standard_normal(300)
+    data = Dataset(
+        y=x + rng.standard_normal(300), x=x,
+        Z=np.column_stack([z1, z2, z1]), z_names=("Z1", "Z2", "Z3"),
+    )
+    result = fas_estimate(data, mode=Mode.GENERAL)
+    assert result.selection.rejected[3] == "degenerate"  # Z1|3
+
+
 def test_collinear_control_instruments_degenerate_in_every_mode():
     # Z3 repeats Z1, so every spec that controls for both, or that
     # residualizes one on the other, has nothing left to identify with

@@ -1,124 +1,10 @@
-"""Least-squares primitives: fits, robust covariances, projections, partialling."""
+"""Partialling out the intercept and controls."""
 
 import numpy as np
 import pytest
 
-from faskit import Dataset, ols, partial_out, residualize
-from faskit.errors import (
-    DimensionMismatchError,
-    InsufficientObservationsError,
-    RankDeficientError,
-    ZeroFirstStageError,
-)
-
-
-def _seeded_problem(seed=11, n=80, p=3):
-    rng = np.random.default_rng(seed)
-    X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
-    y = X @ rng.uniform(-1.0, 1.0, p) + rng.standard_normal(n)
-    return X, y
-
-
-def test_intercept_only_fit_is_the_sample_mean():
-    fit = ols(np.ones((4, 1)), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert fit.coefficients == pytest.approx([2.5], abs=1e-14)
-    assert fit.residuals == pytest.approx([-1.5, -0.5, 0.5, 1.5], abs=1e-14)
-    assert fit.dof_residual == 3
-
-
-def test_exact_fit_has_zero_residuals_and_zero_covariance():
-    rng = np.random.default_rng(2)
-    Q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-    y = Q @ np.array([2.0, -1.0])
-    fit = ols(Q, y)
-    assert np.max(np.abs(fit.residuals)) < 1e-12
-    assert np.max(np.abs(fit.robust_cov)) < 1e-16
-
-
-def test_noiseless_coefficients_recovered():
-    rng = np.random.default_rng(3)
-    X = rng.standard_normal((50, 3))
-    b = np.array([1.5, -2.0, 0.25])
-    fit = ols(X, X @ b)
-    assert np.max(np.abs(fit.coefficients - b)) < 1e-10
-
-
-def test_fit_invariants_on_noisy_data():
-    X, y = _seeded_problem()
-    fit = ols(X, y)
-    scale = max(1.0, float(np.max(np.abs(y))))
-    assert np.max(np.abs(fit.fitted + fit.residuals - y)) <= 1e-10 * scale
-    # orthogonality of residuals to the design
-    grad = X.T @ fit.residuals
-    assert np.max(np.abs(grad)) <= 1e-8 * max(1.0, float(np.max(np.abs(X.T @ y))))
-    assert np.max(np.abs(fit.robust_cov - fit.robust_cov.T)) <= 1e-12
-    eigs = np.linalg.eigvalsh(fit.robust_cov)
-    assert eigs.min() >= -1e-12 * max(1.0, eigs.max())
-
-
-def test_robust_cov_matches_direct_sandwich():
-    X, y = _seeded_problem(seed=5, n=40)
-    n, p = X.shape
-    hc0 = ols(X, y, robust_flavor="hc0")
-    hc1 = ols(X, y, robust_flavor="hc1")
-    xtx_inv = np.linalg.inv(X.T @ X)
-    meat = X.T @ (X * (hc0.residuals**2)[:, None])
-    direct = xtx_inv @ meat @ xtx_inv
-    assert np.allclose(hc0.robust_cov, direct, rtol=1e-12, atol=1e-14)
-    assert np.allclose(hc1.robust_cov, direct * n / (n - p), rtol=1e-12, atol=1e-14)
-
-
-def test_collinear_design_raises():
-    X = np.column_stack([np.ones(10), np.ones(10)])
-    with pytest.raises(RankDeficientError):
-        ols(X, np.zeros(10))
-
-
-def test_too_few_rows_raises():
-    rng = np.random.default_rng(7)
-    with pytest.raises(InsufficientObservationsError):
-        ols(rng.standard_normal((3, 3)), np.zeros(3))
-
-
-def test_residualize_with_empty_basis_is_identity():
-    A = np.arange(12.0).reshape(6, 2)
-    out = residualize(A, np.empty((6, 0)))
-    assert np.array_equal(out, A)
-    assert out is not A
-
-
-def test_residualize_onto_self_gives_zero():
-    col = np.arange(1.0, 9.0)
-    assert np.max(np.abs(residualize(col, col[:, None]))) < 1e-12
-
-
-def test_residualize_orthogonality_and_idempotence():
-    rng = np.random.default_rng(13)
-    B = rng.standard_normal((200, 2))
-    A = B @ np.array([[0.7], [0.4]]) + rng.standard_normal((200, 1))
-    out = residualize(A, B)
-    inner = B.T @ out
-    assert np.max(np.abs(inner)) <= 1e-8 * max(1.0, float(np.max(np.abs(B.T @ A))))
-    again = residualize(out, B)
-    assert np.max(np.abs(again - out)) <= 1e-10
-
-
-def test_residualize_row_mismatch_raises():
-    with pytest.raises(DimensionMismatchError):
-        residualize(np.ones(5), np.ones((6, 1)))
-
-
-def test_frisch_waugh_lovell():
-    rng = np.random.default_rng(17)
-    B = np.column_stack([np.ones(120), rng.standard_normal((120, 2))])
-    C = rng.standard_normal((120, 2)) + B[:, 1:2]
-    y = rng.standard_normal(120) + C @ np.array([0.5, -1.0])
-    joint = ols(np.column_stack([B, C]), y)
-    partial = ols(residualize(C, B), residualize(y, B))
-    want = joint.coefficients[B.shape[1] :]
-    assert np.max(np.abs(partial.coefficients - want)) <= 1e-9 * max(
-        1.0, float(np.max(np.abs(want)))
-    )
+from faskit import Dataset, partial_out
+from faskit.errors import ZeroFirstStageError
 
 
 def _toy_dataset(rng, n=100, controls=None, control_names=()):

@@ -9,13 +9,19 @@ from faskit.errors import (
     InvalidCountError,
     TooManyInstrumentsError,
 )
-from faskit.linalg import residualize
+from faskit.specs import make_spec
 
 
 def test_counts_for_small_k():
     assert len(enumerate_specs(2)) == 4
     assert len(enumerate_specs(3)) == 12
     assert len(enumerate_specs(4)) == 32
+
+
+def test_make_spec_builds_the_lattice_entry():
+    for k in range(1, 7):
+        for spec in enumerate_specs(k):
+            assert make_spec(k, spec.instrument_index, spec.control_subset) == spec
 
 
 def test_count_formula_exhaustively():
@@ -93,7 +99,7 @@ def test_pair_transform_identity():
     t12 = transform_instrument(data, by_label["Z1|2"])
     t21 = transform_instrument(data, by_label["Z2|1"])
     basis = np.column_stack([np.ones(data.n), data.Z[:, 0]])
-    lhs = residualize(t12.values, basis)
+    lhs = t12.values - basis @ np.linalg.lstsq(basis, t12.values, rcond=None)[0]
     rhs = -t12.projection_coeffs[0] * t21.values
     assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, float(np.max(np.abs(lhs))))
 
