@@ -12,7 +12,7 @@ from .dgp import ErrorLaw, SimulationConfig, derive_seed, simulate
 from .errors import FaskitError
 from .estimators import (
     PairwiseTsls,
-    SpecEstimate,
+    SpecTable,
     TslsResult,
     just_id_iv,
     tsls,
@@ -24,7 +24,6 @@ from .fas import (
     FrontierPoint,
     Mode,
     PopulationModel,
-    RelevanceSelection,
     fas_by_mode,
     fas_estimate,
     fas_from_estimates,
@@ -35,7 +34,6 @@ from .fas import (
     population_fas_by_mode,
     population_frontier,
     population_spec_moments,
-    select_relevant,
     specs_for_mode,
 )
 from .linalg import partial_out, partial_out_columns
@@ -59,9 +57,8 @@ __all__ = [
     "Mode",
     "PairwiseTsls",
     "PopulationModel",
-    "RelevanceSelection",
     "SimulationConfig",
-    "SpecEstimate",
+    "SpecTable",
     "TransformedInstrument",
     "TslsResult",
     "derive_seed",
@@ -80,7 +77,6 @@ __all__ = [
     "population_fas_by_mode",
     "population_frontier",
     "population_spec_moments",
-    "select_relevant",
     "simulate",
     "spec_count",
     "specs_for_mode",

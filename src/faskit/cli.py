@@ -10,6 +10,7 @@ render the same in-memory numbers.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -121,6 +122,13 @@ def load_model(path: str) -> tuple[PopulationModel, dict]:
         alpha = _parse_vector(raw["alpha"], "alpha") if "alpha" in raw else np.zeros(k)
         if "sigma_z" in raw:
             rows = [_parse_vector(row, "sigma_z") for row in raw["sigma_z"].split(";")]
+            width = max(len(row) for row in rows)
+            for number, row in enumerate(rows, start=1):
+                if len(row) < width:
+                    raise ParseError(
+                        f"model key 'sigma_z': row {number} has {len(row)} values, "
+                        f"another row has {width}"
+                    )
             sigma = np.vstack(rows)
         else:
             sigma = np.eye(k)
@@ -149,29 +157,38 @@ def _interval_json(interval: tuple[float, float] | None):
     return [float(interval[0]), float(interval[1])]
 
 
-def _spec_row(est, selection) -> dict:
-    spec = est.spec
-    selected = spec.spec_id in selection.selected
+def _nullable(column: np.ndarray) -> list:
+    """A float column as a list, with NaN (no estimate) as None."""
+    return [None if math.isnan(v) else v for v in column.tolist()]
+
+
+_ESTIMATES = ("beta_hat", "se", "pi_hat", "psi_hat")
+
+
+def _spec_rows(result: FasResult) -> dict[int, dict]:
+    """The report row of each spec in the result's table, by spec_id."""
+    t = result.table
+    numbers = zip(*(_nullable(getattr(t, c)) for c in _ESTIMATES), t.f_stat.tolist())
     return {
-        "spec_id": spec.spec_id,
-        "label": spec.label,
-        "instrument_index": spec.instrument_index,
-        "control_subset": list(spec.control_subset),
-        "beta_hat": None if est.beta_hat is None else float(est.beta_hat),
-        "se": None if est.se is None else float(est.se),
-        "pi_hat": None if est.pi_hat is None else float(est.pi_hat),
-        "psi_hat": None if est.psi_hat is None else float(est.psi_hat),
-        "f_stat": float(est.f_stat),
-        "status": "selected" if selected else selection.rejected[spec.spec_id],
+        spec.spec_id: {
+            "spec_id": spec.spec_id,
+            "label": spec.label,
+            "instrument_index": spec.instrument_index,
+            "control_subset": list(spec.control_subset),
+            **dict(zip(_ESTIMATES + ("f_stat",), values)),
+            "status": status,
+        }
+        for spec, values, status in zip(t.specs, numbers, result.status.tolist())
     }
 
 
 def _fas_section(result: FasResult) -> dict:
+    selected = [spec.spec_id for spec, keep in zip(result.table.specs, result.selected) if keep]
     return {
         "interval": _interval_json(result.interval),
-        "selected": sorted(result.selection.selected),
-        "n_selected": len(result.selection.selected),
-        "n_specs": len(result.estimates),
+        "selected": selected,
+        "n_selected": len(selected),
+        "n_specs": len(result.table.specs),
     }
 
 
@@ -217,11 +234,9 @@ def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
     """
     partialled = partial_out(dataset)
     results = fas_by_mode(partialled, config.modes, config.cutoff, config.robust_flavor)
-    spec_rows = {
-        est.spec.spec_id: _spec_row(est, result.selection)
-        for result in results.values()
-        for est in result.estimates
-    }
+    spec_rows = {}
+    for result in results.values():
+        spec_rows.update(_spec_rows(result))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -255,18 +270,23 @@ def oracle_report(model: PopulationModel, config: RunConfig, model_path: str = "
     sections: dict[str, dict] = {}
     for mode, result in population_fas_by_mode(model, config.modes).items():
         points = [] if result.interval is None else fas_frontier(result, config.frontier_grid)
+        t = result.table
+        columns = zip(
+            t.specs, t.pi_hat.tolist(), t.psi_hat.tolist(), _nullable(t.beta_hat),
+            result.selected.tolist(),
+        )
         sections[mode.value] = {
             "interval": _interval_json(result.interval),
             "specs": [
                 {
-                    "spec_id": est.spec.spec_id,
-                    "label": est.spec.label,
-                    "pi": est.pi_hat,
-                    "psi": est.psi_hat,
-                    "ratio": est.beta_hat,
-                    "relevant": est.spec.spec_id in result.selection.selected,
+                    "spec_id": spec.spec_id,
+                    "label": spec.label,
+                    "pi": pi,
+                    "psi": psi,
+                    "ratio": ratio,
+                    "relevant": relevant,
                 }
-                for est in result.estimates
+                for spec, pi, psi, ratio, relevant in columns
             ],
             "frontier": [
                 {

@@ -3,9 +3,10 @@ overidentification test.
 
 Each just-identified specification is estimated as a ratio of two simple
 regressions on its transformed instrument, so ``beta_hat * pi_hat ==
-psi_hat`` holds to rounding. 2SLS over any instrument subset is reported
-together with the weights that write it as a weighted sum of the
-just-identified estimates, and with a two-step efficient GMM J statistic.
+psi_hat`` holds to rounding; a list of specs gives one :class:`SpecTable`
+of such columns. 2SLS over any instrument subset is reported together with
+the weights that write it as a weighted sum of the just-identified
+estimates, and with a two-step efficient GMM J statistic.
 """
 
 from __future__ import annotations
@@ -40,38 +41,39 @@ TSLS_FAILURES = {
 
 
 @dataclass(eq=False)
-class SpecEstimate:
-    """Estimate of one just-identified specification.
+class SpecTable:
+    """Estimates of a list of just-identified specs: row i for ``specs[i]``,
+    one array per column.
 
-    ``beta_hat`` is absent (None) when the spec could not be estimated; the
-    ``failure`` field then says why, and is None otherwise.
-
-    Attributes
-    ----------
-    spec : JustIdSpec
-    beta_hat : float or None
-        Ratio psi_hat / pi_hat, computed directly as z'y / z'x.
-    se : float or None
-        Heteroskedasticity-robust standard error of ``beta_hat``.
-    pi_hat : float or None
-        First-stage coefficient of x on the transformed instrument.
-    psi_hat : float or None
-        Reduced-form coefficient of y on the transformed instrument.
-    f_stat : float
-        Squared robust t-ratio of ``pi_hat``; 0.0 for failed specs.
-    failure : str or None
-        None for an estimated spec; otherwise "degenerate" (collinear
-        controls or transform) or "zero-first-stage" (the transformed
-        instrument is orthogonal to the treatment).
+    ``beta_hat = z'y / z'x``, its robust ``se``, the first-stage and
+    reduced-form coefficients ``pi_hat`` and ``psi_hat`` of x and y on the
+    transformed instrument, and ``f_stat``, the squared robust t-ratio of
+    ``pi_hat``. ``failure`` (dtype object) is None for an estimated row;
+    otherwise it is "degenerate" (collinear controls or transform),
+    "zero-first-stage" (the transformed instrument is orthogonal to the
+    treatment) or "insufficient-observations" (``n <= 1 + |C| +
+    n_absorbed``), and the row holds NaN but for an ``f_stat`` of 0.0. A
+    population table holds moments instead; see
+    :func:`faskit.fas.population_fas_by_mode`.
     """
 
-    spec: JustIdSpec
-    beta_hat: float | None
-    se: float | None
-    pi_hat: float | None
-    psi_hat: float | None
-    f_stat: float
-    failure: str | None = None
+    specs: list[JustIdSpec]
+    beta_hat: np.ndarray
+    se: np.ndarray
+    pi_hat: np.ndarray
+    psi_hat: np.ndarray
+    f_stat: np.ndarray
+    failure: np.ndarray
+
+    @property
+    def estimated(self) -> np.ndarray:
+        """Mask of the rows with no failure."""
+        return np.equal(self.failure, None)
+
+    def take(self, positions: list[int]) -> SpecTable:
+        """The rows at ``positions``, in that order."""
+        columns = (self.beta_hat, self.se, self.pi_hat, self.psi_hat, self.f_stat, self.failure)
+        return SpecTable([self.specs[p] for p in positions], *(c[positions] for c in columns))
 
 
 @dataclass(eq=False)
@@ -131,7 +133,7 @@ def iv_columns(
     instrument.
 
     W, x and y are partialled upstream, which absorbed ``n_absorbed``
-    columns. Returns per-row arrays in :class:`SpecEstimate` field order:
+    columns. Returns per-row arrays in :class:`SpecTable` column order:
     ``beta_hat = w'y / w'x``, ``se`` from the robust IV variance ``sum(w^2
     u^2) / (w'x)^2`` with ``u = y - x beta_hat``, ``pi_hat = w'x / w'w``,
     ``psi_hat = w'y / w'w`` and ``f_stat``, the squared robust t-ratio of
@@ -173,16 +175,19 @@ def just_id_iv(
     dataset: Dataset,
     zt: TransformedInstrument,
     robust_flavor: str = "hc1",
-) -> SpecEstimate:
-    """Estimate one just-identified specification.
+) -> SpecTable:
+    """Estimate one just-identified specification as a one-row table.
 
-    The one-column case of :func:`iv_columns`, which defines every field.
+    The one-column case of :func:`iv_columns`, which defines every column.
     A dataset that still carries an intercept or controls is partialled of
     them, and so is the transformed instrument; by Frisch-Waugh-Lovell the
     estimates equal those of the design that includes them.
 
     Raises
     ------
+    InsufficientObservationsError
+        If ``n <= 1 + |C| + n_absorbed``: the spec's first stage has no
+        residual degrees of freedom.
     DegenerateInstrumentError
         If the transformed instrument has numerically zero variance.
     ZeroFirstStageError
@@ -195,6 +200,12 @@ def just_id_iv(
         )
     w = partial_out_columns(dataset, w)
     dataset = partial_out(dataset)
+    n_controls = len(zt.spec.control_subset)
+    if dataset.n <= 1 + n_controls + dataset.n_absorbed:
+        raise InsufficientObservationsError(
+            f"{zt.spec.label}: need n > 1 + |C| + absorbed: "
+            f"n={dataset.n}, |C|={n_controls}, absorbed={dataset.n_absorbed}"
+        )
     if float(w @ w) <= 0.0:
         raise DegenerateInstrumentError(f"{zt.spec.label}: instrument is identically zero")
     *values, zero_first_stage = iv_columns(
@@ -204,20 +215,7 @@ def just_id_iv(
         raise ZeroFirstStageError(
             f"{zt.spec.label}: z'x = {float(w @ dataset.x):.3e} is numerically zero"
         )
-    return SpecEstimate(zt.spec, *(float(v[0]) for v in values))
-
-
-def failed_estimate(spec: JustIdSpec, reason: str) -> SpecEstimate:
-    """Placeholder estimate for a spec that could not be computed."""
-    return SpecEstimate(
-        spec=spec,
-        beta_hat=None,
-        se=None,
-        pi_hat=None,
-        psi_hat=None,
-        f_stat=0.0,
-        failure=reason,
-    )
+    return SpecTable([zt.spec], *values, np.full(1, None, dtype=object))
 
 
 def _solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -382,7 +380,7 @@ def tsls_pairwise_report(
         for variant, controls in [("raw", ())] + ([("partialled", rest)] if rest else []):
             pair = [make_spec(k_z, a, controls), make_spec(k_z, b, controls)]
             labels = (pair[0].label, pair[1].label)
-            A, degenerate = spec_coefficients(R, pair)
+            A, degenerate, _ = spec_coefficients(R, pair)
             try:
                 if degenerate.any():
                     raise RankDeficientError(f"{', '.join(labels)}: collinear with the controls")

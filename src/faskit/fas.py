@@ -3,22 +3,22 @@ population oracle, and the falsification frontier.
 
 Three reporting modes share one engine. Excl keeps each instrument with all
 others as controls, Exo keeps each instrument alone, General enumerates every
-control partition. The families of the requested modes are swept once, as
-their union, and each mode views its own family in that sweep. In each mode
-the reported interval is the span of the just-identified estimates whose
-first-stage F clears the cutoff.
+control partition. The requested modes' families are swept once, as their
+union, into one spec table, and each mode takes its own family's rows. In
+each mode the interval spans the estimates whose first-stage F clears the
+cutoff: an array operation on the table's columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatchError, SingularSigmaError, ZeroFirstStageError
-from .estimators import SpecEstimate, failed_estimate, iv_columns
+from .estimators import SpecTable, iv_columns
 from .linalg import partial_out
 from .specs import JustIdSpec, enumerate_specs, instrument_specs, spec_coefficients
 
@@ -44,37 +44,29 @@ class Mode(str, Enum):
 
 
 @dataclass(eq=False)
-class RelevanceSelection:
-    """Outcome of the first-stage relevance screen.
-
-    Attributes
-    ----------
-    cutoff : float
-        The F cutoff applied (or, for population results, the relative
-        tolerance on the population first-stage coefficient).
-    selected : set of int
-        spec_ids that passed.
-    rejected : dict
-        spec_id -> reason, one of "low-F", "degenerate", "zero-first-stage".
-    """
-
-    cutoff: float
-    selected: set[int] = field(default_factory=set)
-    rejected: dict[int, str] = field(default_factory=dict)
-
-
-@dataclass(eq=False)
 class FasResult:
     """A FAS interval with its supporting evidence.
 
     ``interval`` is ``(lo, hi)`` with ``lo <= hi``, or None when every spec
-    was rejected.
+    was rejected; it spans the ``table`` rows that ``selected`` marks.
     """
 
     mode: Mode
     interval: tuple[float, float] | None
-    selection: RelevanceSelection
-    estimates: list[SpecEstimate]
+    table: SpecTable
+    selected: np.ndarray
+
+    @property
+    def status(self) -> np.ndarray:
+        """Per row: "selected", the row's failure, or "low-F"."""
+        status = np.where(self.table.estimated, "low-F", self.table.failure)
+        status[self.selected] = "selected"
+        return status
+
+
+def _span(table: SpecTable, selected: np.ndarray) -> tuple[float, float] | None:
+    betas = table.beta_hat[selected]
+    return (float(betas.min()), float(betas.max())) if betas.size else None
 
 
 @dataclass(eq=False)
@@ -182,72 +174,48 @@ def estimate_specs(
     dataset: Dataset,
     specs: list[JustIdSpec],
     robust_flavor: str = "hc1",
-) -> list[SpecEstimate]:
+) -> SpecTable:
     """Estimate a list of specifications on an already-partialled dataset.
 
     A block at a time, :func:`spec_coefficients` on one QR of the
     instruments gives ``A`` and :func:`iv_columns` estimates ``Z A``, with
     one matrix-vector product per spec, so that a spec's estimate does not
-    depend on the family it is swept in. Failures (collinear controls or
-    transform, zero first stage) become placeholder estimates with a
-    recorded reason. Results are returned in the order of ``specs``.
+    depend on the family it is swept in. The blocks join into one table in
+    the order of ``specs``, whose ``failure`` column comes from three masks
+    (see :class:`SpecTable`); too few observations takes precedence.
     """
     dataset = partial_out(dataset)
     R = np.linalg.qr(dataset.Z, mode="r")
     width = max(1, _BLOCK_ELEMENTS // dataset.n)
-    estimates = []
+    blocks = []
     for start in range(0, len(specs), width):
-        A, degenerate = spec_coefficients(R, specs[start : start + width])
+        A, degenerate, n_controls = spec_coefficients(R, specs[start : start + width])
         W = np.matmul(dataset.Z, A.T[:, :, None])[:, :, 0]
         cols = iv_columns(W, dataset.x, dataset.y, dataset.n_absorbed, robust_flavor)
-        for pos, (*values, zero) in enumerate(zip(*(field.tolist() for field in cols)), start):
-            if degenerate[pos - start]:
-                estimates.append(failed_estimate(specs[pos], "degenerate"))
-            elif zero:
-                estimates.append(failed_estimate(specs[pos], "zero-first-stage"))
-            else:
-                estimates.append(SpecEstimate(specs[pos], *values))
-    return estimates
+        blocks.append((*cols, degenerate, n_controls))
+    *values, f_stat, zero, degenerate, n_controls = (np.concatenate(c) for c in zip(*blocks))
+    failure = np.full(len(specs), None, dtype=object)
+    failure[zero] = "zero-first-stage"
+    failure[degenerate] = "degenerate"
+    failure[dataset.n <= 1 + n_controls + dataset.n_absorbed] = "insufficient-observations"
+    failed = np.not_equal(failure, None)
+    for column in values:
+        column[failed] = np.nan
+    f_stat[failed] = 0.0
+    return SpecTable(specs, *values, f_stat, failure)
 
 
-def select_relevant(estimates: list[SpecEstimate], cutoff: float) -> RelevanceSelection:
-    """Partition specs into selected and rejected by first-stage F.
+def fas_from_estimates(table: SpecTable, cutoff: float, mode: Mode) -> FasResult:
+    """Screen a table by first-stage F and span the selected estimates.
 
-    A spec is selected when it produced an estimate and its F statistic is
-    at or above ``cutoff``. Rejected specs carry a reason: a recorded
-    failure ("degenerate", "zero-first-stage") or "low-F".
+    A row is selected when it has no failure and its F statistic is at or
+    above ``cutoff``; the interval is [min beta_hat, max beta_hat] over the
+    selected rows, or None (reported, not raised) when there are none.
     """
     if not cutoff > 0.0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    selection = RelevanceSelection(cutoff=float(cutoff))
-    for est in estimates:
-        if est.failure is not None:
-            selection.rejected[est.spec.spec_id] = est.failure
-        elif est.f_stat >= cutoff:
-            selection.selected.add(est.spec.spec_id)
-        else:
-            selection.rejected[est.spec.spec_id] = "low-F"
-    return selection
-
-
-def fas_from_estimates(
-    estimates: list[SpecEstimate],
-    cutoff: float,
-    mode: Mode,
-) -> FasResult:
-    """Assemble a FAS interval from per-spec estimates.
-
-    The interval spans the selected estimates: [min beta_hat, max beta_hat].
-    With no selected spec the interval is None (reported, not raised).
-    """
-    selection = select_relevant(estimates, cutoff)
-    betas = [
-        est.beta_hat
-        for est in estimates
-        if est.spec.spec_id in selection.selected and est.beta_hat is not None
-    ]
-    interval = (min(betas), max(betas)) if betas else None
-    return FasResult(mode=mode, interval=interval, selection=selection, estimates=estimates)
+    selected = table.estimated & (table.f_stat >= cutoff)
+    return FasResult(mode, _span(table, selected), table, selected)
 
 
 def fas_by_mode(
@@ -262,14 +230,13 @@ def fas_by_mode(
     the modes' families from :func:`specs_for_mode` (k_z specs each for
     Excl and Exo, the whole lattice only for General) is then estimated
     once on the partialled sample. Each mode's interval spans the estimates
-    of its own family that clear the relevance cutoff. A spec shared by
-    several modes is one estimate object in all of their results.
+    of its own family that clear the relevance cutoff; its table is the
+    rows of that family in the sweep's table.
     """
     family, views = _mode_views(modes, dataset.k_z)
-    estimates = estimate_specs(partial_out(dataset), family, robust_flavor)
+    table = estimate_specs(partial_out(dataset), family, robust_flavor)
     return {
-        mode: fas_from_estimates([estimates[pos] for pos in view], cutoff, mode)
-        for mode, view in views.items()
+        mode: fas_from_estimates(table.take(view), cutoff, mode) for mode, view in views.items()
     }
 
 
@@ -310,7 +277,7 @@ def population_spec_moments(
     model.validate()
     R = np.linalg.cholesky(model.sigma_z).T
     # validate() bounds the condition number of sigma_z, so no spec is degenerate
-    A, _ = spec_coefficients(R, specs)
+    A, _, _ = spec_coefficients(R, specs)
     cov_zx = model.sigma_z @ model.pi
     cov_zy = model.sigma_z @ (model.pi * model.beta + model.gamma) + model.alpha
     variance = np.sum((R @ A) ** 2, axis=0)
@@ -322,22 +289,15 @@ def _relevance_mask(pi_t: np.ndarray) -> np.ndarray:
 
 
 def _population_result(
-    mode: Mode, family: list[JustIdSpec], pi_t: np.ndarray, psi_t: np.ndarray
+    mode: Mode, specs: list[JustIdSpec], pi_t: np.ndarray, psi_t: np.ndarray
 ) -> FasResult:
-    mask = _relevance_mask(pi_t)
-    estimates = [
-        SpecEstimate(
-            spec=spec,
-            beta_hat=float(psi_t[pos] / pi_t[pos]) if mask[pos] else None,
-            se=None,
-            pi_hat=float(pi_t[pos]),
-            psi_hat=float(psi_t[pos]),
-            f_stat=float("inf") if mask[pos] else 0.0,
-            failure=None if mask[pos] else "zero-first-stage",
-        )
-        for pos, spec in enumerate(family)
-    ]
-    return fas_from_estimates(estimates, POPULATION_RELEVANCE_TOL, mode)
+    relevant = _relevance_mask(pi_t)
+    ratio = np.divide(psi_t, pi_t, out=np.full_like(psi_t, np.nan), where=relevant)
+    table = SpecTable(
+        specs, ratio, np.full_like(psi_t, np.nan), pi_t, psi_t,
+        np.where(relevant, np.inf, 0.0), np.where(relevant, None, "zero-first-stage"),
+    )
+    return FasResult(mode, _span(table, relevant), table, relevant)
 
 
 def population_fas_by_mode(model: PopulationModel, modes: list[Mode]) -> dict[Mode, FasResult]:
@@ -345,10 +305,10 @@ def population_fas_by_mode(model: PopulationModel, modes: list[Mode]) -> dict[Mo
 
     :func:`population_spec_moments` runs once over the union of the modes'
     families; each mode's result views its own family in it. Relevance is
-    exact: |pi~| above 1e-12 relative to the mode family's largest. The
-    returned estimates carry the population ratios with f_stat +inf for
-    relevant specs and 0 for irrelevant ones; the selection's ``cutoff``
-    field records the relevance tolerance.
+    exact: |pi~| above 1e-12 relative to the mode family's largest. Each
+    table holds every spec's pi~ and psi~, with beta_hat their ratio, f_stat
+    +inf (no sampling variance) and ``selected`` True where relevant; an
+    irrelevant spec has failure "zero-first-stage" and NaN beta_hat and se.
     """
     family, views = _mode_views(modes, model.k_z)
     pi_t, psi_t = population_spec_moments(model, family)
@@ -493,12 +453,9 @@ def fas_frontier(result: FasResult, grid_points: int = 201) -> list[FrontierPoin
     """
     if result.interval is None:
         raise ZeroFirstStageError("no relevant component; frontier is undefined")
-    pi_t = np.array([est.pi_hat for est in result.estimates])
-    psi_t = np.array([est.psi_hat for est in result.estimates])
-    relevant = [est.spec.spec_id in result.selection.selected for est in result.estimates]
     lo, hi = result.interval
     grid = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
-    return frontier(pi_t, psi_t, relevant, grid)
+    return frontier(result.table.pi_hat, result.table.psi_hat, result.selected, grid)
 
 
 def population_frontier(
@@ -511,9 +468,5 @@ def population_frontier(
     Returns (specs, pi~, psi~, points); see :func:`fas_frontier`.
     """
     result = population_fas(model, mode)
-    return (
-        [est.spec for est in result.estimates],
-        np.array([est.pi_hat for est in result.estimates]),
-        np.array([est.psi_hat for est in result.estimates]),
-        fas_frontier(result, grid_points),
-    )
+    table = result.table
+    return table.specs, table.pi_hat, table.psi_hat, fas_frontier(result, grid_points)

@@ -151,7 +151,7 @@ class TransformedInstrument:
 
 def spec_coefficients(
     R: np.ndarray, specs: list[JustIdSpec]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficient vectors a of the specs' transformed instruments ``Z a``.
 
     ``R`` is a triangular factor of the instrument Gram, ``G = R'R``: the R
@@ -160,10 +160,12 @@ def spec_coefficients(
     ``a_l = 1`` and ``a_C = -phi``, phi being the least squares coefficients
     of ``R[:, l]`` on ``R[:, C]``, which are those of Z_l on Z_C. A spec is
     degenerate when Z_C is rank deficient at the 1e-10 relative singular
-    value tolerance, or when ``|R a|^2 <= 1e-12 * |R_l|^2``.
+    value tolerance, or when ``|R a|^2 <= 1e-12 * |R_l|^2``. Returns ``A``,
+    the degenerate mask and each spec's control count ``|C|``.
     """
     A = np.zeros((R.shape[1], len(specs)))
     degenerate = np.zeros(len(specs), dtype=bool)
+    n_controls = np.zeros(len(specs), dtype=np.intp)
     base_ss = np.sum(R * R, axis=0)
     for pos, spec in enumerate(specs):
         ell = spec.instrument_index - 1
@@ -174,7 +176,8 @@ def spec_coefficients(
         A[ell, pos] = 1.0
         A[C, pos] = -phi
         degenerate[pos] = resid_ss.sum() <= DEGENERACY_TOL * base_ss[ell]
-    return A, degenerate
+        n_controls[pos] = len(C)
+    return A, degenerate, n_controls
 
 
 def transform_instrument(dataset: Dataset, spec: JustIdSpec) -> TransformedInstrument:
@@ -194,7 +197,7 @@ def transform_instrument(dataset: Dataset, spec: JustIdSpec) -> TransformedInstr
         with its controls (or constant).
     """
     dataset = partial_out(dataset)
-    A, degenerate = spec_coefficients(np.linalg.qr(dataset.Z, mode="r"), [spec])
+    A, degenerate, _ = spec_coefficients(np.linalg.qr(dataset.Z, mode="r"), [spec])
     if degenerate[0]:
         raise DegenerateInstrumentError(
             f"{spec.label}: controls are collinear, or the residual variance is "

@@ -17,7 +17,7 @@ from faskit import (
     Mode,
     PopulationModel,
     SimulationConfig,
-    SpecEstimate,
+    SpecTable,
     enumerate_specs,
     fas_estimate,
     fas_from_estimates,
@@ -26,7 +26,6 @@ from faskit import (
     partial_out,
     population_fas,
     population_spec_moments,
-    select_relevant,
     simulate,
     spec_count,
     transform_instrument,
@@ -95,7 +94,7 @@ def test_criterion_2_spec_counts():
 
 
 # criterion 3 builds this; criterion 7 reads it. Each entry holds the
-# dataset's k_z, the full general-family estimates, and the dataset itself
+# dataset's k_z, the full general-family table, and the dataset itself
 # (needed for the k_z = 2 spanning-pair identity).
 _CORPUS: list[dict] = []
 
@@ -107,8 +106,8 @@ def _build_corpus():
         model = random_model(model_rng, k)
         data = simulate(SimulationConfig(model=model, n=200, seed=3000 + i))
         part = partial_out(data)
-        estimates = estimate_specs(part, enumerate_specs(k))
-        _CORPUS.append({"k": k, "data": data, "estimates": estimates})
+        table = estimate_specs(part, enumerate_specs(k))
+        _CORPUS.append({"k": k, "data": data, "table": table})
 
 
 def test_criterion_3_algebraic_identities():
@@ -118,26 +117,25 @@ def test_criterion_3_algebraic_identities():
 
     checked_ratio = 0
     for entry in _CORPUS:
-        k, data, estimates = entry["k"], entry["data"], entry["estimates"]
+        k, data, table = entry["k"], entry["data"], entry["table"]
 
         # (a) beta_hat * pi_hat = psi_hat on every non-degenerate spec
-        for est in estimates:
-            if est.failure is not None:
-                continue
-            lhs = est.beta_hat * est.pi_hat
-            assert abs(lhs - est.psi_hat) <= 1e-10 * max(1.0, abs(est.psi_hat))
-            checked_ratio += 1
+        ok = table.estimated
+        lhs = table.beta_hat[ok] * table.pi_hat[ok]
+        psi = table.psi_hat[ok]
+        assert np.all(np.abs(lhs - psi) <= 1e-10 * np.maximum(1.0, np.abs(psi)))
+        checked_ratio += int(ok.sum())
 
         # (b) 2SLS weights: sum to one, reconstruct from both families
         res = tsls(data)
         assert abs(float(np.sum(res.weights)) - 1.0) <= 1e-10
         controlled = {}
         marginal = {}
-        for est in estimates:
-            if len(est.spec.control_subset) == k - 1:
-                controlled[est.spec.instrument_index] = est.beta_hat
-            elif not est.spec.control_subset:
-                marginal[est.spec.instrument_index] = est.beta_hat
+        for spec, beta in zip(table.specs, table.beta_hat):
+            if len(spec.control_subset) == k - 1:
+                controlled[spec.instrument_index] = beta
+            elif not spec.control_subset:
+                marginal[spec.instrument_index] = beta
         for family in (controlled, marginal):
             recon = sum(res.weights[l - 1] * family[l] for l in range(1, k + 1))
             assert abs(recon - res.beta_2sls) <= 1e-9 * max(1.0, abs(res.beta_2sls))
@@ -273,16 +271,24 @@ def test_criterion_6_endpoint_consistency():
     assert time.monotonic() - t0 < 300.0
 
 
+def _family(table, mode, k):
+    """The rows of ``table`` in the mode's family."""
+    member = {
+        Mode.EXCL: lambda spec: len(spec.control_subset) == k - 1,
+        Mode.EXO: lambda spec: not spec.control_subset,
+        Mode.GENERAL: lambda spec: True,
+    }[mode]
+    return table.take([pos for pos, spec in enumerate(table.specs) if member(spec)])
+
+
 def test_criterion_7_subfamilies_nest_in_general():
     if not _CORPUS:
         _build_corpus()
     for entry in _CORPUS:
-        k, estimates = entry["k"], entry["estimates"]
-        general = fas_from_estimates(estimates, CUTOFF, Mode.GENERAL).interval
-        excl = [e for e in estimates if len(e.spec.control_subset) == k - 1]
-        exo = [e for e in estimates if not e.spec.control_subset]
-        for family, mode in ((excl, Mode.EXCL), (exo, Mode.EXO)):
-            sub = fas_from_estimates(family, CUTOFF, mode).interval
+        k, table = entry["k"], entry["table"]
+        general = fas_from_estimates(table, CUTOFF, Mode.GENERAL).interval
+        for mode in (Mode.EXCL, Mode.EXO):
+            sub = fas_from_estimates(_family(table, mode, k), CUTOFF, mode).interval
             if sub is None:
                 continue
             assert general is not None
@@ -322,13 +328,16 @@ _CITY_FAS = {
 }
 
 
-def _published_estimates(figures, k):
+def _published_table(figures, k):
+    """A table of the published betas and F statistics; the other columns
+    were not published."""
     by_label = {s.label: s for s in enumerate_specs(k)}
-    return [
-        SpecEstimate(spec=by_label[label], beta_hat=beta, se=None,
-                     pi_hat=None, psi_hat=None, f_stat=f)
-        for label, (beta, f) in figures.items()
-    ]
+    beta, f_stat = np.array(list(figures.values())).T
+    missing = np.full(len(figures), np.nan)
+    return SpecTable(
+        [by_label[label] for label in figures], beta, missing, missing, missing, f_stat,
+        np.full(len(figures), None, dtype=object),
+    )
 
 
 def test_criterion_8_published_interval_fixtures():
@@ -336,18 +345,10 @@ def test_criterion_8_published_interval_fixtures():
         (_GROWTH_SPECS, 2, _GROWTH_FAS),
         (_CITY_SPECS, 3, _CITY_FAS),
     ):
-        estimates = _published_estimates(figures, k)
-        low_f = {
-            e.spec.label for e in estimates
-            if e.spec.spec_id not in select_relevant(estimates, CUTOFF).selected
-        }
+        table = _published_table(figures, k)
+        screen = fas_from_estimates(table, CUTOFF, Mode.GENERAL)
+        low_f = {spec.label for spec, keep in zip(table.specs, screen.selected) if not keep}
         assert all(figures[label][1] < CUTOFF for label in low_f)
         for mode, want in expected.items():
-            if mode is Mode.EXCL:
-                family = [e for e in estimates if len(e.spec.control_subset) == k - 1]
-            elif mode is Mode.EXO:
-                family = [e for e in estimates if not e.spec.control_subset]
-            else:
-                family = estimates
-            lo, hi = fas_from_estimates(family, CUTOFF, mode).interval
+            lo, hi = fas_from_estimates(_family(table, mode, k), CUTOFF, mode).interval
             assert abs(lo - want[0]) <= 1e-12 and abs(hi - want[1]) <= 1e-12

@@ -295,6 +295,13 @@ def test_model_file_errors(tmp_path):
         load_model(_write(tmp_path, "beta = 1\npi = 1\nwhat = 3\n", "unknown.txt"))
 
 
+@pytest.mark.parametrize("sigma, row", [("1, 0; 0", 2), ("1; 0, 1", 1), ("1, 0;", 2)])
+def test_a_ragged_sigma_z_is_a_parse_error(tmp_path, sigma, row):
+    path = _write(tmp_path, f"beta = 1\npi = 1, 1\nsigma_z = {sigma}\n", "ragged.txt")
+    with pytest.raises(ParseError, match=f"ragged.txt: model key 'sigma_z': row {row} has"):
+        load_model(path)
+
+
 def _seeded_dataset(k=2, seed=149, n=400):
     rng = np.random.default_rng(seed)
     return simulate(SimulationConfig(model=random_model(rng, k), n=n, seed=seed))
@@ -311,7 +318,9 @@ def test_run_report_shape_and_consistency():
         # one sweep viewed per mode equals the mode estimated on its own
         alone = fas_estimate(data, mode=mode)
         assert section["interval"] == (None if alone.interval is None else list(alone.interval))
-        assert section["selected"] == sorted(alone.selection.selected)
+        assert section["selected"] == [
+            spec.spec_id for spec, keep in zip(alone.table.specs, alone.selected) if keep
+        ]
         rows = [r for r in report["specs"] if r["spec_id"] in section["selected"]]
         betas = [r["beta_hat"] for r in rows]
         if mode is Mode.EXCL:
@@ -458,6 +467,24 @@ def test_cli_records_a_weak_2sls_and_an_empty_fas(tmp_path):
     assert [row["failure"] for row in report["pairwise"]] == ["weak-identification"]
     assert "2SLS (all instruments): not computed (weak-identification)" in text
     assert "FAS: (empty: no relevant specification)" in text
+
+
+def test_cli_reports_a_spec_without_residual_degrees_of_freedom(tmp_path):
+    # n=4 with an intercept and three instruments: each Z_l|rest spec's first
+    # stage has 4 coefficients on 4 rows
+    path = _write(tmp_path, "y,x,a,b,c\n1,1,1,0,2\n2,3,0,1,1\n4,2,2,2,0\n3,5,1,3,3\n")
+    args = ["estimate", "--data", path, "--outcome", "y", "--treatment", "x",
+            "--instruments", "a,b,c", "--cutoff", "3"]
+    res = CliRunner().invoke(main, args + ["--emit", "json"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    failed = [row for row in report["specs"] if row["status"] == "insufficient-observations"]
+    assert [row["label"] for row in failed] == ["Z1|2,3", "Z2|1,3", "Z3|1,2"]
+    assert all(row["beta_hat"] is None and row["f_stat"] == 0.0 for row in failed)
+    assert report["fas"]["excl"]["interval"] is None
+    text = CliRunner().invoke(main, args).output
+    assert "FAS_excl: (empty: no relevant specification)" in text
+    assert "Z1|2,3  .        .       .        .        0        insufficient-observations" in text
 
 
 def test_cli_error_paths_exit_one(tmp_path):

@@ -52,8 +52,8 @@ def _reference(data, spec, flavor):
     return np.array([beta, np.sqrt(var_beta), pi, psi, pi * pi / var_pi])
 
 
-def _table(estimates):
-    return np.array([[getattr(est, name) for name in FIELDS] for est in estimates])
+def _table(table):
+    return np.column_stack([getattr(table, name) for name in FIELDS])
 
 
 @pytest.mark.parametrize("flavor", ["hc0", "hc1"])
@@ -64,22 +64,25 @@ def test_sweep_matches_the_per_spec_reference(k, n, flavor):
     if k == 6:
         # the family spans several blocks of the sweep
         assert len(specs) > _BLOCK_ELEMENTS // n
-    estimates = estimate_specs(partial_out(data), specs, flavor)
-    assert all(est.failure is None for est in estimates)
+    table = estimate_specs(partial_out(data), specs, flavor)
+    assert table.specs == specs and table.estimated.all()
     reference = np.array([_reference(data, spec, flavor) for spec in specs])
-    np.testing.assert_allclose(_table(estimates), reference, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(_table(table), reference, rtol=1e-10, atol=0.0)
 
 
 def test_a_spec_estimate_does_not_depend_on_its_family():
     part = partial_out(_controlled_sample(seed=601, n=2000, k=6))
-    full = {est.spec.spec_id: est for est in estimate_specs(part, enumerate_specs(6))}
+    full = estimate_specs(part, enumerate_specs(6))
+    position = {spec.spec_id: pos for pos, spec in enumerate(full.specs)}
     for mode in (Mode.EXCL, Mode.EXO):
-        for est in estimate_specs(part, specs_for_mode(mode, 6)):
-            assert [getattr(est, f) for f in FIELDS] == [getattr(full[est.spec.spec_id], f) for f in FIELDS]
+        family = estimate_specs(part, specs_for_mode(mode, 6))
+        twin = full.take([position[spec.spec_id] for spec in family.specs])
+        assert np.array_equal(_table(family), _table(twin))
     # the one-spec functions are the one-column case of the same engine
     for spec in enumerate_specs(6)[::17]:
         one = just_id_iv(part, transform_instrument(part, spec))
-        np.testing.assert_allclose(_table([one]), _table([full[spec.spec_id]]), rtol=1e-13)
+        assert one.specs == [spec] and one.failure.tolist() == [None]
+        np.testing.assert_allclose(_table(one), _table(full.take([position[spec.spec_id]])), rtol=1e-13)
 
 
 def test_population_moments_match_a_direct_solve():

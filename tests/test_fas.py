@@ -17,13 +17,15 @@ from faskit import (
     enumerate_specs,
     fas_by_mode,
     fas_estimate,
+    fas_from_estimates,
     frontier,
     identified_set,
+    just_id_iv,
+    partial_out,
     population_fas,
     population_fas_by_mode,
     population_frontier,
     population_spec_moments,
-    select_relevant,
     simulate,
     specs_for_mode,
     transform_instrument,
@@ -33,48 +35,61 @@ from faskit import specs as specs_module
 from faskit.errors import (
     DegenerateInstrumentError,
     DimensionMismatchError,
+    InsufficientObservationsError,
     InvalidCountError,
     SingularSigmaError,
     TooManyInstrumentsError,
 )
-from faskit.estimators import SpecEstimate
+from faskit.estimators import SpecTable
 
 
-def _fake_estimates(f_stats, betas=None):
-    specs = enumerate_specs(2)[: len(f_stats)]
-    out = []
-    for i, (spec, f) in enumerate(zip(specs, f_stats)):
-        beta = None if betas is None else betas[i]
-        out.append(
-            SpecEstimate(
-                spec=spec, beta_hat=beta if beta is not None else float(i),
-                se=1.0, pi_hat=1.0, psi_hat=1.0, f_stat=f,
-            )
-        )
-    return out
+def _fake_table(f_stats, failure=None):
+    m = len(f_stats)
+    ones = np.ones(m)
+    failure = np.array([None] * m if failure is None else failure, dtype=object)
+    return SpecTable(
+        enumerate_specs(2)[:m], np.arange(m, dtype=float), ones, ones, ones,
+        np.array(f_stats, dtype=float), failure,
+    )
+
+
+def _screen(table, cutoff=10.0):
+    return fas_from_estimates(table, cutoff, Mode.GENERAL)
+
+
+def _status_by_id(result):
+    return {spec.spec_id: status for spec, status in zip(result.table.specs, result.status)}
 
 
 def test_no_relevance_rejects_everything():
-    sel = select_relevant(_fake_estimates([0.0, 0.0, 0.0, 0.0]), cutoff=10.0)
-    assert sel.selected == set()
-    assert set(sel.rejected.values()) == {"low-F"}
+    result = _screen(_fake_table([0.0, 0.0, 0.0, 0.0]))
+    assert not result.selected.any() and result.interval is None
+    assert set(result.status) == {"low-F"}
 
 
 def test_selection_splits_on_the_cutoff():
-    sel = select_relevant(_fake_estimates([78.20, 0.95, 74.01, 19.00]), cutoff=10.0)
-    assert sel.selected == {1, 3, 4}
-    assert sel.rejected == {2: "low-F"}
+    result = _screen(_fake_table([78.20, 0.95, 74.01, 19.00]))
+    assert result.selected.tolist() == [True, False, True, True]
+    assert _status_by_id(result) == {1: "selected", 2: "low-F", 3: "selected", 4: "selected"}
+    # the interval spans the selected betas 0, 2 and 3
+    assert result.interval == (0.0, 3.0)
+
+
+def test_a_failed_row_is_never_selected():
+    result = _screen(_fake_table([50.0, 50.0, 50.0], [None, "degenerate", "zero-first-stage"]))
+    assert result.status.tolist() == ["selected", "degenerate", "zero-first-stage"]
+    assert result.interval == (0.0, 0.0)
 
 
 def test_cutoff_comparison_is_inclusive():
-    ests = _fake_estimates([10.0])
-    assert select_relevant(ests, 10.0).selected == {1}
-    assert select_relevant(ests, 10.0 - 1e-9).selected == {1}
+    table = _fake_table([10.0])
+    assert _screen(table, 10.0).selected.tolist() == [True]
+    assert _screen(table, 10.0 - 1e-9).selected.tolist() == [True]
 
 
 def test_cutoff_must_be_positive():
     with pytest.raises(ValueError):
-        select_relevant(_fake_estimates([1.0]), 0.0)
+        _screen(_fake_table([1.0]), 0.0)
 
 
 def test_specs_for_mode_families():
@@ -135,16 +150,16 @@ def test_excl_and_exo_never_build_the_lattice(monkeypatch):
     population = population_fas_by_mode(model, modes)
     for results in (sample, population):
         for mode in modes:
-            assert [e.spec.spec_id for e in results[mode].estimates] == ids[mode]
+            assert [spec.spec_id for spec in results[mode].table.specs] == ids[mode]
     # closed forms: Excl has the full-regression coefficients, Exo the marginal ones
     sigma, pi = model.sigma_z, model.pi
     cov_zy = sigma @ (pi * model.beta + model.gamma) + model.alpha
-    excl = population[Mode.EXCL].estimates
-    exo = population[Mode.EXO].estimates
-    np.testing.assert_allclose([e.pi_hat for e in excl], pi, rtol=1e-9)
-    np.testing.assert_allclose([e.psi_hat for e in excl], np.linalg.solve(sigma, cov_zy), rtol=1e-9)
-    np.testing.assert_allclose([e.pi_hat for e in exo], sigma @ pi / np.diag(sigma), rtol=1e-12)
-    np.testing.assert_allclose([e.psi_hat for e in exo], cov_zy / np.diag(sigma), rtol=1e-12)
+    excl = population[Mode.EXCL].table
+    exo = population[Mode.EXO].table
+    np.testing.assert_allclose(excl.pi_hat, pi, rtol=1e-9)
+    np.testing.assert_allclose(excl.psi_hat, np.linalg.solve(sigma, cov_zy), rtol=1e-9)
+    np.testing.assert_allclose(exo.pi_hat, sigma @ pi / np.diag(sigma), rtol=1e-12)
+    np.testing.assert_allclose(exo.psi_hat, cov_zy / np.diag(sigma), rtol=1e-12)
 
 
 def test_single_instrument_modes_coincide():
@@ -162,8 +177,8 @@ def test_empty_selection_reports_instead_of_raising():
     data = simulate(SimulationConfig(model=random_model(rng, 2), n=200, seed=107))
     result = fas_estimate(data, mode=Mode.GENERAL, cutoff=1e9)
     assert result.interval is None
-    assert result.selection.selected == set()
-    assert set(result.selection.rejected.values()) == {"low-F"}
+    assert not result.selected.any()
+    assert set(result.status) == {"low-F"}
 
 
 def test_duplicated_instrument_column_degenerates_not_raises():
@@ -176,7 +191,7 @@ def test_duplicated_instrument_column_degenerates_not_raises():
     )
     result = fas_estimate(data, mode=Mode.EXCL, cutoff=10.0)
     assert result.interval is None
-    assert set(result.selection.rejected.values()) == {"degenerate"}
+    assert set(result.status) == {"degenerate"}
 
 
 def test_an_exactly_zero_transform_is_degenerate_without_a_warning():
@@ -191,7 +206,7 @@ def test_an_exactly_zero_transform_is_degenerate_without_a_warning():
         Z=np.column_stack([z1, z2, z1]), z_names=("Z1", "Z2", "Z3"),
     )
     result = fas_estimate(data, mode=Mode.GENERAL)
-    assert result.selection.rejected[3] == "degenerate"  # Z1|3
+    assert _status_by_id(result)[3] == "degenerate"  # Z1|3
 
 
 def test_collinear_control_instruments_degenerate_in_every_mode():
@@ -204,7 +219,6 @@ def test_collinear_control_instruments_degenerate_in_every_mode():
         y=x + rng.standard_normal(300), x=x,
         Z=np.column_stack([z1, z2, z1]), z_names=("Z1", "Z2", "Z3"),
     )
-    by_id = {s.spec_id: s.label for s in enumerate_specs(3)}
     expected = {
         Mode.EXCL: {"Z1|2,3", "Z2|1,3", "Z3|1,2"},
         Mode.EXO: set(),
@@ -212,14 +226,47 @@ def test_collinear_control_instruments_degenerate_in_every_mode():
     }
     for mode, labels in expected.items():
         result = fas_estimate(data, mode=mode)
-        degenerate = {by_id[i] for i, why in result.selection.rejected.items() if why == "degenerate"}
-        assert degenerate == labels
-        assert all(est.failure in (None, "degenerate") for est in result.estimates)
+        table = result.table
+        assert {spec.label for spec, why in zip(table.specs, result.status) if why == "degenerate"} == labels
+        assert set(table.failure) <= {None, "degenerate"}
+        # a failed row holds no numbers
+        failed = ~table.estimated
+        for column in (table.beta_hat, table.se, table.pi_hat, table.psi_hat):
+            assert np.isnan(column[failed]).all() and not np.isnan(column[~failed]).any()
+        assert (table.f_stat[failed] == 0.0).all()
     assert fas_estimate(data, mode=Mode.EXCL).interval is None
     assert fas_estimate(data, mode=Mode.GENERAL).interval is not None
     spec = next(s for s in enumerate_specs(3) if s.label == "Z2|1,3")
     with pytest.raises(DegenerateInstrumentError):
         transform_instrument(data, spec)
+
+
+def _tiny_dataset(n):
+    rng = np.random.default_rng(167)
+    Z = rng.standard_normal((n, 3))
+    x = Z @ np.array([1.0, 0.8, 0.6]) + rng.standard_normal(n)
+    return Dataset(y=x + rng.standard_normal(n), x=x, Z=Z, z_names=("Z1", "Z2", "Z3"))
+
+
+def test_a_first_stage_without_residual_degrees_of_freedom_is_a_failure():
+    # with an intercept, n=4 rows and k=3, a spec Z_l|rest fits 4
+    # coefficients in its first stage: it has no estimate, and nothing
+    # smaller than n <= 1 + |C| + absorbed is refused
+    data = _tiny_dataset(4)
+    result = fas_estimate(data, mode=Mode.GENERAL, cutoff=1e-9)
+    full = {spec.label for spec in specs_for_mode(Mode.EXCL, 3)}
+    for spec, status in zip(result.table.specs, result.status):
+        assert (status == "insufficient-observations") == (spec.label in full), spec.label
+    assert fas_estimate(data, mode=Mode.EXCL, cutoff=1e-9).interval is None
+    part = partial_out(data)
+    for spec in specs_for_mode(Mode.GENERAL, 3):
+        zt = transform_instrument(part, spec)
+        if spec.label in full:
+            with pytest.raises(InsufficientObservationsError):
+                just_id_iv(part, zt)
+        else:
+            assert just_id_iv(part, zt).estimated.all()
+    assert set(fas_estimate(_tiny_dataset(5), mode=Mode.GENERAL, cutoff=1e-9).status) == {"selected"}
 
 
 def test_example_population_excl_interval_is_exact():
