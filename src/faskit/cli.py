@@ -9,8 +9,8 @@ render the same in-memory numbers.
 
 from __future__ import annotations
 
-import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -30,6 +30,7 @@ from .fas import (
     fas_frontier,
     population_fas_by_mode,
 )
+from .jsontext import indented_chunks
 from .linalg import partial_out
 
 SCHEMA_VERSION = 1
@@ -557,11 +558,36 @@ def render_simulate_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Characters per write to stdout: pieces of JSON are joined up to this size,
+# and a larger piece is written alone. A write per piece costs more: click's
+# stdout stream is line-buffered, so each piece would be a system call.
+_BLOCK = 1 << 16
+
+
 def _emit(report: dict, emit: str, renderer) -> None:
-    if emit == "json":
-        click.echo(json.dumps(report, indent=2))
-    else:
+    """Write the report to stdout as text, or as ``json.dumps(report,
+    indent=2)`` plus a newline, in blocks of about ``_BLOCK`` characters."""
+    if emit != "json":
         click.echo(renderer(report), nl=False)
+        return
+    pending: list[str] = []
+    size = 0
+    try:
+        for chunk in indented_chunks(report):
+            if size + len(chunk) > _BLOCK:
+                click.echo("".join(pending), nl=False)
+                pending, size = [], 0
+            pending.append(chunk)
+            size += len(chunk)
+        pending.append("\n")
+        click.echo("".join(pending), nl=False)
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): stop, and end with
+        # exit code 0 and nothing on stderr. Left to click, the error would
+        # exit with code 1. The bytes of the failed write stay in stdout's
+        # buffer, so point stdout at /dev/null, or the flush at exit fails
+        # again and prints a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------

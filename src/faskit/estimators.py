@@ -363,10 +363,12 @@ def tsls_pairwise_report(
     rejection comes from.
 
     Every fit runs on the dataset partialled of its intercept and controls.
-    A fit that raises one of :data:`TSLS_FAILURES` (a degenerate spec is
-    rank-deficient) stays a row, with no result and its failure code.
-    Requires at least two instruments. Rows are ordered pair-major with the
-    raw variant first.
+    A partialled fit also counts its control instruments as absorbed: it
+    needs ``n > 2 + |C| + n_absorbed``, and hc1 scales by ``n / (n - 2 -
+    |C| - n_absorbed)``. A fit that raises one of :data:`TSLS_FAILURES` (a
+    degenerate spec is rank-deficient) stays a row, with no result and its
+    failure code. Requires at least two instruments. Rows are ordered
+    pair-major with the raw variant first.
     """
     if dataset.k_z < 2:
         raise DimensionMismatchError("pairwise report needs at least two instruments")
@@ -384,7 +386,7 @@ def tsls_pairwise_report(
             try:
                 if degenerate.any():
                     raise RankDeficientError(f"{', '.join(labels)}: collinear with the controls")
-                result = _tsls_core(y, x, Z @ A, n_absorbed, robust_flavor)
+                result = _tsls_core(y, x, Z @ A, n_absorbed + len(controls), robust_flavor)
             except tuple(TSLS_FAILURES) as exc:
                 rows.append(PairwiseTsls((a, b), variant, labels, None, TSLS_FAILURES[type(exc)]))
             else:

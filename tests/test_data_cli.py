@@ -487,6 +487,23 @@ def test_cli_reports_a_spec_without_residual_degrees_of_freedom(tmp_path):
     assert "Z1|2,3  .        .       .        .        0        insufficient-observations" in text
 
 
+def test_cli_pairwise_partialled_rows_count_their_control_instruments(tmp_path):
+    # the same 4 rows: a partialled pair (a|c, b|c) fits 2 instruments after
+    # the intercept and its control instrument, so n = 4 <= 2 + 1 + 1
+    path = _write(tmp_path, "y,x,a,b,c\n1,1,1,0,2\n2,3,0,1,1\n4,2,2,2,0\n3,5,1,3,3\n")
+    args = ["estimate", "--data", path, "--outcome", "y", "--treatment", "x",
+            "--instruments", "a,b,c", "--pairwise", "--emit", "json"]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+    rows = json.loads(res.output)["pairwise"]
+    partialled = [row for row in rows if row["variant"] == "partialled"]
+    assert [row["labels"] for row in partialled] == [
+        ["Z1|3", "Z2|3"], ["Z1|2", "Z3|2"], ["Z2|1", "Z3|1"],
+    ]
+    assert [row.get("failure") for row in partialled] == ["insufficient-observations"] * 3
+    assert all("failure" not in row for row in rows if row["variant"] == "raw")
+
+
 def test_cli_error_paths_exit_one(tmp_path):
     runner = CliRunner()
     entry_cases = [

@@ -1,0 +1,124 @@
+"""``--emit json`` writes exactly the bytes of ``json.dumps(report, indent=2)``.
+
+The CLI writes JSON through its own block writer, which hands containers
+without nested containers to json's C encoder. These tests hold it to the
+standard library's output: on drawn trees, on every golden report, on a large
+oracle report, and when the reader closes the pipe early.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import faskit
+from faskit.cli import main
+from faskit.jsontext import indented_chunks
+from test_golden import CASES, _invoke
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\b\t\n é \U0001f600'), st.characters()))
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e16, 1e-7, 1.5e300, math.inf, -math.inf, math.nan]),
+)
+_SCALARS = st.one_of(
+    _TEXT, _FLOATS, st.integers(), st.integers(-(10**300), 10**300), st.booleans(), st.none(),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_TEXT, children, max_size=5),
+    max_leaves=20,
+)
+
+
+def _text(value):
+    return "".join(indented_chunks(value))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_TREES)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}, [[{}]]]})
+@example([{"": {"\ud800": []}}, [1, [2.5, [None, [True, [{}]]]]]])
+@example({"delta": [0.0, -0.0, math.nan, math.inf, -math.inf, 1e16], "ok": False})
+def test_writer_matches_json_dumps_indent_2(value):
+    assert _text(value) == json.dumps(value, indent=2)
+
+
+def test_writer_coerces_keys_and_tuples_as_json_does():
+    value = {1: (2, 3), None: {2.5: [True]}, True: [(), {}], "s": [1, (2, [3])]}
+    assert _text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [object(), [1, object()], {"a": [{"b": {1, 2}}]}])
+def test_writer_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _text(value)
+
+
+def _assert_standard_layout(stdout):
+    assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_json_reports_are_json_dumps_output(name):
+    _assert_standard_layout(_invoke(CASES[name] + ["--emit", "json"]))
+
+
+_K6_MODEL = """beta = 1.0
+pi = 0.9, 0.6, 0.7, 0.5, 0.8, 0.02
+gamma = 0, 0.4, 0, 0, 0.2, 0
+alpha = 0, 0, 0.3, 0, 0, 0.1
+"""
+
+_K8_MODEL = """beta = 1.0
+pi = 0.9, 0.6, 0.7, 0.5, 0.8, 0.4, 0.6, 0.02
+gamma = 0, 0.4, 0, 0, 0.2, 0, 0, 0
+alpha = 0, 0, 0.3, 0, 0, 0, 0.1, 0
+"""
+
+
+def test_large_oracle_report_is_json_dumps_output(tmp_path):
+    path = tmp_path / "k6.model"
+    path.write_text(_K6_MODEL)
+    res = CliRunner().invoke(
+        main, ["oracle", "--model", str(path), "--mode", "all", "--grid", "201", "--emit", "json"]
+    )
+    assert res.exit_code == 0, res.output
+    _assert_standard_layout(res.output)
+    # the frontier delta vectors went through the C encoder
+    assert len(json.loads(res.output)["modes"]["general"]["frontier"][0]["delta"]) == 6 * 2**5
+
+
+# a k=8 report in mode all is several MB, far more than a pipe holds, so the
+# reader closes it mid-report; the small one finds the pipe closed at once.
+# stdout is block-buffered, as in a shell, so the bytes of the failed write
+# stay buffered until the interpreter exits.
+@pytest.mark.parametrize("args, read", [
+    (["--mode", "all", "--grid", "201"], 1),
+    (["--mode", "excl", "--grid", "2"], 0),
+])
+def test_closed_pipe_ends_quietly_with_exit_0(tmp_path, args, read):
+    path = tmp_path / "k8.model"
+    path.write_text(_K8_MODEL)
+    src = os.path.dirname(os.path.dirname(faskit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(
+        [sys.executable, "-m", "faskit.cli", "oracle", "--model", str(path), *args, "--emit", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.read(read) == b"{"[:read]
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        returncode = proc.wait(timeout=120)
+    assert (returncode, stderr) == (0, b"")
