@@ -375,20 +375,23 @@ def tsls_pairwise_report(
     part = partial_out(dataset)
     y, x, Z, n_absorbed = part.y, part.x, part.Z, part.n_absorbed
     k_z = dataset.k_z
-    R = np.linalg.qr(Z, mode="r")
-    rows: list[PairwiseTsls] = []
+    fits = []
     for a, b in itertools.combinations(range(1, k_z + 1), 2):
         rest = tuple(i for i in range(1, k_z + 1) if i not in (a, b))
         for variant, controls in [("raw", ())] + ([("partialled", rest)] if rest else []):
-            pair = [make_spec(k_z, a, controls), make_spec(k_z, b, controls)]
-            labels = (pair[0].label, pair[1].label)
-            A, degenerate, _ = spec_coefficients(R, pair)
-            try:
-                if degenerate.any():
-                    raise RankDeficientError(f"{', '.join(labels)}: collinear with the controls")
-                result = _tsls_core(y, x, Z @ A, n_absorbed + len(controls), robust_flavor)
-            except tuple(TSLS_FAILURES) as exc:
-                rows.append(PairwiseTsls((a, b), variant, labels, None, TSLS_FAILURES[type(exc)]))
-            else:
-                rows.append(PairwiseTsls((a, b), variant, labels, result))
+            fits.append(((a, b), variant, controls))
+    pairs = [make_spec(k_z, i, controls) for pair, _, controls in fits for i in pair]
+    A, degenerate, _ = spec_coefficients(np.linalg.qr(Z, mode="r"), pairs)
+    rows: list[PairwiseTsls] = []
+    for i, (pair, variant, controls) in enumerate(fits):
+        cols = slice(2 * i, 2 * i + 2)
+        labels = tuple(spec.label for spec in pairs[cols])
+        try:
+            if degenerate[cols].any():
+                raise RankDeficientError(f"{', '.join(labels)}: collinear with the controls")
+            result = _tsls_core(y, x, Z @ A[:, cols], n_absorbed + len(controls), robust_flavor)
+        except tuple(TSLS_FAILURES) as exc:
+            rows.append(PairwiseTsls(pair, variant, labels, None, TSLS_FAILURES[type(exc)]))
+        else:
+            rows.append(PairwiseTsls(pair, variant, labels, result))
     return rows

@@ -31,8 +31,13 @@ _EMPTY_SLACK = 1e-10
 
 DEFAULT_CUTOFF = 10.0
 
-# Elements per block of transformed instruments: caps the sweep's working memory.
+# Elements per block of transformed instruments W = Z A: caps the sweep's
+# working memory. A itself is solved for _SOLVE_SPECS specs at a time.
 _BLOCK_ELEMENTS = 2**15
+
+# Specs per coefficient solve: enough that its per-call cost is small, few
+# enough that A and the solve's index arrays stay near a block's size.
+_SOLVE_SPECS = 2**10
 
 
 class Mode(str, Enum):
@@ -177,23 +182,26 @@ def estimate_specs(
 ) -> SpecTable:
     """Estimate a list of specifications on an already-partialled dataset.
 
-    A block at a time, :func:`spec_coefficients` on one QR of the
-    instruments gives ``A`` and :func:`iv_columns` estimates ``Z A``, with
-    one matrix-vector product per spec, so that a spec's estimate does not
-    depend on the family it is swept in. The blocks join into one table in
-    the order of ``specs``, whose ``failure`` column comes from three masks
-    (see :class:`SpecTable`); too few observations takes precedence.
+    :func:`spec_coefficients` on one QR of the instruments gives ``A``, one
+    call per :data:`_SOLVE_SPECS` specs, and :func:`iv_columns` estimates
+    ``Z A`` a block of columns at a time, with one matrix-vector product per
+    spec, so that a spec's estimate does not depend on the family it is
+    swept in. The blocks join into one table in the order of ``specs``,
+    whose ``failure`` column comes from three masks (see
+    :class:`SpecTable`); too few observations takes precedence.
     """
     dataset = partial_out(dataset)
     R = np.linalg.qr(dataset.Z, mode="r")
     width = max(1, _BLOCK_ELEMENTS // dataset.n)
-    blocks = []
-    for start in range(0, len(specs), width):
-        A, degenerate, n_controls = spec_coefficients(R, specs[start : start + width])
-        W = np.matmul(dataset.Z, A.T[:, :, None])[:, :, 0]
-        cols = iv_columns(W, dataset.x, dataset.y, dataset.n_absorbed, robust_flavor)
-        blocks.append((*cols, degenerate, n_controls))
-    *values, f_stat, zero, degenerate, n_controls = (np.concatenate(c) for c in zip(*blocks))
+    blocks, solves = [], []
+    for first in range(0, len(specs), _SOLVE_SPECS):
+        A, degenerate, n_controls = spec_coefficients(R, specs[first : first + _SOLVE_SPECS])
+        solves.append((degenerate, n_controls))
+        for start in range(0, A.shape[1], width):
+            W = np.matmul(dataset.Z, A[:, start : start + width].T[:, :, None])[:, :, 0]
+            blocks.append(iv_columns(W, dataset.x, dataset.y, dataset.n_absorbed, robust_flavor))
+    *values, f_stat, zero = (np.concatenate(c) for c in zip(*blocks))
+    degenerate, n_controls = (np.concatenate(c) for c in zip(*solves))
     failure = np.full(len(specs), None, dtype=object)
     failure[zero] = "zero-first-stage"
     failure[degenerate] = "degenerate"
@@ -271,17 +279,25 @@ def population_spec_moments(
 
     The sweep's coefficient solve on the Cholesky factor of ``sigma_z``
     gives ``Z_res = Z'a``, so ``pi~ = a'cov(Z, x) / |R a|^2``, and so on.
+    It runs :data:`_SOLVE_SPECS` specs at a time; ``validate()`` bounds the
+    condition number of ``sigma_z``, so no spec is degenerate, and most
+    take the batched subset inverse of :func:`spec_coefficients`.
 
     Returns (pi~, psi~) arrays aligned with ``specs``.
     """
     model.validate()
     R = np.linalg.cholesky(model.sigma_z).T
-    # validate() bounds the condition number of sigma_z, so no spec is degenerate
-    A, _, _ = spec_coefficients(R, specs)
     cov_zx = model.sigma_z @ model.pi
     cov_zy = model.sigma_z @ (model.pi * model.beta + model.gamma) + model.alpha
-    variance = np.sum((R @ A) ** 2, axis=0)
-    return cov_zx @ A / variance, cov_zy @ A / variance
+    moments = []
+    for first in range(0, len(specs), _SOLVE_SPECS):
+        A, _, _ = spec_coefficients(R, specs[first : first + _SOLVE_SPECS])
+        # one product per spec, so that no spec's bits depend on its family
+        a = A.T[:, :, None]
+        variance = np.sum(np.matmul(R, a)[:, :, 0] ** 2, axis=1)
+        moments.append([np.matmul(cov, a)[:, 0] / variance for cov in (cov_zx, cov_zy)])
+    pi_t, psi_t = (np.concatenate(c) for c in zip(*moments))
+    return pi_t, psi_t
 
 
 def _relevance_mask(pi_t: np.ndarray) -> np.ndarray:

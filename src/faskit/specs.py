@@ -28,6 +28,12 @@ MAX_INSTRUMENTS = 20
 # treated as collinear with its controls.
 DEGENERACY_TOL = 1e-12
 
+# A subset's Gram block G_SS is inverted in a batch only when tr(G_SS)·tr(G_SS⁻¹),
+# an upper bound on cond(G_SS), is at most this: its coefficients then carry
+# relative errors near 1e5·eps, well inside 1e-10, and sit far from both
+# degeneracy tolerances.
+_BATCH_COND = 1e5
+
 
 @dataclass(frozen=True)
 class JustIdSpec:
@@ -149,6 +155,55 @@ class TransformedInstrument:
     projection_coeffs: np.ndarray
 
 
+def _popcount(values: np.ndarray, k: int) -> np.ndarray:
+    """Set bits of each of ``values`` below bit ``k`` (np.bitwise_count needs
+    numpy 2)."""
+    count = np.zeros_like(values)
+    for bit in range(k):
+        count += (values >> bit) & 1
+    return count
+
+
+def _inverse_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of Gram blocks, and which of them pass the guard:
+    positive pivots and diagonal, and ``tr(G)·tr(G⁻¹) <= _BATCH_COND``.
+
+    Goodnight's sweep operator on every pivot in turn, in elementwise array
+    arithmetic: a block's inverse does not depend on the others in its
+    stack, and no LAPACK call is made, whose first use in a process costs
+    about 0.3 MiB of peak RSS. A block that is not numerically positive
+    definite fails the guard."""
+    H = blocks.copy()
+    pivots_positive = np.ones(len(H), dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(H.shape[1]):
+            pivot = H[:, j, j].copy()
+            pivots_positive &= pivot > 0.0
+            row = H[:, j, :] / pivot[:, None]
+            col = H[:, :, j] / pivot[:, None]
+            H -= H[:, :, j, None] * row[:, None, :]
+            H[:, j, :] = row
+            np.negative(col, out=H[:, :, j])
+            H[:, j, j] = 1.0 / pivot
+        diag = np.diagonal(H, axis1=1, axis2=2)
+        bound = np.trace(blocks, axis1=1, axis2=2) * diag.sum(axis=1)
+        passed = pivots_positive & np.all(diag > 0.0, axis=1) & (bound <= _BATCH_COND)
+    return H, passed
+
+
+def _lstsq_coefficients(
+    R: np.ndarray, ell: int, C: list[int], base_ss: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """One spec's ``a`` and degeneracy from least squares on ``R``."""
+    # resid_ss holds |R a|^2, or nothing when that is zero or Z_C is rank
+    # deficient, so both of those cases come out degenerate
+    phi, resid_ss, _, _ = np.linalg.lstsq(R[:, C], R[:, ell], rcond=RANK_TOL)
+    a = np.zeros(R.shape[1])
+    a[ell] = 1.0
+    a[C] = -phi
+    return a, bool(resid_ss.sum() <= DEGENERACY_TOL * base_ss[ell])
+
+
 def spec_coefficients(
     R: np.ndarray, specs: list[JustIdSpec]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,26 +213,51 @@ def spec_coefficients(
     of a QR of the partialled sample instruments, or the transposed
     Cholesky factor of a population ``sigma_z``. Column s of ``A`` has
     ``a_l = 1`` and ``a_C = -phi``, phi being the least squares coefficients
-    of ``R[:, l]`` on ``R[:, C]``, which are those of Z_l on Z_C. A spec is
-    degenerate when Z_C is rank deficient at the 1e-10 relative singular
-    value tolerance, or when ``|R a|^2 <= 1e-12 * |R_l|^2``. Returns ``A``,
-    the degenerate mask and each spec's control count ``|C|``.
+    of ``R[:, l]`` on ``R[:, C]``, which are those of Z_l on Z_C. Returns
+    ``A``, the degenerate mask and each spec's control count ``|C|``.
+
+    Each spec's subset ``S = C ∪ {l}`` is read from its ``spec_id``. By the
+    partitioned inverse, ``a_S = H[:, l] / H[l, l]`` with ``H = (G_SS)⁻¹``,
+    so the specs need one inverse per distinct subset, taken for a stack of
+    subsets per subset size. A subset whose inverse fails the guard of
+    :func:`_inverse_blocks`, which bounds ``cond(G_SS)`` by 1e5, is solved
+    spec by spec with least squares instead. Only such a spec can be
+    degenerate: when Z_C is rank deficient at the 1e-10 relative singular
+    value tolerance, or when ``|R a|^2 <= 1e-12 * |R_l|^2``. The path is
+    chosen per subset, so a spec's ``a`` does not depend on the other specs.
     """
-    A = np.zeros((R.shape[1], len(specs)))
+    k = R.shape[1]
+    ids = np.fromiter((s.spec_id - 1 for s in specs), dtype=np.int64, count=len(specs))
+    ell = ids >> (k - 1)
+    mask = ids & ((1 << (k - 1)) - 1)
+    below = (1 << ell) - 1
+    subset = (mask & below) | (1 << ell) | ((mask >> ell) << (ell + 1))
+    position = _popcount(subset & below, k)
+    size = _popcount(subset, k)
+    # the distinct subsets, sorted; np.unique would do, at a higher peak RSS
+    present = np.zeros(1 << k, dtype=bool)
+    present[subset] = True
+    subsets = np.flatnonzero(present)
+    subset_size = _popcount(subsets, k)
+    G = R.T @ R
+    A = np.zeros((k, len(specs)))
+    batched = np.zeros(len(specs), dtype=bool)
+    for s in np.flatnonzero(np.bincount(subset_size)):
+        group = subsets[subset_size == s]
+        members = np.nonzero((group[:, None] >> np.arange(k)) & 1)[1].reshape(-1, s)
+        H, passed = _inverse_blocks(G[members[:, :, None], members[:, None, :]])
+        cols = np.flatnonzero(size == s)
+        rows = np.searchsorted(group, subset[cols])
+        keep = passed[rows]
+        cols, rows, pos = cols[keep], rows[keep], position[cols[keep]]
+        A[members[rows], cols[:, None]] = H[rows, :, pos] / H[rows, pos, pos][:, None]
+        batched[cols] = True
     degenerate = np.zeros(len(specs), dtype=bool)
-    n_controls = np.zeros(len(specs), dtype=np.intp)
     base_ss = np.sum(R * R, axis=0)
-    for pos, spec in enumerate(specs):
-        ell = spec.instrument_index - 1
-        C = [i - 1 for i in spec.control_subset]
-        # resid_ss holds |R a|^2, or nothing when that is zero or Z_C is rank
-        # deficient, so both of those cases come out degenerate
-        phi, resid_ss, _, _ = np.linalg.lstsq(R[:, C], R[:, ell], rcond=RANK_TOL)
-        A[ell, pos] = 1.0
-        A[C, pos] = -phi
-        degenerate[pos] = resid_ss.sum() <= DEGENERACY_TOL * base_ss[ell]
-        n_controls[pos] = len(C)
-    return A, degenerate, n_controls
+    for col in np.flatnonzero(~batched):
+        C = [i for i in range(k) if subset[col] >> i & 1 and i != ell[col]]
+        A[:, col], degenerate[col] = _lstsq_coefficients(R, int(ell[col]), C, base_ss)
+    return A, degenerate, size - 1
 
 
 def transform_instrument(dataset: Dataset, spec: JustIdSpec) -> TransformedInstrument:

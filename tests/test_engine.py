@@ -5,13 +5,20 @@ The reference residualizes each transformed instrument with its own
 directly, sharing no code with faskit.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_model
+import faskit.fas as fas_module
+import faskit.specs as specs_module
+from conftest import random_corr, random_model
 from faskit import (
     Dataset,
     Mode,
+    PopulationModel,
     enumerate_specs,
     just_id_iv,
     partial_out,
@@ -20,6 +27,7 @@ from faskit import (
     transform_instrument,
 )
 from faskit.fas import _BLOCK_ELEMENTS, estimate_specs
+from faskit.specs import spec_coefficients
 
 FIELDS = ("beta_hat", "se", "pi_hat", "psi_hat", "f_stat")
 
@@ -70,14 +78,23 @@ def test_sweep_matches_the_per_spec_reference(k, n, flavor):
     np.testing.assert_allclose(_table(table), reference, rtol=1e-10, atol=0.0)
 
 
-def test_a_spec_estimate_does_not_depend_on_its_family():
+def test_a_spec_estimate_does_not_depend_on_its_family(monkeypatch):
     part = partial_out(_controlled_sample(seed=601, n=2000, k=6))
+    model = random_model(np.random.default_rng(601), 6)
     full = estimate_specs(part, enumerate_specs(6))
+    full_pi, full_psi = population_spec_moments(model, enumerate_specs(6))
     position = {spec.spec_id: pos for pos, spec in enumerate(full.specs)}
     for mode in (Mode.EXCL, Mode.EXO):
         family = estimate_specs(part, specs_for_mode(mode, 6))
-        twin = full.take([position[spec.spec_id] for spec in family.specs])
-        assert np.array_equal(_table(family), _table(twin))
+        view = [position[spec.spec_id] for spec in family.specs]
+        assert np.array_equal(_table(family), _table(full.take(view)))
+        pi_t, psi_t = population_spec_moments(model, specs_for_mode(mode, 6))
+        assert np.array_equal(pi_t, full_pi[view]) and np.array_equal(psi_t, full_psi[view])
+    # a family solved in chunks that cross its blocks and its subsets
+    monkeypatch.setattr(fas_module, "_SOLVE_SPECS", 37)
+    assert np.array_equal(_table(estimate_specs(part, enumerate_specs(6))), _table(full))
+    pi_t, psi_t = population_spec_moments(model, enumerate_specs(6))
+    assert np.array_equal(pi_t, full_pi) and np.array_equal(psi_t, full_psi)
     # the one-spec functions are the one-column case of the same engine
     for spec in enumerate_specs(6)[::17]:
         one = just_id_iv(part, transform_instrument(part, spec))
@@ -103,3 +120,151 @@ def test_population_moments_match_a_direct_solve():
         pi_t, psi_t = population_spec_moments(model, specs)
         np.testing.assert_allclose(pi_t, want_pi, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(psi_t, want_psi, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched subset inverse against the per-spec least squares it replaces
+
+
+def _lstsq_reference(R, specs):
+    """spec_coefficients as one lstsq per spec, written out."""
+    k = R.shape[1]
+    A = np.zeros((k, len(specs)))
+    degenerate = np.zeros(len(specs), dtype=bool)
+    n_controls = np.zeros(len(specs), dtype=np.intp)
+    base_ss = np.sum(R * R, axis=0)
+    for pos, spec in enumerate(specs):
+        ell, C = spec.instrument_index - 1, [c - 1 for c in spec.control_subset]
+        phi, resid_ss, _, _ = np.linalg.lstsq(R[:, C], R[:, ell], rcond=1e-10)
+        A[ell, pos] = 1.0
+        A[C, pos] = -phi
+        degenerate[pos] = resid_ss.sum() <= 1e-12 * base_ss[ell]
+        n_controls[pos] = len(C)
+    return A, degenerate, n_controls
+
+
+def _engine(R, specs):
+    """spec_coefficients, plus the mask of the specs it solved by lstsq."""
+    with mock.patch.object(
+        specs_module, "_lstsq_coefficients", wraps=specs_module._lstsq_coefficients
+    ) as per_spec:
+        A, degenerate, n_controls = spec_coefficients(R, specs)
+    solved = {(call.args[1], tuple(call.args[2])) for call in per_spec.call_args_list}
+    fallback = np.array([
+        (s.instrument_index - 1, tuple(c - 1 for c in s.control_subset)) in solved for s in specs
+    ])
+    return A, degenerate, n_controls, fallback
+
+
+def _assert_engine_matches_lstsq(R, specs):
+    A, degenerate, n_controls, fallback = _engine(R, specs)
+    A_ref, degenerate_ref, n_controls_ref = _lstsq_reference(R, specs)
+    assert np.array_equal(degenerate, degenerate_ref)
+    assert np.array_equal(n_controls, n_controls_ref)
+    # the fallback is the reference itself; a batched column agrees to
+    # 1e-10 of its largest entry, and is never degenerate
+    assert np.array_equal(A[:, fallback], A_ref[:, fallback])
+    assert not degenerate[~fallback].any()
+    error = np.abs(A - A_ref).max(axis=0)
+    assert np.all(error <= 1e-10 * np.abs(A_ref).max(axis=0))
+    return fallback
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 9),
+    population=st.booleans(),
+    exponents=st.lists(st.sampled_from([0, 0, 0, -6, -3, 3, 6]), min_size=9, max_size=9),
+)
+def test_batched_coefficients_match_per_spec_lstsq(seed, k, population, exponents):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** np.array(exponents[:k], dtype=np.float64)
+    if population:
+        R = np.linalg.cholesky(scale[:, None] * random_corr(rng, k) * scale).T
+    else:
+        n = k + int(rng.integers(1, 60))
+        Z = rng.standard_normal((n, k)) @ rng.uniform(-1.0, 1.0, (k, k))
+        R = np.linalg.qr(Z * scale, mode="r")
+    _assert_engine_matches_lstsq(R, enumerate_specs(k))
+
+
+def _orthonormal(n, k, seed):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((n, k)))[0] * np.sqrt(n)
+
+
+def _edge_sample(case):
+    """k=4, n=200 instruments with one numerical edge, and the subsets (as
+    0-based index sets) that the edge leaves ill-conditioned."""
+    Q = _orthonormal(200, 5, seed=701)
+    Z = Q[:, :4].copy()
+    pair = lambda S: {0, 3} <= S  # noqa: E731
+    if case == "duplicate":
+        Z[:, 3] = Z[:, 0]
+    elif case.startswith("rank"):
+        # singular value ratio of (Z1, Z4) is t/2: 0.5e-10 or 2e-10
+        Z[:, 3] = Z[:, 0] + {"rank-inside": 1e-10, "rank-outside": 4e-10}[case] * Q[:, 4]
+    elif case.startswith("share"):
+        # residual share of Z4 on Z1 is t^2 / (1 + t^2): 0.5e-12 or 2e-12
+        t = np.sqrt({"share-inside": 0.5e-12, "share-outside": 2e-12}[case])
+        Z[:, 3] = Z[:, 0] + t * Q[:, 4]
+    elif case == "scale":
+        Z[:, 1] *= 1e9
+        pair = lambda S: 1 in S and len(S) > 1  # noqa: E731
+    elif case == "zero":
+        Z[:, 2] = 0.0
+        pair = lambda S: 2 in S  # noqa: E731
+    rng = np.random.default_rng(702)
+    x = Z @ np.array([0.5, 0.4, 0.3, 0.2]) + rng.standard_normal(200)
+    y = x + rng.standard_normal(200)
+    data = Dataset(y=y, x=x, Z=Z, z_names=("Z1", "Z2", "Z3", "Z4"), intercept=False)
+    return data, pair
+
+
+EDGES = [
+    "duplicate", "rank-inside", "rank-outside", "share-inside", "share-outside", "scale", "zero",
+]
+
+
+@pytest.mark.parametrize("case", EDGES)
+def test_numerical_edges_take_the_fallback(case, monkeypatch):
+    # pytest turns a RuntimeWarning into an error, so none is raised here
+    data, affected = _edge_sample(case)
+    specs = enumerate_specs(4)
+    R = np.linalg.qr(data.Z, mode="r")
+    fallback = _assert_engine_matches_lstsq(R, specs)
+    subsets = [{s.instrument_index - 1, *(c - 1 for c in s.control_subset)} for s in specs]
+    assert fallback.tolist() == [affected(S) for S in subsets]
+    failure = estimate_specs(data, specs).failure
+    monkeypatch.setattr(fas_module, "spec_coefficients", _lstsq_reference)
+    assert failure.tolist() == estimate_specs(data, specs).failure.tolist()
+
+
+def test_near_tolerance_edges_change_the_failure_codes():
+    # each pair of edges straddles its tolerance, so the per-spec decision shows
+    def degenerate(case):
+        data, _ = _edge_sample(case)
+        return estimate_specs(data, enumerate_specs(4)).failure == "degenerate"
+
+    assert degenerate("rank-inside").sum() > degenerate("rank-outside").sum()
+    assert degenerate("share-inside").sum() > degenerate("share-outside").sum()
+
+
+def test_large_k_takes_the_batched_path():
+    k = 14
+    rng = np.random.default_rng(711)
+    sigma = 0.5 * random_corr(rng, k) + 0.5 * np.eye(k)
+    model = PopulationModel(
+        beta=1.0, gamma=np.zeros(k), alpha=np.zeros(k), pi=np.ones(k), sigma_z=sigma
+    )
+    R = np.linalg.cholesky(sigma).T
+    specs = enumerate_specs(k)
+    A, degenerate, n_controls, fallback = _engine(R, specs)
+    assert not fallback.any() and not degenerate.any()
+    sample = list(range(0, len(specs), 573))
+    A_ref, _, n_controls_ref = _lstsq_reference(R, [specs[pos] for pos in sample])
+    assert np.array_equal(n_controls[sample], n_controls_ref)
+    error = np.abs(A[:, sample] - A_ref).max(axis=0)
+    assert np.all(error <= 1e-10 * np.abs(A_ref).max(axis=0))
+    pi_t, _ = population_spec_moments(model, specs)
+    assert np.all(np.isfinite(pi_t))
