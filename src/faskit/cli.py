@@ -267,6 +267,12 @@ def oracle_report(model: PopulationModel, config: RunConfig, model_path: str = "
 
     A mode with no relevant spec has an empty FAS: its interval is None and
     its frontier is an empty list.
+
+    Each frontier point's ``"delta"`` is a float64 row view of its mode's
+    (grid x specs) delta matrix, not a list, so that no Python float is made
+    for a delta that is never written (the text report prints none). The
+    report serializes through :mod:`faskit.jsontext`, which writes an array
+    as its ``tolist()``; plain ``json.dumps`` needs the rows as ``.tolist()``.
     """
     sections: dict[str, dict] = {}
     for mode, result in population_fas_by_mode(model, config.modes).items():
@@ -292,7 +298,7 @@ def oracle_report(model: PopulationModel, config: RunConfig, model_path: str = "
             "frontier": [
                 {
                     "b": float(p.b),
-                    "delta": p.delta.tolist(),
+                    "delta": p.delta,
                     "interval": _interval_json(p.identified_set),
                     "on_frontier": bool(p.on_frontier),
                 }

@@ -31,8 +31,9 @@ _EMPTY_SLACK = 1e-10
 
 DEFAULT_CUTOFF = 10.0
 
-# Elements per block of transformed instruments W = Z A: caps the sweep's
-# working memory. A itself is solved for _SOLVE_SPECS specs at a time.
+# Elements per block of transformed instruments W = Z A, and per block of
+# frontier delta rows: caps the working memory of the sweep and of the
+# identified-set kernel. A itself is solved for _SOLVE_SPECS specs at a time.
 _BLOCK_ELEMENTS = 2**15
 
 # Specs per coefficient solve: enough that its per-call cost is small, few
@@ -144,7 +145,9 @@ class FrontierPoint:
     """One point of the falsification frontier.
 
     ``delta`` holds |psi_j - b * pi_j| for every component of the mode's
-    moment vectors; ``identified_set`` is the interval the model admits at
+    moment vectors, as a float64 row view of the (grid x components) matrix
+    its :func:`frontier` call forms, so every point of one frontier shares
+    that matrix; ``identified_set`` is the interval the model admits at
     exactly that delta (None when empty); ``on_frontier`` is False for b
     outside the span of the relevant ratios.
     """
@@ -416,7 +419,8 @@ def frontier(
     Parameters
     ----------
     pi, psi : ndarray
-        Finite population moment vectors, one entry per spec of the mode.
+        Finite population moment vectors of one length, one entry per spec
+        of the mode.
     relevant : boolean mask or list of 0-based positions
         Components whose ratios span the frontier range. Each needs a
         nonzero ``pi``; a zero one raises ``ValueError``.
@@ -428,17 +432,41 @@ def frontier(
     -------
     list of FrontierPoint
         For each b: delta_j(b) = |psi_j - b * pi_j| and the identified set
-        at that delta, which is {b} itself on the frontier. One array pass
-        over the (grid x components) delta matrix gives every identified set.
+        at that delta, which is {b} itself on the frontier; an empty grid
+        gives an empty list. The (grid x components) delta matrix is formed
+        once, and each point's ``delta`` is one of its rows. The
+        identified-set kernel takes the matrix a block of rows at a time,
+        ``_BLOCK_ELEMENTS`` entries or one row, so beside the matrix it holds
+        two copies of one block, not two copies of the whole matrix.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If ``pi`` and ``psi`` differ in length, a boolean ``relevant`` has
+        another length, a position is out of range, or no component is
+        relevant.
     """
     pi, psi, b = _finite("pi", pi), _finite("psi", psi), _finite("b_grid", b_grid)
+    m = pi.shape[0]
+    if psi.shape[0] != m:
+        raise DimensionMismatchError(f"pi and psi lengths disagree: {m}, {psi.shape[0]}")
     rel = np.asarray(relevant)
-    mask = np.zeros(pi.shape[0], dtype=bool)
-    mask[rel if rel.dtype == bool else rel.astype(int)] = True
+    if rel.dtype == bool:
+        if rel.shape != (m,):
+            raise DimensionMismatchError(f"relevant mask has shape {rel.shape}, expected ({m},)")
+        mask = rel
+    else:
+        positions = rel.astype(int).reshape(-1)
+        if np.any((positions < 0) | (positions >= m)):
+            raise DimensionMismatchError(f"relevant positions must lie in [0, {m})")
+        mask = np.zeros(m, dtype=bool)
+        mask[positions] = True
     if not np.any(mask):
         raise DimensionMismatchError("frontier needs at least one relevant component")
     if np.any(pi[mask] == 0):
         raise ValueError("a relevant component has pi == 0, so its ratio psi/pi is undefined")
+    if not b.size:
+        return []
     ratios = psi[mask] / pi[mask]
     b_lo = float(np.min(ratios))
     b_hi = float(np.max(ratios))
@@ -447,7 +475,10 @@ def frontier(
 
     delta = np.multiply.outer(b, pi)
     np.abs(np.subtract(psi, delta, out=delta), out=delta)
-    lo, hi, empty = _identified_sets(pi, psi, delta)
+    # the kernel treats each row on its own, so blocks give the bits of one pass
+    rows = max(1, _BLOCK_ELEMENTS // m)
+    blocks = [_identified_sets(pi, psi, delta[i : i + rows]) for i in range(0, b.size, rows)]
+    lo, hi, empty = (np.concatenate(c) for c in zip(*blocks))
     return [
         FrontierPoint(b=b_j, delta=row, identified_set=None if e else (lo_j, hi_j), on_frontier=on)
         for b_j, row, lo_j, hi_j, e, on in zip(

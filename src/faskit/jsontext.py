@@ -7,7 +7,9 @@ stream of pieces instead. A list, tuple or dict that holds no container goes
 through json's C encoder in one call, whose item separator carries the
 newline and indent; only the containers above those leaves are walked in
 Python. A report's large float vectors, such as the oracle's frontier
-deltas, are such leaves.
+deltas, are such leaves. An ``np.ndarray`` is written as the list its
+``tolist()`` gives, so a report can hold its vectors as arrays and pay for
+their Python floats one vector at a time, only when it is written.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import math
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 _INDENT = "  "
-_CONTAINERS = (list, tuple, dict)
+_CONTAINERS = (list, tuple, dict, np.ndarray)
 
 
 @functools.cache
@@ -59,9 +63,11 @@ def indented_chunks(value, depth: int = 0) -> Iterator[str]:
     """The text of ``json.dumps(value, indent=2)``, in pieces.
 
     ``depth`` is the indent level ``value`` sits at. Non-str keys are
-    coerced as json coerces them, and a value json cannot encode raises
-    ``TypeError``.
+    coerced as json coerces them, an ``np.ndarray`` is written as its
+    ``tolist()``, and a value json cannot encode raises ``TypeError``.
     """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if not isinstance(value, _CONTAINERS):
         yield _scalar(value)
         return

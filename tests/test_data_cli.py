@@ -353,10 +353,18 @@ def test_text_report_carries_the_same_numbers():
 
 
 def test_oracle_report_modes():
-    report = oracle_report(example1_model(), RunConfig(mode="excl", frontier_grid=11))
+    report = oracle_report(example1_model(), RunConfig(mode="all", frontier_grid=11))
     section = report["modes"]["excl"]
     assert section["interval"] == [0.0, 3.0]
     assert len(section["frontier"]) == 11
+    # deltas stay float64 rows of one matrix per mode until they are written
+    bases = []
+    for section in report["modes"].values():
+        deltas = [point["delta"] for point in section["frontier"]]
+        assert all(isinstance(d, np.ndarray) and d.dtype == np.float64 for d in deltas)
+        assert len({id(d.base) for d in deltas}) == 1
+        bases.append(deltas[0].base)
+    assert len({id(base) for base in bases}) == 3
     text = render_oracle_text(report)
     assert "excl" in text and "frontier" in text.lower()
 

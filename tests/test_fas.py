@@ -1,6 +1,7 @@
 """Relevance selection, FAS assembly, the population oracle, and the frontier."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -431,6 +432,22 @@ def test_frontier_rejects_a_relevant_component_with_zero_pi():
         frontier(np.array([0.0, 1.0]), np.ones(2), np.array([True, True]), np.zeros(1))
 
 
+@pytest.mark.parametrize("pi, psi, relevant", [
+    (np.ones(3), np.ones(2), [0]),
+    (np.ones(2), np.ones(3), [0]),
+    (np.ones(3), np.ones(3), np.array([True, False])),
+    (np.ones(3), np.ones(3), np.ones(4, dtype=bool)),
+    (np.ones(3), np.ones(3), [0, 3]),
+    (np.ones(3), np.ones(3), [-1]),
+    (np.ones(3), np.ones(3), []),
+    (np.ones(3), np.ones(3), np.zeros(3, dtype=bool)),
+])
+def test_frontier_rejects_components_that_do_not_line_up(pi, psi, relevant):
+    # the first six used to raise a raw IndexError, or wrap around
+    with pytest.raises(DimensionMismatchError):
+        frontier(pi, psi, relevant, np.zeros(2))
+
+
 def _reference_identified_set(pi, psi, delta):
     """The per-component loop identified_set used to run, as a plain reference."""
     scale = max(1.0, float(np.max(np.abs(pi))) if pi.size else 1.0)
@@ -491,9 +508,10 @@ def test_identified_set_equals_the_per_component_reference(moments, b, shrink):
         assert identified_set(pi, psi, delta) == _reference_identified_set(pi, psi, delta)
 
 
+@pytest.mark.parametrize("rows", [1, 3, None], ids=["1-row", "3-rows", "default"])
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(moments=moment_vectors(), grid=st.lists(st.floats(-60.0, 60.0), max_size=8))
-def test_frontier_points_equal_the_per_component_reference(moments, grid):
+def test_frontier_points_equal_the_per_component_reference(rows, moments, grid):
     pi, psi, _ = moments
     relevant = np.abs(pi) >= 0.1
     assume(relevant.any())
@@ -502,8 +520,11 @@ def test_frontier_points_equal_the_per_component_reference(moments, grid):
     grid = np.concatenate([ratios, grid])
     b_lo, b_hi = float(np.min(ratios)), float(np.max(ratios))
     span_slack = 1e-12 * max(1.0, abs(b_lo), abs(b_hi))
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error")
+        if rows is not None:
+            # the kernel takes _BLOCK_ELEMENTS // len(pi) grid rows per block
+            patch.setattr(fas_module, "_BLOCK_ELEMENTS", rows * len(pi))
         points = frontier(pi, psi, relevant, grid)
         assert len(points) == len(grid)
         for b, point in zip(grid, points):
@@ -512,6 +533,52 @@ def test_frontier_points_equal_the_per_component_reference(moments, grid):
             assert np.array_equal(point.delta, delta)
             assert point.identified_set == _reference_identified_set(pi, psi, delta)
             assert point.on_frontier == (b_lo - span_slack <= b <= b_hi + span_slack)
+        assert frontier(pi, psi, relevant, grid[:0]) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 8),
+    outside=st.lists(st.floats(1e-3, 50.0), max_size=4),
+)
+def test_frontier_matches_its_closed_form(seed, m, outside):
+    # with every |pi_j| away from 0, component j admits r_j -+ |r_j - b|
+    # around its ratio r_j = psi_j / pi_j, so the identified set is {b} on
+    # the span of the ratios and grows linearly beyond it
+    rng = np.random.default_rng(seed)
+    pi = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.2, 3.0, size=m)
+    psi = rng.uniform(-5.0, 5.0, size=m)
+    r = psi / pi
+    inside = rng.uniform(r.min(), r.max(), size=3)
+    below = [r.min() - d for d in outside]
+    above = [r.max() + d for d in outside]
+    grid = np.concatenate([r, inside, below, above])
+    points = frontier(pi, psi, np.ones(m, dtype=bool), grid)
+    for b, point in zip(grid.tolist(), points):
+        lo_want = b if np.any(r >= b) else 2 * r.max() - b
+        hi_want = b if np.any(r <= b) else 2 * r.min() - b
+        lo, hi = point.identified_set
+        for got, want in ((lo, lo_want), (hi, hi_want)):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_frontier_kernel_memory_is_two_blocks_beside_the_delta_matrix():
+    result = population_fas(random_model(np.random.default_rng(10), 10), Mode.GENERAL)
+    vector_bytes = result.table.pi_hat.nbytes
+    delta_bytes = 201 * vector_bytes
+    block_bytes = fas_module._BLOCK_ELEMENTS * 8
+    tracemalloc.start()
+    try:
+        points = fas_module.fas_frontier(result, 201)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 201
+    # beside the matrix, the kernel holds two copies of one block of rows
+    # (radius and bound) and a few vectors of one entry per component; a
+    # pass over the whole matrix would hold two more copies of it
+    assert peak <= delta_bytes + 2 * block_bytes + 4 * vector_bytes, (peak, delta_bytes)
 
 
 def test_model_validation():
