@@ -14,9 +14,7 @@ from .estimators import (
     PairwiseTsls,
     SpecTable,
     TslsResult,
-    just_id_iv,
     tsls,
-    tsls_matrix,
     tsls_pairwise_report,
 )
 from .fas import (
@@ -24,6 +22,7 @@ from .fas import (
     FrontierPoint,
     Mode,
     PopulationModel,
+    estimate_specs,
     fas_by_mode,
     fas_estimate,
     fas_from_estimates,
@@ -32,18 +31,11 @@ from .fas import (
     identified_set,
     population_fas,
     population_fas_by_mode,
-    population_frontier,
     population_spec_moments,
     specs_for_mode,
 )
-from .linalg import partial_out, partial_out_columns
-from .specs import (
-    JustIdSpec,
-    TransformedInstrument,
-    enumerate_specs,
-    spec_count,
-    transform_instrument,
-)
+from .linalg import partial_out
+from .specs import JustIdSpec, enumerate_specs, spec_count
 
 __version__ = "0.1.0"
 
@@ -59,30 +51,25 @@ __all__ = [
     "PopulationModel",
     "SimulationConfig",
     "SpecTable",
-    "TransformedInstrument",
     "TslsResult",
     "derive_seed",
     "enumerate_specs",
+    "estimate_specs",
     "fas_by_mode",
     "fas_estimate",
     "fas_from_estimates",
     "fas_frontier",
     "frontier",
     "identified_set",
-    "just_id_iv",
     "load_csv",
     "partial_out",
-    "partial_out_columns",
     "population_fas",
     "population_fas_by_mode",
-    "population_frontier",
     "population_spec_moments",
     "simulate",
     "spec_count",
     "specs_for_mode",
-    "transform_instrument",
     "tsls",
-    "tsls_matrix",
     "tsls_pairwise_report",
     "write_csv",
 ]

@@ -30,10 +30,6 @@ class TooManyInstrumentsError(FaskitError):
     """Instrument count above the enumeration cap."""
 
 
-class DegenerateInstrumentError(FaskitError):
-    """A transformed instrument with (numerically) zero residual variance."""
-
-
 class ZeroFirstStageError(FaskitError):
     """The just-identifying moment z'x is numerically zero; no estimand."""
 

@@ -1,12 +1,12 @@
-"""Just-identified IV estimates, 2SLS with its weight decomposition, and the
-overidentification test.
+"""The just-identified IV column kernel, 2SLS with its weight decomposition,
+and the overidentification test.
 
-Each just-identified specification is estimated as a ratio of two simple
-regressions on its transformed instrument, so ``beta_hat * pi_hat ==
-psi_hat`` holds to rounding; a list of specs gives one :class:`SpecTable`
-of such columns. 2SLS over any instrument subset is reported together with
-the weights that write it as a weighted sum of the just-identified
-estimates, and with a two-step efficient GMM J statistic.
+:func:`iv_columns` estimates a block of transformed instruments at once as
+ratios of two simple regressions, so ``beta_hat * pi_hat == psi_hat`` holds
+to rounding; :func:`faskit.fas.estimate_specs` gathers its blocks into one
+:class:`SpecTable`, for one spec or many. 2SLS over any instrument subset is
+reported together with the weights that write it as a weighted sum of the
+just-identified estimates, and with a two-step efficient GMM J statistic.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ import numpy as np
 from .chi2 import chi2_sf
 from .data import Dataset
 from .errors import (
-    DegenerateInstrumentError,
     DimensionMismatchError,
     InsufficientObservationsError,
     RankDeficientError,
     WeakIdentificationError,
-    ZeroFirstStageError,
 )
-from .linalg import _check_flavor, partial_out, partial_out_columns, projection_basis
-from .specs import JustIdSpec, TransformedInstrument, make_spec, spec_coefficients
+from .linalg import _check_flavor, partial_out, projection_basis
+from .specs import JustIdSpec, make_spec, spec_coefficients
 
 # Relative threshold below which a just-identifying moment z'x counts as zero.
 FIRST_STAGE_TOL = 1e-12
@@ -171,53 +169,6 @@ def iv_columns(
     return beta_hat, np.sqrt(var_beta), pi_hat, psi_hat, f_stat, zero_first_stage
 
 
-def just_id_iv(
-    dataset: Dataset,
-    zt: TransformedInstrument,
-    robust_flavor: str = "hc1",
-) -> SpecTable:
-    """Estimate one just-identified specification as a one-row table.
-
-    The one-column case of :func:`iv_columns`, which defines every column.
-    A dataset that still carries an intercept or controls is partialled of
-    them, and so is the transformed instrument; by Frisch-Waugh-Lovell the
-    estimates equal those of the design that includes them.
-
-    Raises
-    ------
-    InsufficientObservationsError
-        If ``n <= 1 + |C| + n_absorbed``: the spec's first stage has no
-        residual degrees of freedom.
-    DegenerateInstrumentError
-        If the transformed instrument has numerically zero variance.
-    ZeroFirstStageError
-        If ``|z'x|`` is below ``1e-12 * |z| * |x|``.
-    """
-    w = np.asarray(zt.values, dtype=np.float64)
-    if w.shape[0] != dataset.n:
-        raise DimensionMismatchError(
-            f"transformed instrument has {w.shape[0]} rows, dataset has {dataset.n}"
-        )
-    w = partial_out_columns(dataset, w)
-    dataset = partial_out(dataset)
-    n_controls = len(zt.spec.control_subset)
-    if dataset.n <= 1 + n_controls + dataset.n_absorbed:
-        raise InsufficientObservationsError(
-            f"{zt.spec.label}: need n > 1 + |C| + absorbed: "
-            f"n={dataset.n}, |C|={n_controls}, absorbed={dataset.n_absorbed}"
-        )
-    if float(w @ w) <= 0.0:
-        raise DegenerateInstrumentError(f"{zt.spec.label}: instrument is identically zero")
-    *values, zero_first_stage = iv_columns(
-        w[None, :], dataset.x, dataset.y, dataset.n_absorbed, robust_flavor
-    )
-    if zero_first_stage[0]:
-        raise ZeroFirstStageError(
-            f"{zt.spec.label}: z'x = {float(w @ dataset.x):.3e} is numerically zero"
-        )
-    return SpecTable([zt.spec], *values, np.full(1, None, dtype=object))
-
-
 def _solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M^{-1} v, through the pseudo-inverse when M is singular."""
     try:
@@ -327,25 +278,6 @@ def tsls(
     part = partial_out(dataset)
     Zm = part.Z[:, [i - 1 for i in instrument_indices]]
     return _tsls_core(part.y, part.x, Zm, part.n_absorbed, robust_flavor)
-
-
-def tsls_matrix(
-    dataset: Dataset,
-    instrument_matrix: np.ndarray,
-    robust_flavor: str = "hc1",
-) -> TslsResult:
-    """2SLS with an explicit instrument matrix (e.g. transformed columns).
-
-    The matrix is partialled of the dataset's intercept and controls along
-    with y and x.
-    """
-    Zm = np.atleast_2d(np.asarray(instrument_matrix, dtype=np.float64))
-    if Zm.shape[0] != dataset.n and Zm.shape[1] == dataset.n:
-        Zm = Zm.T
-    part = partial_out(dataset)
-    return _tsls_core(
-        part.y, part.x, partial_out_columns(dataset, Zm), part.n_absorbed, robust_flavor
-    )
 
 
 def tsls_pairwise_report(

@@ -183,17 +183,27 @@ def estimate_specs(
     specs: list[JustIdSpec],
     robust_flavor: str = "hc1",
 ) -> SpecTable:
-    """Estimate a list of specifications on an already-partialled dataset.
+    """Estimate a list of specifications, one or many, as one table.
 
-    :func:`spec_coefficients` on one QR of the instruments gives ``A``, one
-    call per :data:`_SOLVE_SPECS` specs, and :func:`iv_columns` estimates
-    ``Z A`` a block of columns at a time, with one matrix-vector product per
-    spec, so that a spec's estimate does not depend on the family it is
-    swept in. The blocks join into one table in the order of ``specs``,
-    whose ``failure`` column comes from three masks (see
-    :class:`SpecTable`); too few observations takes precedence.
+    The dataset is partialled of its intercept and controls first (a no-op
+    on an already-partialled one), so by Frisch-Waugh-Lovell the estimates
+    are those of the design that includes them. :func:`spec_coefficients`
+    on one QR of the instruments gives ``A``, one call per
+    :data:`_SOLVE_SPECS` specs, and :func:`iv_columns` estimates ``Z A`` a
+    block of columns at a time, with one matrix-vector product per spec, so
+    that a spec's estimate does not depend on the family it is swept in:
+    ``estimate_specs(data, [spec])`` is bit for bit its row of any sweep.
+    The blocks join into one table in the order of ``specs``, whose
+    ``failure`` column comes from three masks (see :class:`SpecTable`); too
+    few observations takes precedence. A sample with ``n <= 1 +
+    n_absorbed`` leaves no spec a residual degree of freedom: every row is
+    then "insufficient-observations", and nothing is solved.
     """
     dataset = partial_out(dataset)
+    if dataset.n <= 1 + dataset.n_absorbed:
+        failed = np.full(len(specs), "insufficient-observations", dtype=object)
+        nan = [np.full(len(specs), np.nan) for _ in range(4)]
+        return SpecTable(specs, *nan, np.zeros(len(specs)), failed)
     R = np.linalg.qr(dataset.Z, mode="r")
     width = max(1, _BLOCK_ELEMENTS // dataset.n)
     blocks, solves = [], []
@@ -443,8 +453,8 @@ def frontier(
     ------
     DimensionMismatchError
         If ``pi`` and ``psi`` differ in length, a boolean ``relevant`` has
-        another length, a position is out of range, or no component is
-        relevant.
+        another length, a position is not an integer or is out of range, or
+        no component is relevant.
     """
     pi, psi, b = _finite("pi", pi), _finite("psi", psi), _finite("b_grid", b_grid)
     m = pi.shape[0]
@@ -456,7 +466,10 @@ def frontier(
             raise DimensionMismatchError(f"relevant mask has shape {rel.shape}, expected ({m},)")
         mask = rel
     else:
-        positions = rel.astype(int).reshape(-1)
+        positions = rel.reshape(-1)
+        if positions.size and not np.issubdtype(positions.dtype, np.integer):
+            raise DimensionMismatchError(f"relevant positions must be integers, got {positions}")
+        positions = positions.astype(int)
         if np.any((positions < 0) | (positions >= m)):
             raise DimensionMismatchError(f"relevant positions must lie in [0, {m})")
         mask = np.zeros(m, dtype=bool)
@@ -503,17 +516,3 @@ def fas_frontier(result: FasResult, grid_points: int = 201) -> list[FrontierPoin
     lo, hi = result.interval
     grid = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
     return frontier(result.table.pi_hat, result.table.psi_hat, result.selected, grid)
-
-
-def population_frontier(
-    model: PopulationModel,
-    mode: Mode = Mode.EXCL,
-    grid_points: int = 201,
-) -> tuple[list[JustIdSpec], np.ndarray, np.ndarray, list[FrontierPoint]]:
-    """Frontier of a population model over an even grid spanning its FAS.
-
-    Returns (specs, pi~, psi~, points); see :func:`fas_frontier`.
-    """
-    result = population_fas(model, mode)
-    table = result.table
-    return table.specs, table.pi_hat, table.psi_hat, fas_frontier(result, grid_points)

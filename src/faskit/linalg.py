@@ -59,17 +59,6 @@ def projection_basis(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Q, R
 
 
-def _absorbed_basis(dataset: Dataset) -> np.ndarray | None:
-    """Orthonormal basis of the dataset's (intercept, controls) block, or None
-    when it has neither."""
-    pieces = []
-    if dataset.intercept:
-        pieces.append(np.ones((dataset.n, 1)))
-    if dataset.controls.shape[1]:
-        pieces.append(dataset.controls)
-    return projection_basis(np.hstack(pieces))[0] if pieces else None
-
-
 def _strip(a: np.ndarray, Q: np.ndarray) -> np.ndarray:
     a2 = a[:, None] if a.ndim == 1 else a
     out = a2 - Q @ (Q.T @ a2)
@@ -90,9 +79,14 @@ def partial_out(dataset: Dataset) -> Dataset:
     any column whose residual norm falls below 1e-12 of its input norm is
     snapped to exact zeros so downstream degeneracy guards see it as such.
     """
-    Q = _absorbed_basis(dataset)
-    if Q is None:
+    pieces = []
+    if dataset.intercept:
+        pieces.append(np.ones((dataset.n, 1)))
+    if dataset.controls.shape[1]:
+        pieces.append(dataset.controls)
+    if not pieces:
         return dataset
+    Q = projection_basis(np.hstack(pieces))[0]
     return dataset.with_arrays(
         _strip(dataset.y, Q),
         _strip(dataset.x, Q),
@@ -102,15 +96,3 @@ def partial_out(dataset: Dataset) -> Dataset:
         intercept=False,
         n_absorbed=dataset.n_absorbed + Q.shape[1],
     )
-
-
-def partial_out_columns(dataset: Dataset, A: np.ndarray) -> np.ndarray:
-    """Residualize the columns of A on the dataset's (intercept, controls).
-
-    The same projection :func:`partial_out` applies to y, x and Z, for
-    instrument columns built outside the dataset. A comes back as is when
-    the dataset is already partialled.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    Q = _absorbed_basis(dataset)
-    return A if Q is None else _strip(A, Q)

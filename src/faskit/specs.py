@@ -1,10 +1,11 @@
-"""Enumeration of just-identified specifications and instrument transforms.
+"""The lattice of just-identified specifications and their coefficient solve.
 
 With k_z instruments, each specification keeps one instrument l as the
 identifying moment, moves a subset C of the others into the controls, and
 drops the rest. There are k_z * 2^(k_z - 1) of them. The transformed
 instrument for (l, C) is the residual of Z_l after linear projection on the
 controls in C, so its estimand is a ratio of two simple regressions.
+:func:`spec_coefficients` writes it as ``Z a``, one vector ``a`` per spec.
 """
 
 from __future__ import annotations
@@ -13,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .errors import (
-    DegenerateInstrumentError,
-    InvalidCountError,
-    TooManyInstrumentsError,
-)
-from .linalg import RANK_TOL, partial_out
+from .errors import InvalidCountError, TooManyInstrumentsError
+from .linalg import RANK_TOL
 
 # Enumeration cap: 20 * 2^19 specs is already ~10.5 million.
 MAX_INSTRUMENTS = 20
@@ -135,26 +131,6 @@ def instrument_specs(k_z: int, all_controls: bool) -> list[JustIdSpec]:
     ]
 
 
-@dataclass(eq=False)
-class TransformedInstrument:
-    """A realized transformed instrument.
-
-    Attributes
-    ----------
-    spec : JustIdSpec
-        The specification the transform realizes.
-    values : ndarray, shape (n,)
-        Residual of Z_l on (intercept, controls, Z_C).
-    projection_coeffs : ndarray
-        Coefficients of Z_l on the control instruments (not the intercept or
-        controls), in ``spec.control_subset`` order; empty when C is empty.
-    """
-
-    spec: JustIdSpec
-    values: np.ndarray
-    projection_coeffs: np.ndarray
-
-
 def _popcount(values: np.ndarray, k: int) -> np.ndarray:
     """Set bits of each of ``values`` below bit ``k`` (np.bitwise_count needs
     numpy 2)."""
@@ -258,31 +234,3 @@ def spec_coefficients(
         C = [i for i in range(k) if subset[col] >> i & 1 and i != ell[col]]
         A[:, col], degenerate[col] = _lstsq_coefficients(R, int(ell[col]), C, base_ss)
     return A, degenerate, size - 1
-
-
-def transform_instrument(dataset: Dataset, spec: JustIdSpec) -> TransformedInstrument:
-    """Residualize the spec's instrument on its control instruments.
-
-    The one-spec case of :func:`spec_coefficients`, on the QR factor of the
-    instruments partialled of any intercept and controls (a no-op on an
-    already-partialled dataset): ``values = Z a`` and ``projection_coeffs
-    = -a_C``. By Frisch-Waugh-Lovell this is the residual of Z_l on
-    (intercept, controls, Z_C).
-
-    Raises
-    ------
-    DegenerateInstrumentError
-        If Z_C is rank deficient, or the residual variance is below
-        ``1e-12 * var(Z_l)``, i.e. the instrument is numerically collinear
-        with its controls (or constant).
-    """
-    dataset = partial_out(dataset)
-    A, degenerate, _ = spec_coefficients(np.linalg.qr(dataset.Z, mode="r"), [spec])
-    if degenerate[0]:
-        raise DegenerateInstrumentError(
-            f"{spec.label}: controls are collinear, or the residual variance is "
-            f"below {DEGENERACY_TOL:g} of var(Z_{spec.instrument_index})"
-        )
-    a = A[:, 0]
-    coeffs = -a[[i - 1 for i in spec.control_subset]]
-    return TransformedInstrument(spec=spec, values=dataset.Z @ a, projection_coeffs=coeffs)

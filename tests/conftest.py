@@ -1,9 +1,11 @@
-"""Shared builders for population models, and a plain OLS reference, used
-across the test modules."""
+"""Shared builders for population models, the transformed instrument
+columns of a spec list, and a plain OLS reference, used across the test
+modules."""
 
 import numpy as np
 
-from faskit import PopulationModel
+from faskit import PopulationModel, partial_out
+from faskit.specs import spec_coefficients
 
 
 def example1_model() -> PopulationModel:
@@ -60,6 +62,16 @@ def random_model(rng: np.random.Generator, k: int) -> PopulationModel:
         var_u=slack + float(rng.uniform(0.5, 1.5)),
         var_v=float(rng.uniform(0.5, 1.5)),
     )
+
+
+def spec_columns(data, specs) -> tuple[np.ndarray, np.ndarray]:
+    """The transformed instruments ``Z a`` of ``specs`` on ``data`` partialled
+    of its intercept and controls, one column per spec, and the coefficient
+    matrix ``A`` of :func:`faskit.specs.spec_coefficients` whose columns are
+    the ``a``: a spec's control coefficients are ``-a[C]``."""
+    part = partial_out(data)
+    A = spec_coefficients(np.linalg.qr(part.Z, mode="r"), specs)[0]
+    return part.Z @ A, A
 
 
 def ols_reference(

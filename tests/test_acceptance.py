@@ -12,13 +12,14 @@ import time
 import numpy as np
 from click.testing import CliRunner
 
-from conftest import example2_model, random_corr, random_model
+from conftest import example2_model, random_corr, random_model, spec_columns
 from faskit import (
     Mode,
     PopulationModel,
     SimulationConfig,
     SpecTable,
     enumerate_specs,
+    estimate_specs,
     fas_estimate,
     fas_from_estimates,
     frontier,
@@ -28,12 +29,9 @@ from faskit import (
     population_spec_moments,
     simulate,
     spec_count,
-    transform_instrument,
     tsls,
-    tsls_matrix,
 )
 from faskit.cli import main
-from faskit.fas import estimate_specs
 
 CUTOFF = 10.0
 
@@ -144,17 +142,14 @@ def test_criterion_3_algebraic_identities():
         # give one 2SLS estimate; same-index weight pairs coincide
         if k == 2:
             part = partial_out(data)
-            by_label = {s.label: s for s in enumerate_specs(2)}
-            cols = {
-                "Z1": part.Z[:, 0],
-                "Z2": part.Z[:, 1],
-                "Z1|2": transform_instrument(part, by_label["Z1|2"]).values,
-                "Z2|1": transform_instrument(part, by_label["Z2|1"]).values,
-            }
+            specs = enumerate_specs(2)
+            cols = dict(zip((s.label for s in specs), spec_columns(part, specs)[0].T))
             pairs = [("Z1", "Z2"), ("Z1|2", "Z2|1"), ("Z1|2", "Z1"),
                      ("Z1|2", "Z2"), ("Z2|1", "Z1"), ("Z2|1", "Z2")]
             fits = {
-                p: tsls_matrix(data, np.column_stack([cols[p[0]], cols[p[1]]]))
+                p: tsls(part.with_arrays(
+                    part.y, part.x, np.column_stack([cols[p[0]], cols[p[1]]]), z_names=p
+                ))
                 for p in pairs
             }
             betas = [f.beta_2sls for f in fits.values()]

@@ -19,8 +19,9 @@ from faskit import (
     Mode,
     SimulationConfig,
     fas_estimate,
+    fas_frontier,
     load_csv,
-    population_frontier,
+    population_fas,
     simulate,
     write_csv,
 )
@@ -495,6 +496,30 @@ def test_cli_reports_a_spec_without_residual_degrees_of_freedom(tmp_path):
     assert "Z1|2,3  .        .       .        .        0        insufficient-observations" in text
 
 
+def test_cli_records_a_sample_too_small_for_any_spec(tmp_path):
+    # 3 rows, an intercept and one control: n <= 1 + 2 absorbed leaves no
+    # spec a residual degree of freedom, and every fit is a recorded failure
+    path = _write(tmp_path, "".join(CSV.splitlines(keepends=True)[:4]))
+    args = ["estimate", "--data", path, "--outcome", "y", "--treatment", "x",
+            "--instruments", "z1,z2", "--controls", "w", "--pairwise"]
+    res = CliRunner().invoke(main, args + ["--emit", "json"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["n"] == 3 and len(report["specs"]) == 4
+    for row in report["specs"]:
+        assert row["status"] == "insufficient-observations"
+        assert row["beta_hat"] is None and row["f_stat"] == 0.0
+    assert [section["interval"] for section in report["fas"].values()] == [None] * 3
+    assert list(report["tsls"]) == ["failure"]
+    assert [("failure" in row) for row in report["pairwise"]] == [True]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert "2SLS (all instruments): not computed" in res.output
+    for name in ("FAS_excl", "FAS_exo", "FAS"):
+        assert f"{name}: (empty: no relevant specification)" in res.output
+    assert res.output.count("insufficient-observations") == 4
+
+
 def test_cli_pairwise_partialled_rows_count_their_control_instruments(tmp_path):
     # the same 4 rows: a partialled pair (a|c, b|c) fits 2 instruments after
     # the intercept and its control instrument, so n = 4 <= 2 + 1 + 1
@@ -555,7 +580,7 @@ def test_cli_oracle_reports_an_empty_fas(tmp_path):
     # the library calls still refuse a frontier with no relevant spec
     model, _ = load_model(path)
     with pytest.raises(ZeroFirstStageError):
-        population_frontier(model, Mode.EXCL)
+        fas_frontier(population_fas(model, Mode.EXCL))
 
 
 @pytest.mark.parametrize(

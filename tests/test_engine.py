@@ -20,13 +20,12 @@ from faskit import (
     Mode,
     PopulationModel,
     enumerate_specs,
-    just_id_iv,
+    estimate_specs,
     partial_out,
     population_spec_moments,
     specs_for_mode,
-    transform_instrument,
 )
-from faskit.fas import _BLOCK_ELEMENTS, estimate_specs
+from faskit.fas import _BLOCK_ELEMENTS
 from faskit.specs import spec_coefficients
 
 FIELDS = ("beta_hat", "se", "pi_hat", "psi_hat", "f_stat")
@@ -79,7 +78,8 @@ def test_sweep_matches_the_per_spec_reference(k, n, flavor):
 
 
 def test_a_spec_estimate_does_not_depend_on_its_family(monkeypatch):
-    part = partial_out(_controlled_sample(seed=601, n=2000, k=6))
+    data = _controlled_sample(seed=601, n=2000, k=6)
+    part = partial_out(data)
     model = random_model(np.random.default_rng(601), 6)
     full = estimate_specs(part, enumerate_specs(6))
     full_pi, full_psi = population_spec_moments(model, enumerate_specs(6))
@@ -95,11 +95,13 @@ def test_a_spec_estimate_does_not_depend_on_its_family(monkeypatch):
     assert np.array_equal(_table(estimate_specs(part, enumerate_specs(6))), _table(full))
     pi_t, psi_t = population_spec_moments(model, enumerate_specs(6))
     assert np.array_equal(pi_t, full_pi) and np.array_equal(psi_t, full_psi)
-    # the one-spec functions are the one-column case of the same engine
+    # one spec is the one-row case of the same sweep, on raw data as on partialled
     for spec in enumerate_specs(6)[::17]:
-        one = just_id_iv(part, transform_instrument(part, spec))
-        assert one.specs == [spec] and one.failure.tolist() == [None]
-        np.testing.assert_allclose(_table(one), _table(full.take([position[spec.spec_id]])), rtol=1e-13)
+        row = _table(full.take([position[spec.spec_id]]))
+        for sample in (data, part):
+            one = estimate_specs(sample, [spec])
+            assert one.specs == [spec] and one.failure.tolist() == [None]
+            assert np.array_equal(_table(one), row)
 
 
 def test_population_moments_match_a_direct_solve():

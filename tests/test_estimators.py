@@ -3,35 +3,27 @@
 import numpy as np
 import pytest
 
-from conftest import ols_reference, random_model
+from conftest import ols_reference, random_model, spec_columns
 from faskit import (
     Dataset,
     SimulationConfig,
     enumerate_specs,
-    just_id_iv,
+    estimate_specs,
     partial_out,
     simulate,
-    transform_instrument,
     tsls,
-    tsls_matrix,
     tsls_pairwise_report,
 )
 from faskit.errors import (
     DimensionMismatchError,
     RankDeficientError,
     WeakIdentificationError,
-    ZeroFirstStageError,
 )
 
 
 def _sample(seed=47, k=3, n=200):
     rng = np.random.default_rng(seed)
     return simulate(SimulationConfig(model=random_model(rng, k), n=n, seed=seed))
-
-
-def _estimate(data, spec):
-    part = partial_out(data)
-    return just_id_iv(part, transform_instrument(part, spec))
 
 
 def _controlled_sample(seed=107, n=400, k=3):
@@ -54,8 +46,8 @@ def test_controls_are_partialled_inside_the_per_spec_estimate():
     exog = np.column_stack([np.ones(data.n), data.controls])
     fields = ("beta_hat", "se", "pi_hat", "psi_hat", "f_stat")
     for spec in enumerate_specs(3):
-        raw = just_id_iv(data, transform_instrument(data, spec))
-        ref = just_id_iv(part, transform_instrument(part, spec))
+        raw = estimate_specs(data, [spec])
+        ref = estimate_specs(part, [spec])
         for name in fields:
             assert getattr(raw, name) == pytest.approx(getattr(ref, name), rel=1e-10)
         C = [c - 1 for c in spec.control_subset]
@@ -182,7 +174,7 @@ def test_identity_outcome_gives_unit_beta_and_zero_se():
     Z = rng.standard_normal((60, 2))
     x = Z @ np.array([1.0, 0.4]) + rng.standard_normal(60)
     data = Dataset(y=x.copy(), x=x, Z=Z, z_names=("Z1", "Z2"))
-    est = _estimate(data, enumerate_specs(2)[0])
+    est = estimate_specs(data, enumerate_specs(2)[:1])
     assert est.beta_hat == pytest.approx(1.0, abs=1e-12)
     assert est.se == pytest.approx(0.0, abs=1e-12)
 
@@ -192,7 +184,7 @@ def test_agrees_with_an_independent_two_step_computation():
     data = _sample(seed=59)
     part = partial_out(data)
     for spec in enumerate_specs(3):
-        est = just_id_iv(part, transform_instrument(part, spec))
+        est = estimate_specs(part, [spec])
         C = [c - 1 for c in spec.control_subset]
         zc = part.Z[:, C]
         zl = part.Z[:, spec.instrument_index - 1]
@@ -209,33 +201,32 @@ def test_ratio_identity_and_f_stat_definition():
     data = _sample(seed=61, k=2)
     part = partial_out(data)
     for spec in enumerate_specs(2):
-        est = just_id_iv(part, transform_instrument(part, spec))
+        est = estimate_specs(part, [spec])
         scale = max(1.0, abs(est.psi_hat))
         assert abs(est.beta_hat * est.pi_hat - est.psi_hat) <= 1e-10 * scale
         # F is the squared robust t ratio of the first-stage coefficient
-        zt = transform_instrument(part, spec).values
+        zt = spec_columns(part, [spec])[0]
         coef, cov = ols_reference(zt, part.x, n_absorbed=part.n_absorbed)
         t2 = coef[0] ** 2 / cov[0, 0]
         assert est.f_stat == pytest.approx(float(t2), rel=1e-10)
 
 
-def test_zero_first_stage_raises():
+def test_zero_first_stage_is_recorded():
     rng = np.random.default_rng(67)
     x = rng.standard_normal(100)
     raw = rng.standard_normal(100)
     basis = np.column_stack([np.ones(100), x])
     z = raw - basis @ np.linalg.lstsq(basis, raw, rcond=None)[0]  # exactly x-orthogonal
     data = Dataset(y=rng.standard_normal(100), x=x, Z=z[:, None], z_names=("Z1",))
-    part = partial_out(data)
-    zt = transform_instrument(part, enumerate_specs(1)[0])
-    with pytest.raises(ZeroFirstStageError):
-        just_id_iv(part, zt)
+    table = estimate_specs(data, enumerate_specs(1))
+    assert table.failure.tolist() == ["zero-first-stage"]
+    assert np.isnan(table.beta_hat).all() and table.f_stat.tolist() == [0.0]
 
 
 def test_single_instrument_tsls_equals_marginal_iv():
     data = _sample(seed=71, k=3)
     res = tsls(data, instrument_indices=[2])
-    est = _estimate(data, next(s for s in enumerate_specs(3) if s.label == "Z2"))
+    est = estimate_specs(data, [s for s in enumerate_specs(3) if s.label == "Z2"])
     assert res.beta_2sls == pytest.approx(est.beta_hat, rel=1e-12)
     assert res.weights == pytest.approx([1.0], abs=1e-12)
     assert res.j_dof == 0
@@ -247,15 +238,14 @@ def test_weights_sum_to_one_and_reconstruct_both_families():
     data = _sample(seed=73, k=3)
     res = tsls(data)
     assert abs(float(np.sum(res.weights)) - 1.0) <= 1e-10
-    part = partial_out(data)
+    table = estimate_specs(data, enumerate_specs(3))
     controlled = {}
     marginal = {}
-    for spec in enumerate_specs(3):
-        est = just_id_iv(part, transform_instrument(part, spec))
+    for spec, beta in zip(table.specs, table.beta_hat):
         if len(spec.control_subset) == 2:
-            controlled[spec.instrument_index] = est.beta_hat
+            controlled[spec.instrument_index] = beta
         elif not spec.control_subset:
-            marginal[spec.instrument_index] = est.beta_hat
+            marginal[spec.instrument_index] = beta
     for family in (controlled, marginal):
         recon = sum(res.weights[l - 1] * family[l] for l in (1, 2, 3))
         assert abs(recon - res.beta_2sls) <= 1e-9 * max(1.0, abs(res.beta_2sls))
@@ -276,15 +266,9 @@ def test_negative_weight_exactly_on_first_stage_sign_flips():
         y = x + rng.standard_normal(n)
         data = Dataset(y=y, x=x, Z=Z, z_names=("Z1", "Z2"))
         res = tsls(data)
-        part = partial_out(data)
-        for spec in enumerate_specs(2):
-            est = just_id_iv(part, transform_instrument(part, spec))
-            if len(spec.control_subset) == 1:
-                ctrl = est if spec.instrument_index == 2 else None
-                if ctrl is not None:
-                    pi_c = ctrl.pi_hat
-            if not spec.control_subset and spec.instrument_index == 2:
-                pi_m = est.pi_hat
+        table = estimate_specs(data, enumerate_specs(2))
+        pi = {spec.label: pi_hat for spec, pi_hat in zip(table.specs, table.pi_hat)}
+        pi_c, pi_m = pi["Z2|1"], pi["Z2"]
         flip = (pi_c < 0) != (pi_m < 0)
         assert (res.weights[1] < 0) == flip
         found_flip = found_flip or flip
@@ -294,20 +278,16 @@ def test_negative_weight_exactly_on_first_stage_sign_flips():
 
 def _spanning_pair_betas(data):
     part = partial_out(data)
-    by_label = {s.label: s for s in enumerate_specs(2)}
-    cols = {
-        "Z1": part.Z[:, 0],
-        "Z2": part.Z[:, 1],
-        "Z1|2": transform_instrument(part, by_label["Z1|2"]).values,
-        "Z2|1": transform_instrument(part, by_label["Z2|1"]).values,
-    }
+    specs = enumerate_specs(2)
+    cols = dict(zip((s.label for s in specs), spec_columns(part, specs)[0].T))
     pairs = [
         ("Z1", "Z2"), ("Z1|2", "Z2|1"), ("Z1|2", "Z1"),
         ("Z1|2", "Z2"), ("Z2|1", "Z1"), ("Z2|1", "Z2"),
     ]
     results = {}
     for a, b in pairs:
-        results[(a, b)] = tsls_matrix(data, np.column_stack([cols[a], cols[b]]))
+        pair = part.with_arrays(part.y, part.x, np.column_stack([cols[a], cols[b]]), z_names=(a, b))
+        results[(a, b)] = tsls(pair)
     return results
 
 
@@ -384,9 +364,8 @@ def test_hc1_scales_hc0_standard_errors():
     data = _sample(seed=89, k=2)
     spec = enumerate_specs(2)[1]
     part = partial_out(data)
-    zt = transform_instrument(part, spec)
-    hc0 = just_id_iv(part, zt, robust_flavor="hc0")
-    hc1 = just_id_iv(part, zt, robust_flavor="hc1")
+    hc0 = estimate_specs(part, [spec], robust_flavor="hc0")
+    hc1 = estimate_specs(part, [spec], robust_flavor="hc1")
     n = data.n
     p = 1 + part.n_absorbed
     assert hc1.se == pytest.approx(hc0.se * np.sqrt(n / (n - p)), rel=1e-10)

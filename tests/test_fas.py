@@ -16,27 +16,23 @@ from faskit import (
     PopulationModel,
     SimulationConfig,
     enumerate_specs,
+    estimate_specs,
     fas_by_mode,
     fas_estimate,
     fas_from_estimates,
+    fas_frontier,
     frontier,
     identified_set,
-    just_id_iv,
-    partial_out,
     population_fas,
     population_fas_by_mode,
-    population_frontier,
     population_spec_moments,
     simulate,
     specs_for_mode,
-    transform_instrument,
 )
 from faskit import fas as fas_module
 from faskit import specs as specs_module
 from faskit.errors import (
-    DegenerateInstrumentError,
     DimensionMismatchError,
-    InsufficientObservationsError,
     InvalidCountError,
     SingularSigmaError,
     TooManyInstrumentsError,
@@ -238,8 +234,7 @@ def test_collinear_control_instruments_degenerate_in_every_mode():
     assert fas_estimate(data, mode=Mode.EXCL).interval is None
     assert fas_estimate(data, mode=Mode.GENERAL).interval is not None
     spec = next(s for s in enumerate_specs(3) if s.label == "Z2|1,3")
-    with pytest.raises(DegenerateInstrumentError):
-        transform_instrument(data, spec)
+    assert estimate_specs(data, [spec]).failure.tolist() == ["degenerate"]
 
 
 def _tiny_dataset(n):
@@ -259,15 +254,16 @@ def test_a_first_stage_without_residual_degrees_of_freedom_is_a_failure():
     for spec, status in zip(result.table.specs, result.status):
         assert (status == "insufficient-observations") == (spec.label in full), spec.label
     assert fas_estimate(data, mode=Mode.EXCL, cutoff=1e-9).interval is None
-    part = partial_out(data)
     for spec in specs_for_mode(Mode.GENERAL, 3):
-        zt = transform_instrument(part, spec)
-        if spec.label in full:
-            with pytest.raises(InsufficientObservationsError):
-                just_id_iv(part, zt)
-        else:
-            assert just_id_iv(part, zt).estimated.all()
+        (failure,) = estimate_specs(data, [spec]).failure
+        assert failure == ("insufficient-observations" if spec.label in full else None)
     assert set(fas_estimate(_tiny_dataset(5), mode=Mode.GENERAL, cutoff=1e-9).status) == {"selected"}
+    # with n <= 1 + absorbed no spec has a residual degree of freedom
+    table = estimate_specs(_tiny_dataset(2), enumerate_specs(3))
+    assert set(table.failure) == {"insufficient-observations"}
+    for column in (table.beta_hat, table.se, table.pi_hat, table.psi_hat):
+        assert np.isnan(column).all()
+    assert (table.f_stat == 0.0).all()
 
 
 def test_example_population_excl_interval_is_exact():
@@ -384,9 +380,9 @@ def test_shrinking_any_frontier_component_falsifies():
             assert identified_set(pi_t, psi_t, shrunk) is None
 
 
-def test_population_frontier_spans_the_fas():
-    model = example1_model()
-    family, pi_t, psi_t, points = population_frontier(model, Mode.EXCL)
+def test_the_frontier_of_a_population_fas_spans_it():
+    result = population_fas(example1_model(), Mode.EXCL)
+    family, points = result.table.specs, fas_frontier(result)
     assert len(points) == 201
     assert points[0].b == pytest.approx(0.0, abs=1e-12)
     assert points[-1].b == pytest.approx(3.0, abs=1e-12)
@@ -441,9 +437,12 @@ def test_frontier_rejects_a_relevant_component_with_zero_pi():
     (np.ones(3), np.ones(3), [-1]),
     (np.ones(3), np.ones(3), []),
     (np.ones(3), np.ones(3), np.zeros(3, dtype=bool)),
+    (np.ones(3), np.ones(3), [0.7]),
+    (np.ones(3), np.ones(3), np.array([1.5])),
 ])
 def test_frontier_rejects_components_that_do_not_line_up(pi, psi, relevant):
-    # the first six used to raise a raw IndexError, or wrap around
+    # the first six used to raise a raw IndexError, or wrap around, and
+    # the last two were truncated to integer positions
     with pytest.raises(DimensionMismatchError):
         frontier(pi, psi, relevant, np.zeros(2))
 

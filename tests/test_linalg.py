@@ -1,10 +1,8 @@
 """Partialling out the intercept and controls."""
 
 import numpy as np
-import pytest
 
-from faskit import Dataset, partial_out
-from faskit.errors import ZeroFirstStageError
+from faskit import Dataset, enumerate_specs, estimate_specs, partial_out
 
 
 def _toy_dataset(rng, n=100, controls=None, control_names=()):
@@ -44,8 +42,6 @@ def test_partial_out_orthogonalizes_against_controls():
 
 
 def test_partialling_on_a_copy_of_x_kills_the_first_stage():
-    from faskit import enumerate_specs, just_id_iv, transform_instrument
-
     rng = np.random.default_rng(29)
     data = _toy_dataset(rng)
     data = Dataset(
@@ -58,7 +54,4 @@ def test_partialling_on_a_copy_of_x_kills_the_first_stage():
     )
     out = partial_out(data)
     assert np.max(np.abs(out.x)) < 1e-10
-    spec = enumerate_specs(2)[0]
-    zt = transform_instrument(out, spec)
-    with pytest.raises(ZeroFirstStageError):
-        just_id_iv(out, zt)
+    assert estimate_specs(out, enumerate_specs(2)[:1]).failure.tolist() == ["zero-first-stage"]

@@ -1,14 +1,11 @@
-"""Specification enumeration and transformed-instrument construction."""
+"""Specification enumeration and the transformed instruments ``Z a``."""
 
 import numpy as np
 import pytest
 
-from faskit import Dataset, enumerate_specs, spec_count, transform_instrument
-from faskit.errors import (
-    DegenerateInstrumentError,
-    InvalidCountError,
-    TooManyInstrumentsError,
-)
+from conftest import spec_columns
+from faskit import Dataset, JustIdSpec, enumerate_specs, estimate_specs, spec_count
+from faskit.errors import InvalidCountError, TooManyInstrumentsError
 from faskit.specs import make_spec
 
 
@@ -63,20 +60,23 @@ def _correlated_dataset(seed=31, n=300, rho=0.5):
 
 def test_transform_without_controls_demeans():
     data = _correlated_dataset()
-    spec = enumerate_specs(2)[0]  # Z1
-    zt = transform_instrument(data, spec)
-    assert zt.projection_coeffs.size == 0
-    assert np.allclose(zt.values, data.Z[:, 0] - data.Z[:, 0].mean(), atol=1e-12)
+    cols, A = spec_columns(data, enumerate_specs(2)[:1])  # Z1
+    assert A[:, 0].tolist() == [1.0, 0.0]
+    assert np.allclose(cols[:, 0], data.Z[:, 0] - data.Z[:, 0].mean(), atol=1e-12)
 
 
 def test_transform_orthogonal_to_its_controls():
     data = _correlated_dataset()
     spec = next(s for s in enumerate_specs(2) if s.label == "Z1|2")
-    zt = transform_instrument(data, spec)
+    cols, A = spec_columns(data, [spec])
+    zt = cols[:, 0]
     z2 = data.Z[:, 1]
-    assert abs(float(z2 @ zt.values)) <= 1e-8 * abs(float(z2 @ data.Z[:, 0]))
-    assert abs(zt.values.sum()) <= 1e-8
-    assert zt.projection_coeffs.shape == (1,)
+    assert abs(float(z2 @ zt)) <= 1e-8 * abs(float(z2 @ data.Z[:, 0]))
+    assert abs(zt.sum()) <= 1e-8
+    # the projection coefficient -a_2 of Z1 on Z2, both demeaned
+    Zc = data.Z - data.Z.mean(axis=0)
+    phi = float(Zc[:, 1] @ Zc[:, 0]) / float(Zc[:, 1] @ Zc[:, 1])
+    assert -A[1, 0] == pytest.approx(phi, rel=1e-10)
 
 
 def test_duplicate_instrument_is_degenerate():
@@ -88,19 +88,18 @@ def test_duplicate_instrument_is_degenerate():
         z_names=("Z1", "Z2"),
     )
     spec = next(s for s in enumerate_specs(2) if s.label == "Z2|1")
-    with pytest.raises(DegenerateInstrumentError):
-        transform_instrument(data, spec)
+    assert estimate_specs(data, [spec]).failure.tolist() == ["degenerate"]
 
 
 def test_pair_transform_identity():
     # Residualizing Z_{1|2} on z1 lands on -phi12 * Z_{2|1}.
     data = _correlated_dataset(seed=41)
     by_label = {s.label: s for s in enumerate_specs(2)}
-    t12 = transform_instrument(data, by_label["Z1|2"])
-    t21 = transform_instrument(data, by_label["Z2|1"])
+    cols, A = spec_columns(data, [by_label["Z1|2"], by_label["Z2|1"]])
+    t12, t21 = cols.T
     basis = np.column_stack([np.ones(data.n), data.Z[:, 0]])
-    lhs = t12.values - basis @ np.linalg.lstsq(basis, t12.values, rcond=None)[0]
-    rhs = -t12.projection_coeffs[0] * t21.values
+    lhs = t12 - basis @ np.linalg.lstsq(basis, t12, rcond=None)[0]
+    rhs = A[1, 0] * t21  # -phi12 is Z1|2's coefficient on Z2
     assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, float(np.max(np.abs(lhs))))
 
 
@@ -112,12 +111,10 @@ def test_transform_ignores_control_listing_order():
         z_names=("Z1", "Z2", "Z3"),
     )
     spec = next(s for s in enumerate_specs(3) if s.label == "Z1|2,3")
-    from faskit import JustIdSpec
-
     flipped = JustIdSpec(
         instrument_index=1, control_subset=(3, 2), spec_id=spec.spec_id,
         label=spec.label,
     )
-    a = transform_instrument(data, spec)
-    b = transform_instrument(data, flipped)
-    assert np.max(np.abs(a.values - b.values)) <= 1e-10
+    a = spec_columns(data, [spec])[0]
+    b = spec_columns(data, [flipped])[0]
+    assert np.max(np.abs(a - b)) <= 1e-10
