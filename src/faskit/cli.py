@@ -572,21 +572,30 @@ _BLOCK = 1 << 16
 
 def _emit(report: dict, emit: str, renderer) -> None:
     """Write the report to stdout as text, or as ``json.dumps(report,
-    indent=2)`` plus a newline, in blocks of about ``_BLOCK`` characters."""
+    indent=2)`` plus a newline, in blocks of about ``_BLOCK`` characters.
+
+    JSON blocks go straight to click's text stdout stream, flushed once at
+    the end: json escapes the ESC character that starts an ANSI sequence,
+    so the stripping and the flush that ``click.echo`` does per call would
+    change nothing. The writer's generator is closed on any way out, which stops
+    the float-formatting worker it may have started."""
     if emit != "json":
         click.echo(renderer(report), nl=False)
         return
+    stdout = click.get_text_stream("stdout")
+    chunks = indented_chunks(report)
     pending: list[str] = []
     size = 0
     try:
-        for chunk in indented_chunks(report):
+        for chunk in chunks:
             if size + len(chunk) > _BLOCK:
-                click.echo("".join(pending), nl=False)
+                stdout.write("".join(pending))
                 pending, size = [], 0
             pending.append(chunk)
             size += len(chunk)
         pending.append("\n")
-        click.echo("".join(pending), nl=False)
+        stdout.write("".join(pending))
+        stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (``| head``): stop, and end with
         # exit code 0 and nothing on stderr. Left to click, the error would
@@ -594,6 +603,8 @@ def _emit(report: dict, emit: str, renderer) -> None:
         # buffer, so point stdout at /dev/null, or the flush at exit fails
         # again and prints a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    finally:
+        chunks.close()
 
 
 # ---------------------------------------------------------------------------

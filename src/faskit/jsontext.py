@@ -6,10 +6,20 @@ text before it returns. :func:`indented_chunks` writes the same text as a
 stream of pieces instead. A list, tuple or dict that holds no container goes
 through json's C encoder in one call, whose item separator carries the
 newline and indent; only the containers above those leaves are walked in
-Python. A report's large float vectors, such as the oracle's frontier
-deltas, are such leaves. An ``np.ndarray`` is written as the list its
-``tolist()`` gives, so a report can hold its vectors as arrays and pay for
-their Python floats one vector at a time, only when it is written.
+Python. An ``np.ndarray`` is written as the list its ``tolist()`` gives, so
+a report can hold its vectors as arrays and pay for their Python floats one
+vector at a time, only when it is written.
+
+A report's large float vectors, such as the oracle's frontier deltas, are
+1-D float64 arrays, and their text goes through
+:class:`faskit.floattext.RowTexts`. When they hold at least
+``floattext.MIN_VALUES`` values and this process may run on more than one
+CPU, one worker process (``sys.executable -I -S`` on the ``floattext`` file,
+fed through unlinked temporary files in ``TMPDIR``) formats vectors from the
+last one back while this process writes from the first, and each vector's
+text is spliced in at its place. The bytes do not change; a worker that
+fails leaves its vectors to this process; a report with no such array, or a
+process with one CPU, starts no worker.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ import numpy as np
 
 _INDENT = "  "
 _CONTAINERS = (list, tuple, dict, np.ndarray)
+_NODES = frozenset(_CONTAINERS)
+_FLOAT64 = np.dtype(np.float64)
 
 
 @functools.cache
@@ -59,14 +71,83 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _is_float_row(value: np.ndarray) -> bool:
+    """Whether ``value`` goes to :mod:`faskit.floattext`: a non-empty 1-D
+    float64 array whose values are contiguous, so none is copied."""
+    return (
+        type(value) is np.ndarray and value.ndim == 1 and value.size > 0
+        and value.dtype == _FLOAT64 and value.flags.c_contiguous
+    )
+
+
+def _float_rows(value, depth: int, found: list) -> bool:
+    """Append ``(array, depth)`` for the 1-D float64 arrays under the dict,
+    list or tuple ``value``, in the order :func:`_chunks` writes them, and
+    say whether ``value`` holds any array.
+
+    A list or tuple is searched only while its containers hold arrays: one
+    that holds none, such as the first of a list of spec rows, ends the
+    search of that list. So the search costs next to nothing on a report
+    with no array. An array it does not find is written in this process,
+    where :func:`_chunks` meets it.
+    """
+    is_dict = type(value) is dict
+    items = value.values() if is_dict else value
+    if _NODES.isdisjoint(map(type, items)):
+        return False
+    held = False
+    for item in items:
+        kind = type(item)
+        if kind is np.ndarray:
+            if _is_float_row(item):
+                found.append((item, depth + 1))
+            held = True
+        elif kind in _NODES:
+            if _float_rows(item, depth + 1, found):
+                held = True
+            elif not is_dict:
+                break
+    return held
+
+
+def _array_style(depth: int) -> tuple[str, str, str]:
+    """The (head, sep, tail) of a non-empty array's text at ``depth``."""
+    inner = "\n" + _INDENT * (depth + 1)
+    return "[" + inner, "," + inner, "\n" + _INDENT * depth + "]"
+
+
 def indented_chunks(value, depth: int = 0) -> Iterator[str]:
     """The text of ``json.dumps(value, indent=2)``, in pieces.
 
     ``depth`` is the indent level ``value`` sits at. Non-str keys are
     coerced as json coerces them, an ``np.ndarray`` is written as its
     ``tolist()``, and a value json cannot encode raises ``TypeError``.
+    Closing the generator early kills and reaps any float-formatting worker
+    it started.
     """
+    found: list = []
+    if type(value) in (dict, list, tuple):
+        _float_rows(value, depth, found)
+    if not found:
+        yield from _chunks(value, depth, found, iter(()))
+        return
+    from .floattext import RowTexts
+
+    jobs = [(array, array.size, _array_style(d)) for array, d in found]
+    found.reverse()
+    with RowTexts(jobs, json=True) as texts:
+        yield from _chunks(value, depth, found, iter(texts))
+
+
+def _chunks(value, depth: int, found: list, texts: Iterator) -> Iterator[str]:
+    """:func:`indented_chunks` of ``value``. ``found`` holds the arrays whose
+    text ``texts`` yields, last first: an array met at its depth takes the
+    next text, and any other array is written here."""
     if isinstance(value, np.ndarray):
+        if found and found[-1][0] is value and found[-1][1] == depth:
+            found.pop()
+            yield next(texts)
+            return
         value = value.tolist()
     if not isinstance(value, _CONTAINERS):
         yield _scalar(value)
@@ -91,7 +172,7 @@ def indented_chunks(value, depth: int = 0) -> Iterator[str]:
             head += encode_basestring_ascii(key if isinstance(key, str) else _scalar(key)) + ": "
         if isinstance(item, _CONTAINERS):
             yield head
-            yield from indented_chunks(item, depth + 1)
+            yield from _chunks(item, depth + 1, found, texts)
         else:
             yield head + _scalar(item)
         separator = "," + inner

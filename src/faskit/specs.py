@@ -11,10 +11,12 @@ controls in C, so its estimand is a ratio of two simple regressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
-from .errors import InvalidCountError, TooManyInstrumentsError
+from .errors import InvalidCountError, SpecMismatchError, TooManyInstrumentsError
 from .linalg import RANK_TOL
 
 # Enumeration cap: 20 * 2^19 specs is already ~10.5 million.
@@ -140,6 +142,46 @@ def _popcount(values: np.ndarray, k: int) -> np.ndarray:
     return count
 
 
+def _check_specs(
+    specs: list[JustIdSpec], ids: np.ndarray, ell: np.ndarray, controls: np.ndarray,
+    n_controls: np.ndarray, k: int,
+) -> None:
+    """Raise :class:`~faskit.errors.SpecMismatchError`, naming the first
+    such spec's label, when a spec's ``spec_id - 1`` in ``ids`` is out of
+    range for ``k`` instruments, or names another instrument or another set
+    of controls than the spec holds. ``ell``, ``controls`` and
+    ``n_controls`` are the 0-based instrument, the control bitmask and the
+    control count that each id names. Controls may be listed in any order.
+    Reads each spec's fields once; the rest is array arithmetic."""
+    count = len(specs)
+    index = np.fromiter(map(attrgetter("instrument_index"), specs), np.int64, count)
+    subsets = list(map(attrgetter("control_subset"), specs))
+    sizes = np.fromiter(map(len, subsets), np.int64, count)
+    valid = (ids >= 0) & (ids < k << (k - 1))
+    bad = ~valid | (index != ell + 1) | (sizes != n_controls)
+    if not bad.any():
+        # with as many controls as the id names, and no repeats, the sum of
+        # their bits is the id's bitmask exactly when the sets agree; a
+        # repeat leaves the sum fewer set bits than controls
+        flat = np.fromiter(chain.from_iterable(subsets), np.int64, int(sizes.sum()))
+        owner = np.repeat(np.arange(count), sizes)
+        bits = np.bincount(owner, np.ldexp(1.0, np.clip(flat - 1, 0, k)), count)
+        bad = bits != controls
+        bad[owner[(flat < 1) | (flat > k)]] = True
+    if bad.any():
+        first = int(np.argmax(bad))
+        spec = specs[first]
+        if valid[first]:
+            named = tuple(i + 1 for i in range(k) if controls[first] >> i & 1)
+            names = f"names {_label(int(ell[first]) + 1, named)!r}"
+        else:
+            names = f"is outside 1..{k << (k - 1)} for {k} instruments"
+        raise SpecMismatchError(
+            f"spec {spec.label!r} has instrument {spec.instrument_index} and controls "
+            f"{spec.control_subset}, but its spec_id {spec.spec_id} {names}"
+        )
+
+
 def _inverse_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a stack of Gram blocks, and which of them pass the guard:
     positive pivots and diagonal, and ``tr(G)·tr(G⁻¹) <= _BATCH_COND``.
@@ -192,7 +234,9 @@ def spec_coefficients(
     of ``R[:, l]`` on ``R[:, C]``, which are those of Z_l on Z_C. Returns
     ``A``, the degenerate mask and each spec's control count ``|C|``.
 
-    Each spec's subset ``S = C ∪ {l}`` is read from its ``spec_id``. By the
+    Each spec's subset ``S = C ∪ {l}`` is read from its ``spec_id``; a spec
+    whose ``instrument_index`` or ``control_subset`` is not the one that
+    ``spec_id`` names raises :class:`~faskit.errors.SpecMismatchError`. By the
     partitioned inverse, ``a_S = H[:, l] / H[l, l]`` with ``H = (G_SS)⁻¹``,
     so the specs need one inverse per distinct subset, taken for a stack of
     subsets per subset size. A subset whose inverse fails the guard of
@@ -207,9 +251,11 @@ def spec_coefficients(
     ell = ids >> (k - 1)
     mask = ids & ((1 << (k - 1)) - 1)
     below = (1 << ell) - 1
-    subset = (mask & below) | (1 << ell) | ((mask >> ell) << (ell + 1))
+    controls = (mask & below) | ((mask >> ell) << (ell + 1))
+    subset = controls | (1 << ell)
     position = _popcount(subset & below, k)
     size = _popcount(subset, k)
+    _check_specs(specs, ids, ell, controls, size - 1, k)
     # the distinct subsets, sorted; np.unique would do, at a higher peak RSS
     present = np.zeros(1 << k, dtype=bool)
     present[subset] = True

@@ -1,0 +1,192 @@
+"""Float rows formatted by a worker process give the bytes of formatting
+them in process, on every path: with or without a worker, a worker that
+cannot start or fails, and an early exit, which leaves no worker running."""
+
+import csv
+import io
+import json
+import math
+import signal
+import sys
+from contextlib import contextmanager
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from faskit import Dataset, floattext, write_csv
+from faskit.jsontext import _float_rows, indented_chunks
+from test_json_emit import _as_lists
+
+_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 1.5e300]
+
+
+@contextmanager
+def _workers(cpus):
+    """Calls made inside see ``cpus`` CPUs and start a worker whatever their
+    size when ``cpus`` is above 1. The caller reads the worker's records only
+    after it exits, so every job is served from its records. Yields the
+    started workers and the jobs served from them."""
+    seen = SimpleNamespace(started=[], served=[])
+    init, frontier, text = floattext._Worker.__init__, floattext._Worker.frontier, floattext._Worker.text
+
+    def start(self, *args):
+        init(self, *args)
+        seen.started.append(self)
+
+    def finished_frontier(self):
+        if self.process is not None:
+            self.process.wait()
+        return frontier(self)
+
+    def served(self, job):
+        seen.served.append(job)
+        return text(self, job)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(floattext, "MIN_VALUES", 0)
+        patch.setattr(floattext, "_cpus", lambda: cpus)
+        patch.setattr(floattext._Worker, "__init__", start)
+        patch.setattr(floattext._Worker, "frontier", finished_frontier)
+        patch.setattr(floattext._Worker, "text", served)
+        yield seen
+
+
+_ROWS = st.lists(st.sampled_from(_EDGES) | st.floats(), max_size=8).map(
+    lambda v: np.array(v, dtype=np.float64)
+)
+
+
+def _containers(children):
+    return st.lists(children, min_size=1, max_size=4) | st.dictionaries(
+        st.text(max_size=3), children, min_size=1, max_size=4
+    )
+
+
+# documents of mostly arrays, so that most examples give the workers rows
+_TREES = _containers(st.recursive(
+    st.one_of(_ROWS, _ROWS, _ROWS, st.floats(allow_nan=False), st.text(max_size=3)),
+    _containers,
+    max_leaves=12,
+))
+
+
+# a third CPU still gives one worker
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_TREES)
+@example([np.array(_EDGES), {"a": [np.array([]), np.array([1e-5, -0.0])]}, [[np.array(_EDGES[::-1])]]])
+@example({"d": np.array([], dtype=np.float64), "e": [np.array([5e-324]), np.array([math.nan])]})
+def test_json_text_is_json_dumps_with_and_without_a_worker(cpus, tree):
+    found = []
+    _float_rows(tree, 0, found)
+    with _workers(cpus) as seen:
+        text = "".join(indented_chunks(tree))
+    assert text == json.dumps(_as_lists(tree), indent=2)
+    if cpus > 1 and found:
+        assert len(seen.started) == 1 and sorted(seen.served) == list(range(len(found)))
+    else:
+        assert not seen.started and not seen.served
+
+
+def _dataset_with_nonfinite_cells(n=3000):
+    rng = np.random.default_rng(3)
+    data = Dataset(
+        y=rng.standard_normal(n), x=rng.standard_normal(n), Z=rng.standard_normal((n, 2)),
+        z_names=("Z1", "Z2"), controls=rng.standard_normal((n, 1)), control_names=("w",),
+    )
+    # the dataset holds only finite values; the writer must still spell these
+    data.Z[5, 0], data.Z[2500, 1], data.controls[1800, 0] = math.nan, math.inf, -math.inf
+    data.y[7] = -0.0
+    return data
+
+
+def test_csv_bytes_are_those_of_csv_writer_with_and_without_a_worker(tmp_path):
+    data = _dataset_with_nonfinite_cells()
+    table = np.column_stack([data.y, data.x, data.Z, data.controls])
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([["y", "x", "Z1", "Z2", "w"]] + table.tolist())
+    for cpus in (1, 2):
+        path = tmp_path / f"cpus{cpus}.csv"
+        with _workers(cpus) as seen:
+            write_csv(data, str(path))
+        assert path.read_bytes() == expected.getvalue().encode("ascii")
+        # 3000 rows are three blocks of 1024 rows
+        assert len(seen.served) == (3 if cpus > 1 else 0)
+
+
+def _rows():
+    rng = np.random.default_rng(11)
+    return [(rng.standard_normal(300), 300, ("[", ", ", "]")) for _ in range(6)]
+
+
+def _text_of(jobs):
+    with floattext.RowTexts(jobs, json=True) as texts:
+        return "".join(texts)
+
+
+def test_a_worker_that_cannot_start_leaves_its_rows_to_the_caller(monkeypatch, tmp_path, capfd):
+    expected = _text_of(_rows())
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    with _workers(2) as seen:
+        assert _text_of(_rows()) == expected
+    assert [w.process for w in seen.started] == [None] and not seen.served
+    assert capfd.readouterr().err == ""
+
+
+def test_a_worker_that_fails_leaves_its_rows_to_the_caller(monkeypatch, tmp_path, capfd):
+    expected = _text_of(_rows())
+    script = tmp_path / "fails.py"
+    script.write_text(
+        "import sys\n"
+        "sys.stdout.buffer.write(b'\\x07\\x00\\x00')\n"
+        "sys.stderr.write('worker failed\\n')\n"
+        "sys.exit(3)\n"
+    )
+    monkeypatch.setattr(floattext, "__file__", str(script))
+    with _workers(2) as seen:
+        assert _text_of(_rows()) == expected
+    assert [w.process.returncode for w in seen.started] == [3] and not seen.served
+    assert capfd.readouterr().err == ""
+
+
+def test_an_early_exit_kills_and_reaps_the_worker(monkeypatch):
+    # many CPUs still start one worker
+    monkeypatch.setattr(floattext, "_cpus", lambda: 8)
+    rng = np.random.default_rng(2)
+    jobs = [(rng.standard_normal(10), 10, ("", ",", "\n"))]
+    jobs += [(rng.standard_normal(2**16), 2**16, ("", ",", "\n")) for _ in range(6)]
+    texts = floattext.RowTexts(jobs)
+    with pytest.raises(KeyboardInterrupt):
+        with texts:
+            process = texts._worker.process
+            for _ in texts:
+                raise KeyboardInterrupt
+    assert process.returncode == -signal.SIGKILL
+    assert texts._worker is None
+
+
+def test_a_small_call_starts_no_worker(monkeypatch):
+    monkeypatch.setattr(floattext, "_cpus", lambda: 8)
+    jobs = [(np.ones(floattext.MIN_VALUES - 1), 1, ("", "", "\n"))]
+    with floattext.RowTexts(jobs) as texts:
+        assert texts._worker is None
+
+
+def test_csv_bytes_stay_the_same_while_a_worker_writes(tmp_path, monkeypatch):
+    # no waiting here: this process reads the worker's records while it
+    # still writes them, and the two meet wherever their timing puts them
+    rng = np.random.default_rng(5)
+    n = 40_000
+    data = Dataset(y=rng.standard_normal(n), x=rng.standard_normal(n), Z=rng.standard_normal((n, 3)), z_names=("a", "b", "c"))
+    monkeypatch.setattr(floattext, "_cpus", lambda: 1)
+    write_csv(data, str(tmp_path / "alone.csv"))
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
+    started = []
+    init = floattext._Worker.__init__
+    monkeypatch.setattr(floattext._Worker, "__init__", lambda self, *a: (init(self, *a), started.append(self))[0])
+    write_csv(data, str(tmp_path / "worker.csv"))
+    assert len(started) == 1 and started[0].process is not None
+    assert (tmp_path / "worker.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()

@@ -118,26 +118,57 @@ def test_large_oracle_report_is_json_dumps_output(tmp_path):
     assert len(json.loads(res.output)["modes"]["general"]["frontier"][0]["delta"]) == 6 * 2**5
 
 
+def test_oracle_report_written_beside_a_worker_is_json_dumps_output(tmp_path, monkeypatch):
+    # 209k deltas: one worker formats delta rows from the last one back
+    # while the CLI writes from the first, reading the worker's records as
+    # they land
+    from faskit import floattext
+
+    monkeypatch.setattr(floattext, "_cpus", lambda: 2)
+    path = tmp_path / "k8.model"
+    path.write_text(_K8_MODEL)
+    res = CliRunner().invoke(
+        main, ["oracle", "--model", str(path), "--mode", "all", "--grid", "201", "--emit", "json"]
+    )
+    assert res.exit_code == 0, res.output
+    _assert_standard_layout(res.output)
+
+
 # a k=8 report in mode all is several MB, far more than a pipe holds, so the
 # reader closes it mid-report; the small one finds the pipe closed at once.
 # stdout is block-buffered, as in a shell, so the bytes of the failed write
-# stay buffered until the interpreter exits.
-@pytest.mark.parametrize("args, read", [
-    (["--mode", "all", "--grid", "201"], 1),
-    (["--mode", "excl", "--grid", "2"], 0),
-])
-def test_closed_pipe_ends_quietly_with_exit_0(tmp_path, args, read):
+# stay buffered until the interpreter exits. The k=8 report's 209k deltas
+# start float-formatting workers on a box with more than one CPU; the last
+# case starts one whatever the box, and it is still formatting when the
+# pipe closes. The CLI leads its own session, so its process group holds it
+# and its workers: once it has exited, no process of the group may remain.
+_RUN_CLI = [sys.executable, "-m", "faskit.cli"]
+_RUN_CLI_WITH_A_WORKER = [
+    sys.executable, "-c",
+    "import sys; from faskit import floattext; floattext._cpus = lambda: 2; "
+    "from faskit.cli import entry; entry()",
+]
+
+
+@pytest.mark.parametrize("cli, args, read", [
+    (_RUN_CLI, ["--mode", "all", "--grid", "201"], 1),
+    (_RUN_CLI, ["--mode", "excl", "--grid", "2"], 0),
+    (_RUN_CLI_WITH_A_WORKER, ["--mode", "all", "--grid", "201"], 1),
+], ids=["args0-1", "args1-0", "worker"])
+def test_closed_pipe_ends_quietly_with_exit_0(tmp_path, cli, args, read):
     path = tmp_path / "k8.model"
     path.write_text(_K8_MODEL)
     src = os.path.dirname(os.path.dirname(faskit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     with subprocess.Popen(
-        [sys.executable, "-m", "faskit.cli", "oracle", "--model", str(path), *args, "--emit", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        [*cli, "oracle", "--model", str(path), *args, "--emit", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
     ) as proc:
         assert proc.stdout.read(read) == b"{"[:read]
         proc.stdout.close()
         stderr = proc.stderr.read()
         returncode = proc.wait(timeout=120)
     assert (returncode, stderr) == (0, b"")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

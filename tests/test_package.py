@@ -1,6 +1,9 @@
 """The public namespace, and the README section that documents it."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import faskit
@@ -20,3 +23,13 @@ def test_the_readme_library_section_names_every_export():
     named = {word for span in spans for word in re.findall(r"\w+", span)}
     missing = [name for name in faskit.__all__ if name not in named]
     assert not missing, f"exports the README's Library section does not name: {missing}"
+
+
+def test_importing_the_cli_loads_neither_subprocess_nor_the_float_workers():
+    # a process that writes no large report starts no worker, so it should
+    # not pay to import what starting one needs
+    src = Path(faskit.__file__).resolve().parents[1]
+    code = "import sys, faskit.cli; print(sorted({'subprocess', 'faskit.floattext'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,11 +1,13 @@
 """Specification enumeration and the transformed instruments ``Z a``."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import spec_columns
 from faskit import Dataset, JustIdSpec, enumerate_specs, estimate_specs, spec_count
-from faskit.errors import InvalidCountError, TooManyInstrumentsError
+from faskit.errors import InvalidCountError, SpecMismatchError, TooManyInstrumentsError
 from faskit.specs import make_spec
 
 
@@ -118,3 +120,33 @@ def test_transform_ignores_control_listing_order():
     a = spec_columns(data, [spec])[0]
     b = spec_columns(data, [flipped])[0]
     assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def _correlated_k2(n=200, seed=5):
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, 2))
+    Z[:, 1] += 0.8 * Z[:, 0]
+    x = Z @ np.array([1.0, 0.5]) + rng.standard_normal(n)
+    y = x + 0.3 * Z[:, 1] + rng.standard_normal(n)
+    return Dataset(y=y, x=x, Z=Z, z_names=("Z1", "Z2"))
+
+
+@pytest.mark.parametrize("spec, named", [
+    # Z1|2 under Z1's id was estimated as Z1 and reported as Z1|2
+    (JustIdSpec(1, (2,), 1, "Z1|2"), "'Z1'"),
+    (JustIdSpec(2, (), 1, "Z2"), "'Z1'"),
+    (JustIdSpec(1, (2, 2), 2, "Z1|2,2"), "'Z1|2'"),
+    (JustIdSpec(1, (1,), 2, "Z1|1"), "'Z1|2'"),
+    (JustIdSpec(1, (), 5, "Z1"), "outside 1..4"),
+    (JustIdSpec(1, (), 0, "Z1"), "outside 1..4"),
+])
+def test_a_spec_that_disagrees_with_its_spec_id_raises(spec, named):
+    data = _correlated_k2()
+    with pytest.raises(SpecMismatchError, match=f"spec '{re.escape(spec.label)}'.*{named}"):
+        estimate_specs(data, [make_spec(2, 2, ()), spec])
+
+
+def test_the_mismatched_k2_spec_would_have_taken_another_estimate():
+    data = _correlated_k2()
+    z1, z1_2 = (estimate_specs(data, [make_spec(2, 1, c)]).beta_hat[0] for c in ((), (2,)))
+    assert abs(z1 - z1_2) > 0.05
