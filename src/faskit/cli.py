@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -38,26 +37,9 @@ SCHEMA_VERSION = 1
 _MODE_CHOICES = ("excl", "exo", "general", "all")
 
 
-@dataclass(eq=False)
-class RunConfig:
-    """Settings for one estimation run."""
-
-    mode: str = "all"
-    cutoff: float = DEFAULT_CUTOFF
-    robust_flavor: str = "hc1"
-    frontier_grid: int = 201
-    pairwise: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in _MODE_CHOICES:
-            raise ValueError(f"mode must be one of {_MODE_CHOICES}, got {self.mode!r}")
-        if self.frontier_grid < 2:
-            raise ValueError(f"frontier grid needs at least 2 points, got {self.frontier_grid}")
-
-    @property
-    def modes(self) -> list[Mode]:
-        """The FAS modes to report: all three for ``"all"``."""
-        return list(Mode) if self.mode == "all" else [Mode(self.mode)]
+def _modes(mode: str) -> list[Mode]:
+    """The FAS modes to report: all three for ``"all"``."""
+    return list(Mode) if mode == "all" else [Mode(mode)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +186,11 @@ def _fit_json(result) -> dict:
     }
 
 
-def _tsls_section(dataset: Dataset, config: RunConfig) -> dict:
+def _tsls_section(dataset: Dataset, robust_flavor: str) -> dict:
     """The full-instrument 2SLS block with its weights, or only its failure
     code when the fit raised one of the recorded errors."""
     try:
-        result = tsls(dataset, robust_flavor=config.robust_flavor)
+        result = tsls(dataset, robust_flavor=robust_flavor)
     except tuple(TSLS_FAILURES) as exc:
         return {"failure": TSLS_FAILURES[type(exc)]}
     weights = [
@@ -223,7 +205,15 @@ def _pairwise_json(row) -> dict:
     return {"pair": list(row.pair), "variant": row.variant, "labels": list(row.labels), **fit}
 
 
-def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
+def run(
+    dataset: Dataset,
+    *,
+    mode: str = "all",
+    cutoff: float = DEFAULT_CUTOFF,
+    robust_flavor: str = "hc1",
+    pairwise: bool = False,
+    dropped_rows: int = 0,
+) -> dict:
     """Estimate the requested FAS mode(s) and build the full report dict.
 
     The report carries the full-instrument 2SLS fit with its weight
@@ -234,7 +224,7 @@ def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
     stands. Everything in it is JSON-serializable.
     """
     partialled = partial_out(dataset)
-    results = fas_by_mode(partialled, config.modes, config.cutoff, config.robust_flavor)
+    results = fas_by_mode(partialled, _modes(mode), cutoff, robust_flavor)
     spec_rows = {}
     for result in results.values():
         spec_rows.update(_spec_rows(result))
@@ -249,24 +239,27 @@ def run(dataset: Dataset, config: RunConfig, dropped_rows: int = 0) -> dict:
         "instruments": list(dataset.z_names),
         "controls": list(dataset.control_names),
         "intercept": bool(dataset.intercept),
-        "mode": config.mode,
-        "cutoff": float(config.cutoff),
-        "robust": config.robust_flavor,
-        "tsls": _tsls_section(partialled, config),
+        "mode": mode,
+        "cutoff": float(cutoff),
+        "robust": robust_flavor,
+        "tsls": _tsls_section(partialled, robust_flavor),
         "specs": [spec_rows[spec_id] for spec_id in sorted(spec_rows)],
-        "fas": {mode.value: _fas_section(result) for mode, result in results.items()},
+        "fas": {each.value: _fas_section(result) for each, result in results.items()},
     }
-    if config.pairwise:
-        rows = tsls_pairwise_report(partialled, config.robust_flavor)
+    if pairwise:
+        rows = tsls_pairwise_report(partialled, robust_flavor)
         report["pairwise"] = [_pairwise_json(row) for row in rows]
     return report
 
 
-def oracle_report(model: PopulationModel, config: RunConfig, model_path: str = "") -> dict:
+def oracle_report(
+    model: PopulationModel, *, mode: str = "all", frontier_grid: int = 201, model_path: str = ""
+) -> dict:
     """Population FAS and frontier for the requested mode(s).
 
     A mode with no relevant spec has an empty FAS: its interval is None and
-    its frontier is an empty list.
+    its frontier is an empty list. A ``frontier_grid`` below 2 raises
+    ``ValueError`` before any work.
 
     Each frontier point's ``"delta"`` is a float64 row view of its mode's
     (grid x specs) delta matrix, not a list, so that no Python float is made
@@ -274,15 +267,17 @@ def oracle_report(model: PopulationModel, config: RunConfig, model_path: str = "
     report serializes through :mod:`faskit.jsontext`, which writes an array
     as its ``tolist()``; plain ``json.dumps`` needs the rows as ``.tolist()``.
     """
+    if frontier_grid < 2:
+        raise ValueError(f"frontier grid needs at least 2 points, got {frontier_grid}")
     sections: dict[str, dict] = {}
-    for mode, result in population_fas_by_mode(model, config.modes).items():
-        points = [] if result.interval is None else fas_frontier(result, config.frontier_grid)
+    for each, result in population_fas_by_mode(model, _modes(mode)).items():
+        points = [] if result.interval is None else fas_frontier(result, frontier_grid)
         t = result.table
         columns = zip(
             t.specs, t.pi_hat.tolist(), t.psi_hat.tolist(), _nullable(t.beta_hat),
             result.selected.tolist(),
         )
-        sections[mode.value] = {
+        sections[each.value] = {
             "interval": _interval_json(result.interval),
             "specs": [
                 {
@@ -311,7 +306,7 @@ def oracle_report(model: PopulationModel, config: RunConfig, model_path: str = "
         "model_path": model_path,
         "k_z": model.k_z,
         "beta": float(model.beta),
-        "grid_points": config.frontier_grid,
+        "grid_points": frontier_grid,
         "modes": sections,
     }
 
@@ -320,19 +315,22 @@ def simulate_report(
     model: PopulationModel,
     n: int,
     seed: int,
-    config: RunConfig,
+    *,
+    mode: str = "all",
+    cutoff: float = DEFAULT_CUTOFF,
     replications: int = 1,
     rho_uv: float = 0.5,
     error_law: ErrorLaw = ErrorLaw.GAUSSIAN,
     csv_path: str | None = None,
 ) -> dict:
     """Draw data, estimate the requested FAS modes, and summarize against population."""
+    modes = _modes(mode)
     population = {
-        mode.value: _interval_json(result.interval)
-        for mode, result in population_fas_by_mode(model, config.modes).items()
+        each.value: _interval_json(result.interval)
+        for each, result in population_fas_by_mode(model, modes).items()
     }
     endpoint_samples: dict[str, list[tuple[float, float] | None]] = {
-        mode.value: [] for mode in config.modes
+        each.value: [] for each in modes
     }
     first_dataset: Dataset | None = None
     for rep in range(replications):
@@ -342,9 +340,8 @@ def simulate_report(
         )
         if first_dataset is None:
             first_dataset = dataset
-        results = fas_by_mode(dataset, config.modes, config.cutoff, config.robust_flavor)
-        for mode, result in results.items():
-            endpoint_samples[mode.value].append(result.interval)
+        for each, result in fas_by_mode(dataset, modes, cutoff).items():
+            endpoint_samples[each.value].append(result.interval)
 
     if csv_path is not None and first_dataset is not None:
         write_csv(first_dataset, csv_path)
@@ -357,7 +354,7 @@ def simulate_report(
         "replications": int(replications),
         "error_law": error_law.value,
         "rho_uv": float(rho_uv),
-        "cutoff": float(config.cutoff),
+        "cutoff": float(cutoff),
         "population": population,
         "csv_path": csv_path,
     }
@@ -658,8 +655,10 @@ def estimate(
         data_path, outcome, treatment, instrument_names,
         control_names, intercept=not no_intercept,
     )
-    config = RunConfig(mode=mode, cutoff=cutoff, robust_flavor=robust, pairwise=pairwise)
-    report = run(dataset, config, dropped_rows=dropped)
+    report = run(
+        dataset, mode=mode, cutoff=cutoff, robust_flavor=robust, pairwise=pairwise,
+        dropped_rows=dropped,
+    )
     _emit(report, emit, render_estimate_text)
 
 
@@ -670,8 +669,7 @@ def estimate(
 def oracle(model_path, grid, mode, emit):
     """Population FAS and falsification frontier of a model file."""
     model, _ = load_model(model_path)
-    config = RunConfig(mode=mode, frontier_grid=grid)
-    report = oracle_report(model, config, model_path)
+    report = oracle_report(model, mode=mode, frontier_grid=grid, model_path=model_path)
     _emit(report, emit, render_oracle_text)
 
 
@@ -693,9 +691,10 @@ def oracle(model_path, grid, mode, emit):
 def simulate_command(model_path, n, seed, out_path, reps, law, cutoff, mode, emit):
     """Draw synthetic data from a model file; summarize FAS estimates."""
     model, extras = load_model(model_path)
-    config = RunConfig(mode=mode, cutoff=cutoff)
     report = simulate_report(
-        model, n, seed, config,
+        model, n, seed,
+        mode=mode,
+        cutoff=cutoff,
         replications=reps,
         rho_uv=extras.get("rho_uv", 0.5),
         error_law=ErrorLaw(law),

@@ -30,10 +30,6 @@ class TooManyInstrumentsError(FaskitError):
     """Instrument count above the enumeration cap."""
 
 
-class SpecMismatchError(FaskitError):
-    """A spec whose instrument or control set is not the one its spec_id names."""
-
-
 class ZeroFirstStageError(FaskitError):
     """The just-identifying moment z'x is numerically zero; no estimand."""
 

@@ -421,7 +421,7 @@ def identified_set(
 def frontier(
     pi: np.ndarray,
     psi: np.ndarray,
-    relevant: np.ndarray | list[int],
+    relevant: np.ndarray,
     b_grid: np.ndarray,
 ) -> list[FrontierPoint]:
     """Falsification frontier over a grid of candidate effects.
@@ -431,9 +431,10 @@ def frontier(
     pi, psi : ndarray
         Finite population moment vectors of one length, one entry per spec
         of the mode.
-    relevant : boolean mask or list of 0-based positions
-        Components whose ratios span the frontier range. Each needs a
-        nonzero ``pi``; a zero one raises ``ValueError``.
+    relevant : boolean ndarray
+        Mask of the components whose ratios span the frontier range, one
+        entry per component. Each needs a nonzero ``pi``; a zero one raises
+        ``ValueError``.
     b_grid : ndarray
         Finite candidate effect values. Values outside the span of the
         relevant ratios are computed but flagged ``on_frontier=False``.
@@ -452,28 +453,18 @@ def frontier(
     Raises
     ------
     DimensionMismatchError
-        If ``pi`` and ``psi`` differ in length, a boolean ``relevant`` has
-        another length, a position is not an integer or is out of range, or
-        no component is relevant.
+        If ``pi`` and ``psi`` differ in length, ``relevant`` is not a boolean
+        mask of their length, or no component is relevant.
     """
     pi, psi, b = _finite("pi", pi), _finite("psi", psi), _finite("b_grid", b_grid)
     m = pi.shape[0]
     if psi.shape[0] != m:
         raise DimensionMismatchError(f"pi and psi lengths disagree: {m}, {psi.shape[0]}")
-    rel = np.asarray(relevant)
-    if rel.dtype == bool:
-        if rel.shape != (m,):
-            raise DimensionMismatchError(f"relevant mask has shape {rel.shape}, expected ({m},)")
-        mask = rel
-    else:
-        positions = rel.reshape(-1)
-        if positions.size and not np.issubdtype(positions.dtype, np.integer):
-            raise DimensionMismatchError(f"relevant positions must be integers, got {positions}")
-        positions = positions.astype(int)
-        if np.any((positions < 0) | (positions >= m)):
-            raise DimensionMismatchError(f"relevant positions must lie in [0, {m})")
-        mask = np.zeros(m, dtype=bool)
-        mask[positions] = True
+    mask = np.asarray(relevant)
+    if mask.dtype != bool or mask.shape != (m,):
+        raise DimensionMismatchError(
+            f"relevant must be a boolean mask of shape ({m},), got {mask.dtype} {mask.shape}"
+        )
     if not np.any(mask):
         raise DimensionMismatchError("frontier needs at least one relevant component")
     if np.any(pi[mask] == 0):

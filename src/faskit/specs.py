@@ -11,12 +11,10 @@ controls in C, so its estimand is a ratio of two simple regressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
-from .errors import InvalidCountError, SpecMismatchError, TooManyInstrumentsError
+from .errors import DimensionMismatchError, InvalidCountError, TooManyInstrumentsError
 from .linalg import RANK_TOL
 
 # Enumeration cap: 20 * 2^19 specs is already ~10.5 million.
@@ -33,33 +31,67 @@ DEGENERACY_TOL = 1e-12
 _BATCH_COND = 1e5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JustIdSpec:
-    """One just-identified specification.
+    """One just-identified specification: entry ``spec_id`` of the
+    :func:`enumerate_specs` lattice of ``k_z`` instruments.
+
+    The id alone names the spec. Its instrument is the ``(spec_id - 1) >>
+    (k_z - 1)``-th, 0-based, and the low ``k_z - 1`` bits of ``spec_id - 1``
+    mark its controls among the other instruments in ascending order; the
+    instrument, the controls and the label are read from those bits.
 
     Attributes
     ----------
-    instrument_index : int
-        1-based index l of the identifying instrument.
-    control_subset : tuple of int
-        Sorted 1-based indices of instruments used as controls; never
-        contains ``instrument_index``.
+    k_z : int
+        Number of instruments, 1 to :data:`MAX_INSTRUMENTS`.
     spec_id : int
-        Stable 1-based identifier within the enumeration for given k_z.
-    label : str
-        Human-readable form, e.g. ``"Z2|1,3"`` or ``"Z1"``.
+        1-based position in the enumeration, 1 to ``spec_count(k_z)``.
+
+    Raises
+    ------
+    TypeError
+        If ``k_z`` or ``spec_id`` is not an int.
+    InvalidCountError, TooManyInstrumentsError
+        If ``k_z`` is out of range, as :func:`enumerate_specs` raises.
+    ValueError
+        If ``spec_id`` is outside ``1..spec_count(k_z)``.
     """
 
-    instrument_index: int
-    control_subset: tuple[int, ...]
+    k_z: int
     spec_id: int
-    label: str
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.k_z, int) and isinstance(self.spec_id, int)):
+            raise TypeError(f"k_z and spec_id must be ints, got {self.k_z!r}, {self.spec_id!r}")
+        _check_count(self.k_z)
+        if not 1 <= self.spec_id <= self.k_z << (self.k_z - 1):
+            raise ValueError(
+                f"spec_id {self.spec_id} is outside 1..{self.k_z << (self.k_z - 1)} "
+                f"for {self.k_z} instruments"
+            )
 
-def _label(instrument_index: int, control_subset: tuple[int, ...]) -> str:
-    if not control_subset:
-        return f"Z{instrument_index}"
-    return f"Z{instrument_index}|" + ",".join(str(i) for i in control_subset)
+    @property
+    def instrument_index(self) -> int:
+        """1-based index l of the identifying instrument."""
+        return ((self.spec_id - 1) >> (self.k_z - 1)) + 1
+
+    @property
+    def control_subset(self) -> tuple[int, ...]:
+        """Sorted 1-based indices of the instruments used as controls; never
+        contains ``instrument_index``."""
+        # bit j - 1 marks the j-th other instrument: Z_j for j < l, Z_(j+1)
+        # from j = l on
+        bits = self.spec_id - 1
+        ell = bits >> (self.k_z - 1)
+        return tuple([j + (j > ell) for j in range(1, self.k_z) if bits >> (j - 1) & 1])
+
+    @property
+    def label(self) -> str:
+        """Human-readable form, e.g. ``"Z2|1,3"`` or ``"Z1"``."""
+        head = f"Z{self.instrument_index}"
+        controls = self.control_subset
+        return f"{head}|{','.join(map(str, controls))}" if controls else head
 
 
 def spec_count(k_z: int) -> int:
@@ -95,40 +127,41 @@ def enumerate_specs(k_z: int) -> list[JustIdSpec]:
         If ``k_z`` exceeds :data:`MAX_INSTRUMENTS`.
     """
     _check_count(k_z)
-    specs: list[JustIdSpec] = []
-    spec_id = 0
-    for ell in range(1, k_z + 1):
-        others = [i for i in range(1, k_z + 1) if i != ell]
-        for mask in range(2 ** len(others)):
-            subset = tuple(others[t] for t in range(len(others)) if mask >> t & 1)
-            spec_id += 1
-            specs.append(
-                JustIdSpec(
-                    instrument_index=ell,
-                    control_subset=subset,
-                    spec_id=spec_id,
-                    label=_label(ell, subset),
-                )
-            )
-    return specs
+    return [JustIdSpec(k_z, spec_id) for spec_id in range(1, spec_count(k_z) + 1)]
 
 
 def make_spec(k_z: int, ell: int, subset: tuple[int, ...]) -> JustIdSpec:
-    """The spec of :func:`enumerate_specs` that identifies with instrument
-    ``ell`` and controls for the sorted ``subset``, built without the
-    lattice: its mask over the other instruments gives its ``spec_id``."""
-    others = [i for i in range(1, k_z + 1) if i != ell]
-    mask = sum(1 << others.index(i) for i in subset)
-    return JustIdSpec(ell, subset, (ell - 1) * 2 ** (k_z - 1) + mask + 1, _label(ell, subset))
+    """The spec that identifies with instrument ``ell`` and controls for the
+    instruments in ``subset``, 1-based and listed in any order, built
+    without the lattice: the controls' bits among the other instruments
+    give its ``spec_id``.
+
+    Raises ``ValueError`` when ``ell`` is not one of ``1..k_z``, or when
+    ``subset`` is not a set of the other instruments: an index out of
+    range, ``ell`` itself, or a repeat. Raises as :class:`JustIdSpec` does
+    for ``k_z``.
+    """
+    controls = sorted(subset)
+    if not (
+        1 <= ell <= k_z
+        and all(1 <= i <= k_z and i != ell for i in controls)
+        and len(set(controls)) == len(controls)
+    ):
+        raise ValueError(
+            f"no spec of {k_z} instruments identifies with Z{ell} and controls {subset}"
+        )
+    mask = sum(1 << (i - 1 - (i > ell)) for i in controls)
+    return JustIdSpec(k_z, ((ell - 1) << (k_z - 1)) + mask + 1)
 
 
 def instrument_specs(k_z: int, all_controls: bool) -> list[JustIdSpec]:
     """One spec per instrument l, equal to its :func:`enumerate_specs` entry:
-    with all other instruments as controls, or with none. Raises as
-    :func:`enumerate_specs` does."""
+    with all other instruments as controls, id ``l·2^(k_z−1)``, or with none,
+    id ``(l−1)·2^(k_z−1) + 1``. Raises as :func:`enumerate_specs` does."""
     _check_count(k_z)
+    half = 1 << (k_z - 1)
     return [
-        make_spec(k_z, ell, tuple(i for i in range(1, k_z + 1) if i != ell) if all_controls else ())
+        JustIdSpec(k_z, ell * half if all_controls else (ell - 1) * half + 1)
         for ell in range(1, k_z + 1)
     ]
 
@@ -140,46 +173,6 @@ def _popcount(values: np.ndarray, k: int) -> np.ndarray:
     for bit in range(k):
         count += (values >> bit) & 1
     return count
-
-
-def _check_specs(
-    specs: list[JustIdSpec], ids: np.ndarray, ell: np.ndarray, controls: np.ndarray,
-    n_controls: np.ndarray, k: int,
-) -> None:
-    """Raise :class:`~faskit.errors.SpecMismatchError`, naming the first
-    such spec's label, when a spec's ``spec_id - 1`` in ``ids`` is out of
-    range for ``k`` instruments, or names another instrument or another set
-    of controls than the spec holds. ``ell``, ``controls`` and
-    ``n_controls`` are the 0-based instrument, the control bitmask and the
-    control count that each id names. Controls may be listed in any order.
-    Reads each spec's fields once; the rest is array arithmetic."""
-    count = len(specs)
-    index = np.fromiter(map(attrgetter("instrument_index"), specs), np.int64, count)
-    subsets = list(map(attrgetter("control_subset"), specs))
-    sizes = np.fromiter(map(len, subsets), np.int64, count)
-    valid = (ids >= 0) & (ids < k << (k - 1))
-    bad = ~valid | (index != ell + 1) | (sizes != n_controls)
-    if not bad.any():
-        # with as many controls as the id names, and no repeats, the sum of
-        # their bits is the id's bitmask exactly when the sets agree; a
-        # repeat leaves the sum fewer set bits than controls
-        flat = np.fromiter(chain.from_iterable(subsets), np.int64, int(sizes.sum()))
-        owner = np.repeat(np.arange(count), sizes)
-        bits = np.bincount(owner, np.ldexp(1.0, np.clip(flat - 1, 0, k)), count)
-        bad = bits != controls
-        bad[owner[(flat < 1) | (flat > k)]] = True
-    if bad.any():
-        first = int(np.argmax(bad))
-        spec = specs[first]
-        if valid[first]:
-            named = tuple(i + 1 for i in range(k) if controls[first] >> i & 1)
-            names = f"names {_label(int(ell[first]) + 1, named)!r}"
-        else:
-            names = f"is outside 1..{k << (k - 1)} for {k} instruments"
-        raise SpecMismatchError(
-            f"spec {spec.label!r} has instrument {spec.instrument_index} and controls "
-            f"{spec.control_subset}, but its spec_id {spec.spec_id} {names}"
-        )
 
 
 def _inverse_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,8 +228,8 @@ def spec_coefficients(
     ``A``, the degenerate mask and each spec's control count ``|C|``.
 
     Each spec's subset ``S = C ∪ {l}`` is read from its ``spec_id``; a spec
-    whose ``instrument_index`` or ``control_subset`` is not the one that
-    ``spec_id`` names raises :class:`~faskit.errors.SpecMismatchError`. By the
+    whose ``k_z`` is not ``R``'s column count raises
+    :class:`~faskit.errors.DimensionMismatchError`. By the
     partitioned inverse, ``a_S = H[:, l] / H[l, l]`` with ``H = (G_SS)⁻¹``,
     so the specs need one inverse per distinct subset, taken for a stack of
     subsets per subset size. A subset whose inverse fails the guard of
@@ -247,6 +240,11 @@ def spec_coefficients(
     chosen per subset, so a spec's ``a`` does not depend on the other specs.
     """
     k = R.shape[1]
+    other = next((s for s in specs if s.k_z != k), None)
+    if other is not None:
+        raise DimensionMismatchError(
+            f"spec {other.label!r} is one of {other.k_z} instruments, but R has {k} columns"
+        )
     ids = np.fromiter((s.spec_id - 1 for s in specs), dtype=np.int64, count=len(specs))
     ell = ids >> (k - 1)
     mask = ids & ((1 << (k - 1)) - 1)
@@ -255,7 +253,6 @@ def spec_coefficients(
     subset = controls | (1 << ell)
     position = _popcount(subset & below, k)
     size = _popcount(subset, k)
-    _check_specs(specs, ids, ell, controls, size - 1, k)
     # the distinct subsets, sorted; np.unique would do, at a higher peak RSS
     present = np.zeros(1 << k, dtype=bool)
     present[subset] = True

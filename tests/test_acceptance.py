@@ -69,7 +69,7 @@ def test_criterion_1_example_frontier_exact(tmp_path):
     pi_t, psi_t = population_spec_moments(model, excl_specs)
     named = {0.0: (0.0, 1.0, 3.0), 0.5: (0.5, 0.5, 2.5),
              1.0: (1.0, 0.0, 2.0), 3.0: (3.0, 2.0, 0.0)}
-    for pt in frontier(pi_t, psi_t, np.arange(3), np.array(sorted(named))):
+    for pt in frontier(pi_t, psi_t, np.ones(3, dtype=bool), np.array(sorted(named))):
         want = np.array(named[pt.b])
         assert np.max(np.abs(pt.delta - want)) <= 1e-12
         assert pt.on_frontier

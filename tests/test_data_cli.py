@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from faskit import (
 )
 from faskit import data as data_module
 from faskit.cli import (
-    RunConfig,
+    entry,
     load_model,
     main,
     oracle_report,
@@ -310,7 +311,7 @@ def _seeded_dataset(k=2, seed=149, n=400):
 
 def test_run_report_shape_and_consistency():
     data = _seeded_dataset()
-    report = run(data, RunConfig(mode="all"))
+    report = run(data)
     assert len(report["specs"]) == 4
     assert set(report["fas"]) == {"excl", "exo", "general"}
     # interval re-derivable from the per-spec records
@@ -339,12 +340,12 @@ def test_run_report_shape_and_consistency():
 
 
 def test_report_json_round_trip():
-    report = run(_seeded_dataset(k=3), RunConfig(mode="all", pairwise=True))
+    report = run(_seeded_dataset(k=3), pairwise=True)
     assert json.loads(json.dumps(report)) == report
 
 
 def test_text_report_carries_the_same_numbers():
-    report = run(_seeded_dataset(), RunConfig(mode="all"))
+    report = run(_seeded_dataset())
     text = render_estimate_text(report)
     assert "%.4g" % report["tsls"]["beta_2sls"] in text
     for row in report["specs"]:
@@ -354,7 +355,7 @@ def test_text_report_carries_the_same_numbers():
 
 
 def test_oracle_report_modes():
-    report = oracle_report(example1_model(), RunConfig(mode="all", frontier_grid=11))
+    report = oracle_report(example1_model(), frontier_grid=11)
     section = report["modes"]["excl"]
     assert section["interval"] == [0.0, 3.0]
     assert len(section["frontier"]) == 11
@@ -397,7 +398,7 @@ def test_cli_estimate_text_and_json(tmp_path):
     assert report["schema_version"] == 1
     assert report["n"] == data.n
     assert len(report["pairwise"]) == 1
-    same = run(data.with_arrays(data.y, data.x, data.Z), RunConfig(mode="all"))
+    same = run(data.with_arrays(data.y, data.x, data.Z))
     assert report["tsls"]["beta_2sls"] == pytest.approx(
         same["tsls"]["beta_2sls"], rel=1e-12
     )
@@ -706,3 +707,14 @@ def test_console_script_prints_one_line_error_and_exits_1(tmp_path):
     assert proc.stderr.startswith("error:")
     assert "nope.csv" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_cli_oracle_refuses_a_one_point_grid(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, "beta = 1.0\npi = 1.0, 1.0\n", "two.model")
+    monkeypatch.setattr(sys, "argv", ["faskit", "oracle", "--model", path, "--grid", "1"])
+    with pytest.raises(SystemExit) as exit_info:
+        entry()
+    assert exit_info.value.code == 1
+    out, err = capsys.readouterr()
+    assert err == "error: frontier grid needs at least 2 points, got 1\n"
+    assert out == ""

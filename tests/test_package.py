@@ -33,3 +33,19 @@ def test_importing_the_cli_loads_neither_subprocess_nor_the_float_workers():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_error_class_is_raised_somewhere():
+    # an error class that nothing raises is dead code
+    from faskit import errors
+
+    package = Path(faskit.__file__).resolve().parent
+    source = "\n".join(
+        path.read_text(encoding="utf-8") for path in package.glob("*.py") if path.name != "errors.py"
+    )
+    classes = [
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.FaskitError) and obj is not errors.FaskitError
+    ]
+    unraised = [name for name in classes if not re.search(rf"\b{name}\(", source)]
+    assert classes and not unraised, f"error classes with no raise site: {unraised}"
