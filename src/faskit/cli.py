@@ -3,15 +3,19 @@
 Three subcommands: ``estimate`` (CSV in, FAS report out), ``oracle``
 (population model in, population FAS and falsification frontier out), and
 ``simulate`` (model in, synthetic CSV and/or Monte Carlo summary out).
-Reports are built once as plain dictionaries; the text and JSON emitters
+Reports are built once as dictionaries whose ``specs`` blocks are
+:class:`SpecRows`: spec rows kept as columns, which
+:mod:`faskit.jsontext` writes a block of rows at a time and which yield
+their rows as plain dictionaries when iterated. The text and JSON emitters
 render the same in-memory numbers.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import os
 import sys
+from collections.abc import Iterator
 
 import click
 import numpy as np
@@ -29,8 +33,9 @@ from .fas import (
     fas_frontier,
     population_fas_by_mode,
 )
-from .jsontext import indented_chunks
+from .jsontext import Rows, indented_chunks
 from .linalg import partial_out
+from .specs import spec_fields
 
 SCHEMA_VERSION = 1
 
@@ -140,38 +145,74 @@ def _interval_json(interval: tuple[float, float] | None):
     return [float(interval[0]), float(interval[1])]
 
 
-def _nullable(column: np.ndarray) -> list:
-    """A float column as a list, with NaN (no estimate) as None."""
-    return [None if math.isnan(v) else v for v in column.tolist()]
+# The members a report row takes from its spec_id, with their kinds.
+_ID_FIELDS = {
+    "spec_id": "int", "label": "str", "instrument_index": "int", "control_subset": "ints",
+}
+
+
+class SpecRows(Rows):
+    """The rows of a report's ``specs`` block, kept as columns.
+
+    Each row leads with the ``id_keys`` members of its spec, some of
+    "spec_id", "label", "instrument_index" and "control_subset" in that
+    order, decoded from ``spec_ids`` only for the block of rows being
+    written or iterated. Then come ``columns``, ``(key, kind, array)`` each,
+    with :class:`faskit.jsontext.Rows` kinds.
+    """
+
+    def __init__(self, k_z: int, spec_ids: np.ndarray, id_keys: tuple[str, ...], columns: list):
+        self.k_z, self.spec_ids, self.id_keys, self.columns = k_z, spec_ids, id_keys, columns
+        self.fields = tuple((key, _ID_FIELDS[key]) for key in id_keys) + tuple(
+            (key, kind) for key, kind, _ in columns
+        )
+
+    def __len__(self) -> int:
+        return len(self.spec_ids)
+
+    def block(self, start: int, stop: int) -> list:
+        ids = self.spec_ids[start:stop]
+        instrument, controls, labels = spec_fields(self.k_z, ids)
+        decoded = {
+            "spec_id": ids, "label": labels, "instrument_index": instrument,
+            "control_subset": controls,
+        }
+        return [decoded[key] for key in self.id_keys] + [
+            values[start:stop] for _, _, values in self.columns
+        ]
 
 
 _ESTIMATES = ("beta_hat", "se", "pi_hat", "psi_hat")
 
 
-def _spec_rows(result: FasResult) -> dict[int, dict]:
-    """The report row of each spec in the result's table, by spec_id."""
-    t = result.table
-    numbers = zip(*(_nullable(getattr(t, c)) for c in _ESTIMATES), t.f_stat.tolist())
-    return {
-        spec.spec_id: {
-            "spec_id": spec.spec_id,
-            "label": spec.label,
-            "instrument_index": spec.instrument_index,
-            "control_subset": list(spec.control_subset),
-            **dict(zip(_ESTIMATES + ("f_stat",), values)),
-            "status": status,
-        }
-        for spec, values, status in zip(t.specs, numbers, result.status.tolist())
-    }
+def _estimate_rows(results: dict[Mode, FasResult], k_z: int) -> SpecRows:
+    """The ``specs`` rows of an estimate report: the union of the results'
+    tables in spec_id order. A spec in several modes' families has the same
+    row and status in each, from the one sweep, so any copy serves."""
+    tables = [r.table for r in results.values()]
+    ids = np.concatenate([t.spec_ids for t in tables])
+    # a row of each id, without the sort of np.unique, which costs peak RSS
+    row = np.full(ids.max() + 1, -1)
+    row[ids] = np.arange(len(ids))
+    ids = np.flatnonzero(row >= 0)
+    pick = row[ids]
+
+    def union(columns: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(columns)[pick]
+
+    columns = [(name, "float?", union([getattr(t, name) for t in tables])) for name in _ESTIMATES]
+    columns.append(("f_stat", "float", union([t.f_stat for t in tables])))
+    columns.append(("status", "str", union([r.status for r in results.values()])))
+    return SpecRows(k_z, ids, tuple(_ID_FIELDS), columns)
 
 
 def _fas_section(result: FasResult) -> dict:
-    selected = [spec.spec_id for spec, keep in zip(result.table.specs, result.selected) if keep]
+    selected = result.table.spec_ids[result.selected].tolist()
     return {
         "interval": _interval_json(result.interval),
         "selected": selected,
         "n_selected": len(selected),
-        "n_specs": len(result.table.specs),
+        "n_specs": len(result.table.spec_ids),
     }
 
 
@@ -221,13 +262,14 @@ def run(
     selection status, and one interval per requested mode. A 2SLS fit that
     fails (rank-deficient instruments, a first stage orthogonal to them, too
     few rows) is recorded as its failure code, and the rest of the report
-    stands. Everything in it is JSON-serializable.
+    stands.
+
+    ``report["specs"]`` is a :class:`SpecRows`, which yields the row dicts
+    when iterated. The report serializes through :mod:`faskit.jsontext`;
+    plain ``json.dumps`` needs ``list(report["specs"])`` in its place.
     """
     partialled = partial_out(dataset)
     results = fas_by_mode(partialled, _modes(mode), cutoff, robust_flavor)
-    spec_rows = {}
-    for result in results.values():
-        spec_rows.update(_spec_rows(result))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -243,7 +285,7 @@ def run(
         "cutoff": float(cutoff),
         "robust": robust_flavor,
         "tsls": _tsls_section(partialled, robust_flavor),
-        "specs": [spec_rows[spec_id] for spec_id in sorted(spec_rows)],
+        "specs": _estimate_rows(results, dataset.k_z),
         "fas": {each.value: _fas_section(result) for each, result in results.items()},
     }
     if pairwise:
@@ -263,9 +305,12 @@ def oracle_report(
 
     Each frontier point's ``"delta"`` is a float64 row view of its mode's
     (grid x specs) delta matrix, not a list, so that no Python float is made
-    for a delta that is never written (the text report prints none). The
-    report serializes through :mod:`faskit.jsontext`, which writes an array
-    as its ``tolist()``; plain ``json.dumps`` needs the rows as ``.tolist()``.
+    for a delta that is never written (the text report prints none), and
+    each mode's ``"specs"`` is a :class:`SpecRows`. The report serializes
+    through :mod:`faskit.jsontext`, which writes an array as its
+    ``tolist()`` and a :class:`SpecRows` as the list of its rows; plain
+    ``json.dumps`` needs the arrays as ``.tolist()`` and the spec rows as
+    ``list()``.
     """
     if frontier_grid < 2:
         raise ValueError(f"frontier grid needs at least 2 points, got {frontier_grid}")
@@ -273,23 +318,13 @@ def oracle_report(
     for each, result in population_fas_by_mode(model, _modes(mode)).items():
         points = [] if result.interval is None else fas_frontier(result, frontier_grid)
         t = result.table
-        columns = zip(
-            t.specs, t.pi_hat.tolist(), t.psi_hat.tolist(), _nullable(t.beta_hat),
-            result.selected.tolist(),
-        )
+        columns = [
+            ("pi", "float", t.pi_hat), ("psi", "float", t.psi_hat),
+            ("ratio", "float?", t.beta_hat), ("relevant", "bool", result.selected),
+        ]
         sections[each.value] = {
             "interval": _interval_json(result.interval),
-            "specs": [
-                {
-                    "spec_id": spec.spec_id,
-                    "label": spec.label,
-                    "pi": pi,
-                    "psi": psi,
-                    "ratio": ratio,
-                    "relevant": relevant,
-                }
-                for spec, pi, psi, ratio, relevant in columns
-            ],
+            "specs": SpecRows(model.k_z, t.spec_ids, ("spec_id", "label"), columns),
             "frontier": [
                 {
                     "b": float(p.b),
@@ -406,131 +441,130 @@ def _fmt_interval(interval) -> str:
     return f"[{_fmt(float(lo))}, {_fmt(float(hi))}]"
 
 
-def _table(header: list[str], rows: list[list[str]]) -> list[str]:
+def _table(header: list[str], rows) -> Iterator[str]:
+    """The lines of a table with left-aligned columns, right-stripped.
+
+    ``rows`` is a function that returns an iterable of the rows' cells. It
+    is called twice, for the column widths and then for the lines, so no
+    row's cells are held beyond its line."""
     widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return lines
+    for row in rows():
+        widths = list(map(max, widths, map(len, row)))
+    yield "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()
+    for row in rows():
+        yield "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
 
 
 _FAS_TITLES = {"excl": "FAS_excl", "exo": "FAS_exo", "general": "FAS"}
 
 
+def _text(lines: Iterator[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
 def render_estimate_text(report: dict) -> str:
-    lines = [
-        f"data: {report['provenance']} "
-        f"(n={report['n']}, dropped={report['dropped_rows']})",
-        "instruments: "
-        + ", ".join(
-            f"Z{i + 1}={name}" for i, name in enumerate(report["instruments"])
-        ),
-    ]
+    return _text(_estimate_lines(report))
+
+
+def _estimate_lines(report: dict) -> Iterator[str]:
+    yield f"data: {report['provenance']} (n={report['n']}, dropped={report['dropped_rows']})"
+    yield "instruments: " + ", ".join(
+        f"Z{i + 1}={name}" for i, name in enumerate(report["instruments"])
+    )
     if report["controls"]:
-        lines.append("controls: " + ", ".join(report["controls"]))
-    lines.append(
+        yield "controls: " + ", ".join(report["controls"])
+    yield (
         f"intercept: {'yes' if report['intercept'] else 'no'}   "
         f"robust: {report['robust']}   cutoff: {_fmt(report['cutoff'])}"
     )
-    lines.append("")
+    yield ""
 
     t = report["tsls"]
     if "failure" in t:
-        lines.append(f"2SLS (all instruments): not computed ({t['failure']})")
+        yield f"2SLS (all instruments): not computed ({t['failure']})"
     else:
         j_text = f"J={_fmt(t['j_stat'])}"
         if t["j_pvalue"] is not None:
             j_text += f" (p={_fmt(t['j_pvalue'])}, dof={t['j_dof']})"
         else:
             j_text += " (just identified)"
-        lines.append(
+        yield (
             f"2SLS (all instruments): beta={_fmt(t['beta_2sls'])}  se={_fmt(t['se'])}  "
             f"F={_fmt(t['first_stage_f'])}  {j_text}"
         )
-        lines.append(
-            "weights: "
-            + "  ".join(f"{w['instrument']}={_fmt(w['weight'])}" for w in t["weights"])
+        yield "weights: " + "  ".join(
+            f"{w['instrument']}={_fmt(w['weight'])}" for w in t["weights"]
         )
-    lines.append("")
+    yield ""
 
-    rows = [
-        [
-            str(s["spec_id"]),
-            s["label"],
-            _fmt(s["beta_hat"]),
-            _fmt(s["se"]),
-            _fmt(s["pi_hat"]),
-            _fmt(s["psi_hat"]),
-            _fmt(s["f_stat"]),
-            s["status"],
-        ]
-        for s in report["specs"]
-    ]
-    lines += _table(
-        ["id", "spec", "beta", "se", "pi", "psi", "F", "status"], rows
-    )
-    lines.append("")
+    def spec_cells():
+        for s in report["specs"]:
+            yield [
+                str(s["spec_id"]), s["label"], *(_fmt(s[key]) for key in _ESTIMATES),
+                _fmt(s["f_stat"]), s["status"],
+            ]
+
+    yield from _table(["id", "spec", "beta", "se", "pi", "psi", "F", "status"], spec_cells)
+    yield ""
     for name in ("excl", "exo", "general"):
         if name in report["fas"]:
             section = report["fas"][name]
-            lines.append(
+            yield (
                 f"{_FAS_TITLES[name]}: {_fmt_interval(section['interval'])} "
                 f"({section['n_selected']} of {section['n_specs']} specs selected)"
             )
     if "pairwise" in report:
-        lines.append("")
-        lines.append("pairwise 2SLS:")
+        yield ""
+        yield "pairwise 2SLS:"
         rows = [
             ["{" + row["labels"][0] + ", " + row["labels"][1] + "}"]
             + [_fmt(row.get(key)) for key in ("beta_2sls", "se", "first_stage_f", "j_stat", "j_pvalue")]
             + ([f"not computed ({row['failure']})"] if "failure" in row else [""])
             for row in report["pairwise"]
         ]
-        lines += _table(["pair", "beta", "se", "F", "J", "p", ""], rows)
-    return "\n".join(lines) + "\n"
+        yield from _table(["pair", "beta", "se", "F", "J", "p", ""], lambda: rows)
 
 
 def render_oracle_text(report: dict) -> str:
-    lines = [
-        f"model: {report['model_path']} (k_z={report['k_z']}, beta={_fmt(report['beta'])})",
-        "",
-    ]
+    return _text(_oracle_lines(report))
+
+
+def _oracle_lines(report: dict) -> Iterator[str]:
+    yield f"model: {report['model_path']} (k_z={report['k_z']}, beta={_fmt(report['beta'])})"
     for name, section in report["modes"].items():
-        lines.append(f"{_FAS_TITLES[name]}: {_fmt_interval(section['interval'])}")
-        rows = [
-            [
-                s["label"],
-                _fmt(s["pi"]),
-                _fmt(s["psi"]),
-                _fmt(s["ratio"]),
-                "yes" if s["relevant"] else "no",
-            ]
-            for s in section["specs"]
-        ]
-        lines += _table(["spec", "pi", "psi", "ratio", "relevant"], rows)
+        yield ""
+        yield f"{_FAS_TITLES[name]}: {_fmt_interval(section['interval'])}"
+
+        def spec_cells(specs=section["specs"]):
+            for s in specs:
+                yield [
+                    s["label"], _fmt(s["pi"]), _fmt(s["psi"]), _fmt(s["ratio"]),
+                    "yes" if s["relevant"] else "no",
+                ]
+
+        yield from _table(["spec", "pi", "psi", "ratio", "relevant"], spec_cells)
         points = section["frontier"]
-        on = [p for p in points if p["on_frontier"]]
+        on = sum(1 for p in points if p["on_frontier"])
         if points:
-            lines.append(
+            yield (
                 f"frontier: {len(points)} grid points on "
                 f"[{_fmt(points[0]['b'])}, {_fmt(points[-1]['b'])}]"
-                + (f", {len(on)} on the frontier" if on else "")
+                + (f", {on} on the frontier" if on else "")
             )
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
 
 
 def render_simulate_text(report: dict) -> str:
-    lines = [
+    return _text(_simulate_lines(report))
+
+
+def _simulate_lines(report: dict) -> Iterator[str]:
+    yield (
         f"simulated n={report['n']} seed={report['seed']} "
-        f"law={report['error_law']} replications={report['replications']}",
-    ]
+        f"law={report['error_law']} replications={report['replications']}"
+    )
     if report.get("csv_path"):
-        lines.append(f"wrote: {report['csv_path']}")
-    lines.append("")
+        yield f"wrote: {report['csv_path']}"
+    yield ""
     if "estimates" in report:
         rows = [
             [
@@ -540,7 +574,7 @@ def render_simulate_text(report: dict) -> str:
             ]
             for name in report["population"]
         ]
-        lines += _table(["mode", "population", "estimated"], rows)
+        yield from _table(["mode", "population", "estimated"], lambda: rows)
     else:
         rows = []
         for name in report["population"]:
@@ -557,41 +591,44 @@ def render_simulate_text(report: dict) -> str:
                 )
             else:
                 rows.append([_FAS_TITLES[name], _fmt_interval(report["population"][name]), "(all empty)", "0"])
-        lines += _table(["mode", "population", "estimated mean (sd)", "nonempty"], rows)
-    return "\n".join(lines) + "\n"
+        yield from _table(["mode", "population", "estimated mean (sd)", "nonempty"], lambda: rows)
 
 
-# Characters per write to stdout: pieces of JSON are joined up to this size,
-# and a larger piece is written alone. A write per piece costs more: click's
-# stdout stream is line-buffered, so each piece would be a system call.
+# Characters per write to stdout: pieces of a report are joined up to this
+# size, and a larger piece is written alone. A write per piece costs more:
+# click's stdout stream is line-buffered, so each piece would be a system call.
 _BLOCK = 1 << 16
 
 
-def _emit(report: dict, emit: str, renderer) -> None:
-    """Write the report to stdout as text, or as ``json.dumps(report,
-    indent=2)`` plus a newline, in blocks of about ``_BLOCK`` characters.
+def _emit(report: dict, emit: str, lines) -> None:
+    """Write the report to stdout as ``json.dumps(report, indent=2)`` plus a
+    newline, or as the text whose lines ``lines(report)`` yields, in blocks
+    of about ``_BLOCK`` characters.
 
     JSON blocks go straight to click's text stdout stream, flushed once at
     the end: json escapes the ESC character that starts an ANSI sequence,
     so the stripping and the flush that ``click.echo`` does per call would
-    change nothing. The writer's generator is closed on any way out, which stops
-    the float-formatting worker it may have started."""
-    if emit != "json":
-        click.echo(renderer(report), nl=False)
-        return
+    change nothing. Text blocks hold whole lines and go through
+    ``click.echo``, whose stripping of ANSI sequences then acts as on the
+    whole text. The generator is closed on any way out, which stops the
+    float-formatting worker the JSON writer may have started."""
     stdout = click.get_text_stream("stdout")
-    chunks = indented_chunks(report)
+    if emit == "json":
+        pieces, write, end = indented_chunks(report), stdout.write, "\n"
+    else:
+        pieces = (line + "\n" for line in lines(report))
+        write, end = functools.partial(click.echo, nl=False), ""
     pending: list[str] = []
     size = 0
     try:
-        for chunk in chunks:
-            if size + len(chunk) > _BLOCK:
-                stdout.write("".join(pending))
+        for piece in pieces:
+            if size + len(piece) > _BLOCK:
+                write("".join(pending))
                 pending, size = [], 0
-            pending.append(chunk)
-            size += len(chunk)
-        pending.append("\n")
-        stdout.write("".join(pending))
+            pending.append(piece)
+            size += len(piece)
+        pending.append(end)
+        write("".join(pending))
         stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (``| head``): stop, and end with
@@ -601,7 +638,7 @@ def _emit(report: dict, emit: str, renderer) -> None:
         # again and prints a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
-        chunks.close()
+        pieces.close()
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +696,7 @@ def estimate(
         dataset, mode=mode, cutoff=cutoff, robust_flavor=robust, pairwise=pairwise,
         dropped_rows=dropped,
     )
-    _emit(report, emit, render_estimate_text)
+    _emit(report, emit, _estimate_lines)
 
 
 @main.command()
@@ -670,7 +707,7 @@ def oracle(model_path, grid, mode, emit):
     """Population FAS and falsification frontier of a model file."""
     model, _ = load_model(model_path)
     report = oracle_report(model, mode=mode, frontier_grid=grid, model_path=model_path)
-    _emit(report, emit, render_oracle_text)
+    _emit(report, emit, _oracle_lines)
 
 
 @main.command("simulate")
@@ -700,7 +737,7 @@ def simulate_command(model_path, n, seed, out_path, reps, law, cutoff, mode, emi
         error_law=ErrorLaw(law),
         csv_path=out_path,
     )
-    _emit(report, emit, render_simulate_text)
+    _emit(report, emit, _simulate_lines)
 
 
 def entry() -> None:

@@ -40,8 +40,8 @@ TSLS_FAILURES = {
 
 @dataclass(eq=False)
 class SpecTable:
-    """Estimates of a list of just-identified specs: row i for ``specs[i]``,
-    one array per column.
+    """Estimates of just-identified specs of ``k_z`` instruments: row i for
+    the spec whose id is ``spec_ids[i]`` (int64), one array per column.
 
     ``beta_hat = z'y / z'x``, its robust ``se``, the first-stage and
     reduced-form coefficients ``pi_hat`` and ``psi_hat`` of x and y on the
@@ -55,7 +55,8 @@ class SpecTable:
     :func:`faskit.fas.population_fas_by_mode`.
     """
 
-    specs: list[JustIdSpec]
+    k_z: int
+    spec_ids: np.ndarray
     beta_hat: np.ndarray
     se: np.ndarray
     pi_hat: np.ndarray
@@ -68,10 +69,19 @@ class SpecTable:
         """Mask of the rows with no failure."""
         return np.equal(self.failure, None)
 
-    def take(self, positions: list[int]) -> SpecTable:
+    @property
+    def specs(self) -> list[JustIdSpec]:
+        """Each row's spec, built on each read: ``JustIdSpec(k_z, i)`` for
+        ``i`` in ``spec_ids``."""
+        return [JustIdSpec(self.k_z, i) for i in self.spec_ids.tolist()]
+
+    def take(self, positions) -> SpecTable:
         """The rows at ``positions``, in that order."""
-        columns = (self.beta_hat, self.se, self.pi_hat, self.psi_hat, self.f_stat, self.failure)
-        return SpecTable([self.specs[p] for p in positions], *(c[positions] for c in columns))
+        columns = (
+            self.spec_ids, self.beta_hat, self.se, self.pi_hat, self.psi_hat, self.f_stat,
+            self.failure,
+        )
+        return SpecTable(self.k_z, *(c[positions] for c in columns))
 
 
 @dataclass(eq=False)

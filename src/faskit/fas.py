@@ -20,7 +20,13 @@ from .data import Dataset
 from .errors import DimensionMismatchError, SingularSigmaError, ZeroFirstStageError
 from .estimators import SpecTable, iv_columns
 from .linalg import partial_out
-from .specs import JustIdSpec, enumerate_specs, instrument_specs, spec_coefficients
+from .specs import (
+    JustIdSpec,
+    _check_count,
+    as_spec_ids,
+    enumerate_specs,
+    spec_coefficients,
+)
 
 # Relative tolerance for population-level "pi != 0" decisions.
 POPULATION_RELEVANCE_TOL = 1e-12
@@ -165,25 +171,43 @@ def specs_for_mode(mode: Mode, k_z: int) -> list[JustIdSpec]:
     mode = Mode(mode)
     if mode == Mode.GENERAL:
         return enumerate_specs(k_z)
-    return instrument_specs(k_z, all_controls=mode == Mode.EXCL)
+    return [JustIdSpec(k_z, i) for i in _family_ids(mode, k_z).tolist()]
 
 
-def _mode_views(modes: list[Mode], k_z: int) -> tuple[list[JustIdSpec], dict[Mode, list[int]]]:
-    """The union of the modes' spec families in spec_id order, and the
+def _family_ids(mode: Mode, k_z: int) -> np.ndarray:
+    """The ids of :func:`specs_for_mode`, as int64 arithmetic: the whole
+    range for General, and per instrument l the id ``l·2^(k_z−1)`` for
+    Excl or ``(l−1)·2^(k_z−1) + 1`` for Exo."""
+    _check_count(k_z)
+    half = 1 << (k_z - 1)
+    if mode == Mode.GENERAL:
+        return np.arange(1, k_z * half + 1, dtype=np.int64)
+    ell = np.arange(1, k_z + 1, dtype=np.int64)
+    return ell * half if mode == Mode.EXCL else (ell - 1) * half + 1
+
+
+def _mode_views(modes: list[Mode], k_z: int) -> tuple[np.ndarray, dict[Mode, np.ndarray]]:
+    """The ids of the union of the modes' spec families, ascending, and the
     positions of each mode's family within it."""
-    families = {Mode(m): specs_for_mode(m, k_z) for m in modes}
-    by_id = {s.spec_id: s for family in families.values() for s in family}
-    union = [by_id[i] for i in sorted(by_id)]
-    position = {s.spec_id: pos for pos, s in enumerate(union)}
-    return union, {m: [position[s.spec_id] for s in f] for m, f in families.items()}
+    families = {Mode(m): _family_ids(Mode(m), k_z) for m in modes}
+    # the union, sorted; np.union1d would do, at a higher peak RSS
+    present = np.zeros((k_z << (k_z - 1)) + 1, dtype=bool)
+    for ids in families.values():
+        present[ids] = True
+    union = np.flatnonzero(present)
+    return union, {m: np.searchsorted(union, ids) for m, ids in families.items()}
 
 
 def estimate_specs(
     dataset: Dataset,
-    specs: list[JustIdSpec],
+    specs: list[JustIdSpec] | np.ndarray,
     robust_flavor: str = "hc1",
 ) -> SpecTable:
-    """Estimate a list of specifications, one or many, as one table.
+    """Estimate specifications, one or many, as one table.
+
+    ``specs`` is a list of :class:`~faskit.specs.JustIdSpec` or an array
+    of their ids; either is checked against the dataset's instrument count
+    first (:func:`~faskit.specs.as_spec_ids`), and the table holds the ids.
 
     The dataset is partialled of its intercept and controls first (a no-op
     on an already-partialled one), so by Frisch-Waugh-Lovell the estimates
@@ -200,22 +224,24 @@ def estimate_specs(
     then "insufficient-observations", and nothing is solved.
     """
     dataset = partial_out(dataset)
+    ids = as_spec_ids(specs, dataset.k_z)
+    m = len(ids)
     if dataset.n <= 1 + dataset.n_absorbed:
-        failed = np.full(len(specs), "insufficient-observations", dtype=object)
-        nan = [np.full(len(specs), np.nan) for _ in range(4)]
-        return SpecTable(specs, *nan, np.zeros(len(specs)), failed)
+        failed = np.full(m, "insufficient-observations", dtype=object)
+        nan = [np.full(m, np.nan) for _ in range(4)]
+        return SpecTable(dataset.k_z, ids, *nan, np.zeros(m), failed)
     R = np.linalg.qr(dataset.Z, mode="r")
     width = max(1, _BLOCK_ELEMENTS // dataset.n)
     blocks, solves = [], []
-    for first in range(0, len(specs), _SOLVE_SPECS):
-        A, degenerate, n_controls = spec_coefficients(R, specs[first : first + _SOLVE_SPECS])
+    for first in range(0, m, _SOLVE_SPECS):
+        A, degenerate, n_controls = spec_coefficients(R, ids[first : first + _SOLVE_SPECS])
         solves.append((degenerate, n_controls))
         for start in range(0, A.shape[1], width):
             W = np.matmul(dataset.Z, A[:, start : start + width].T[:, :, None])[:, :, 0]
             blocks.append(iv_columns(W, dataset.x, dataset.y, dataset.n_absorbed, robust_flavor))
     *values, f_stat, zero = (np.concatenate(c) for c in zip(*blocks))
     degenerate, n_controls = (np.concatenate(c) for c in zip(*solves))
-    failure = np.full(len(specs), None, dtype=object)
+    failure = np.full(m, None, dtype=object)
     failure[zero] = "zero-first-stage"
     failure[degenerate] = "degenerate"
     failure[dataset.n <= 1 + n_controls + dataset.n_absorbed] = "insufficient-observations"
@@ -223,7 +249,7 @@ def estimate_specs(
     for column in values:
         column[failed] = np.nan
     f_stat[failed] = 0.0
-    return SpecTable(specs, *values, f_stat, failure)
+    return SpecTable(dataset.k_z, ids, *values, f_stat, failure)
 
 
 def fas_from_estimates(table: SpecTable, cutoff: float, mode: Mode) -> FasResult:
@@ -281,7 +307,7 @@ def fas_estimate(
 # population oracle
 
 def population_spec_moments(
-    model: PopulationModel, specs: list[JustIdSpec]
+    model: PopulationModel, specs: list[JustIdSpec] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Population first-stage and reduced-form coefficients per spec.
 
@@ -295,35 +321,52 @@ def population_spec_moments(
     It runs :data:`_SOLVE_SPECS` specs at a time; ``validate()`` bounds the
     condition number of ``sigma_z``, so no spec is degenerate, and most
     take the batched subset inverse of :func:`spec_coefficients`.
+    ``specs`` is a list of :class:`~faskit.specs.JustIdSpec` or an array of
+    their ids, as for :func:`estimate_specs`.
 
     Returns (pi~, psi~) arrays aligned with ``specs``.
     """
-    model.validate()
-    R = np.linalg.cholesky(model.sigma_z).T
-    cov_zx = model.sigma_z @ model.pi
-    cov_zy = model.sigma_z @ (model.pi * model.beta + model.gamma) + model.alpha
-    moments = []
-    for first in range(0, len(specs), _SOLVE_SPECS):
-        A, _, _ = spec_coefficients(R, specs[first : first + _SOLVE_SPECS])
-        # one product per spec, so that no spec's bits depend on its family
-        a = A.T[:, :, None]
-        variance = np.sum(np.matmul(R, a)[:, :, 0] ** 2, axis=1)
-        moments.append([np.matmul(cov, a)[:, 0] / variance for cov in (cov_zx, cov_zy)])
-    pi_t, psi_t = (np.concatenate(c) for c in zip(*moments))
+    pi_t, psi_t, _ = _population_moments(model, specs)
     return pi_t, psi_t
 
 
-def _relevance_mask(pi_t: np.ndarray) -> np.ndarray:
-    return np.abs(pi_t) > POPULATION_RELEVANCE_TOL * np.max(np.abs(pi_t), initial=1.0)
+def _population_moments(
+    model: PopulationModel, specs: list[JustIdSpec] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`population_spec_moments`, and the mask of the relevant specs:
+    ``|a'cov(Z, x)| > 1e-12 * sqrt(|R a|^2 * var(x))``, that is
+    ``|corr(Z_res, x)| > 1e-12``, with ``var(x) = pi' sigma_z pi + var_v``."""
+    model.validate()
+    ids = as_spec_ids(specs, model.k_z)
+    R = np.linalg.cholesky(model.sigma_z).T
+    cov_zx = model.sigma_z @ model.pi
+    cov_zy = model.sigma_z @ (model.pi * model.beta + model.gamma) + model.alpha
+    var_x = float(model.pi @ cov_zx) + model.var_v
+    moments = []
+    for first in range(0, len(ids), _SOLVE_SPECS):
+        A, _, _ = spec_coefficients(R, ids[first : first + _SOLVE_SPECS])
+        # one product per spec, so that no spec's bits depend on its family
+        a = A.T[:, :, None]
+        variance = np.sum(np.matmul(R, a)[:, :, 0] ** 2, axis=1)
+        zx, zy = (np.matmul(cov, a)[:, 0] for cov in (cov_zx, cov_zy))
+        relevant = np.abs(zx) > POPULATION_RELEVANCE_TOL * np.sqrt(variance * var_x)
+        moments.append([zx / variance, zy / variance, relevant])
+    pi_t, psi_t, relevant = (np.concatenate(c) for c in zip(*moments))
+    return pi_t, psi_t, relevant
+
+
+def _relevance_mask(pi: np.ndarray) -> np.ndarray:
+    """:func:`identified_set`'s rule for an arbitrary ``pi``."""
+    return np.abs(pi) > POPULATION_RELEVANCE_TOL * np.max(np.abs(pi), initial=1.0)
 
 
 def _population_result(
-    mode: Mode, specs: list[JustIdSpec], pi_t: np.ndarray, psi_t: np.ndarray
+    mode: Mode, table_ids: np.ndarray, k_z: int,
+    pi_t: np.ndarray, psi_t: np.ndarray, relevant: np.ndarray,
 ) -> FasResult:
-    relevant = _relevance_mask(pi_t)
     ratio = np.divide(psi_t, pi_t, out=np.full_like(psi_t, np.nan), where=relevant)
     table = SpecTable(
-        specs, ratio, np.full_like(psi_t, np.nan), pi_t, psi_t,
+        k_z, table_ids, ratio, np.full_like(psi_t, np.nan), pi_t, psi_t,
         np.where(relevant, np.inf, 0.0), np.where(relevant, None, "zero-first-stage"),
     )
     return FasResult(mode, _span(table, relevant), table, relevant)
@@ -332,17 +375,22 @@ def _population_result(
 def population_fas_by_mode(model: PopulationModel, modes: list[Mode]) -> dict[Mode, FasResult]:
     """Population FAS of each requested mode from one set of moments.
 
-    :func:`population_spec_moments` runs once over the union of the modes'
-    families; each mode's result views its own family in it. Relevance is
-    exact: |pi~| above 1e-12 relative to the mode family's largest. Each
-    table holds every spec's pi~ and psi~, with beta_hat their ratio, f_stat
-    +inf (no sampling variance) and ``selected`` True where relevant; an
-    irrelevant spec has failure "zero-first-stage" and NaN beta_hat and se.
+    The population moments run once over the union of the modes' families;
+    each mode's result views its own family in it. A spec is relevant when
+    ``|corr(Z_res, x)| > 1e-12``, the rule of the sample sweep's
+    zero-first-stage check, with ``var(x) = pi' sigma_z pi + var_v``. The
+    rule reads no other spec, so a spec is relevant in every mode or in
+    none, and Excl and Exo nest in General. Each table holds every spec's
+    pi~ and psi~, with beta_hat their ratio, f_stat +inf (no sampling
+    variance) and ``selected`` True where relevant; an irrelevant spec has
+    failure "zero-first-stage" and NaN beta_hat and se.
     """
     family, views = _mode_views(modes, model.k_z)
-    pi_t, psi_t = population_spec_moments(model, family)
+    pi_t, psi_t, relevant = _population_moments(model, family)
     return {
-        mode: _population_result(mode, [family[pos] for pos in view], pi_t[view], psi_t[view])
+        mode: _population_result(
+            mode, family[view], model.k_z, pi_t[view], psi_t[view], relevant[view]
+        )
         for mode, view in views.items()
     }
 
@@ -367,11 +415,11 @@ def _finite(name: str, values) -> np.ndarray:
 
 
 def _identified_sets(
-    pi: np.ndarray, psi: np.ndarray, delta: np.ndarray
+    pi: np.ndarray, psi: np.ndarray, delta: np.ndarray, rel: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(lo, hi, empty)`` of :func:`identified_set` at each row of a
-    (grid x components) delta matrix, in one array pass."""
-    rel = _relevance_mask(pi)
+    """``(lo, hi, empty)`` of the identified set at each row of a (grid x
+    components) delta matrix, in one array pass; the components that
+    ``rel`` marks count as ``pi_j != 0``, the others as ``pi_j == 0``."""
     empty = np.any(np.abs(psi[~rel]) > delta[:, ~rel], axis=1)
     center = psi[rel] / pi[rel]
     radius = delta[:, rel]
@@ -397,7 +445,9 @@ def identified_set(
 
     Componentwise: with pi_j != 0 the constraint is the interval
     psi_j/pi_j +- delta_j/|pi_j|; with pi_j == 0 it is everything when
-    |psi_j| <= delta_j and empty otherwise. Returns the intersection as
+    |psi_j| <= delta_j and empty otherwise. A component counts as pi_j != 0
+    when ``|pi_j| > 1e-12 * max(1, max_i |pi_i|)``: the vector carries no
+    scale of its own, so its largest entry sets one. Returns the intersection as
     (lo, hi), which may have infinite endpoints when no component pins a
     side, or None when the intersection is empty.
 
@@ -414,7 +464,7 @@ def identified_set(
         )
     if not np.all(delta >= 0.0):
         raise ValueError("delta components must be nonnegative, not NaN")
-    lo, hi, empty = _identified_sets(pi, psi, delta[None, :])
+    lo, hi, empty = _identified_sets(pi, psi, delta[None, :], _relevance_mask(pi))
     return None if empty[0] else (float(lo[0]), float(hi[0]))
 
 
@@ -443,7 +493,9 @@ def frontier(
     -------
     list of FrontierPoint
         For each b: delta_j(b) = |psi_j - b * pi_j| and the identified set
-        at that delta, which is {b} itself on the frontier; an empty grid
+        at that delta, which is {b} itself on the frontier; it reads a
+        component as ``pi_j != 0`` by :func:`identified_set`'s rule, not by
+        ``relevant`` (:func:`fas_frontier` reads its FAS's own mask). An empty grid
         gives an empty list. The (grid x components) delta matrix is formed
         once, and each point's ``delta`` is one of its rows. The
         identified-set kernel takes the matrix a block of rows at a time,
@@ -456,6 +508,16 @@ def frontier(
         If ``pi`` and ``psi`` differ in length, ``relevant`` is not a boolean
         mask of their length, or no component is relevant.
     """
+    return _frontier(pi, psi, relevant, b_grid, None)
+
+
+def _frontier(
+    pi: np.ndarray, psi: np.ndarray, relevant: np.ndarray, b_grid: np.ndarray,
+    nonzero: np.ndarray | None,
+) -> list[FrontierPoint]:
+    """:func:`frontier`, whose identified sets read the components that
+    ``nonzero`` marks as ``pi_j != 0``; None reads them by
+    :func:`identified_set`'s rule."""
     pi, psi, b = _finite("pi", pi), _finite("psi", psi), _finite("b_grid", b_grid)
     m = pi.shape[0]
     if psi.shape[0] != m:
@@ -479,9 +541,13 @@ def frontier(
 
     delta = np.multiply.outer(b, pi)
     np.abs(np.subtract(psi, delta, out=delta), out=delta)
+    if nonzero is None:
+        nonzero = _relevance_mask(pi)
     # the kernel treats each row on its own, so blocks give the bits of one pass
     rows = max(1, _BLOCK_ELEMENTS // m)
-    blocks = [_identified_sets(pi, psi, delta[i : i + rows]) for i in range(0, b.size, rows)]
+    blocks = [
+        _identified_sets(pi, psi, delta[i : i + rows], nonzero) for i in range(0, b.size, rows)
+    ]
     lo, hi, empty = (np.concatenate(c) for c in zip(*blocks))
     return [
         FrontierPoint(b=b_j, delta=row, identified_set=None if e else (lo_j, hi_j), on_frontier=on)
@@ -495,7 +561,10 @@ def fas_frontier(result: FasResult, grid_points: int = 201) -> list[FrontierPoin
     """Frontier of a population FAS over an even grid spanning it.
 
     The grid runs from the smallest to the largest relevant ratio with
-    ``grid_points`` points; a degenerate span yields a single point.
+    ``grid_points`` points; a degenerate span yields a single point. The
+    identified sets read the specs that ``result.selected`` marks as the
+    ones with ``pi~ != 0``, so the frontier and the interval rest on one
+    relevance decision.
 
     Raises
     ------
@@ -506,4 +575,5 @@ def fas_frontier(result: FasResult, grid_points: int = 201) -> list[FrontierPoin
         raise ZeroFirstStageError("no relevant component; frontier is undefined")
     lo, hi = result.interval
     grid = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
-    return frontier(result.table.pi_hat, result.table.psi_hat, result.selected, grid)
+    t = result.table
+    return _frontier(t.pi_hat, t.psi_hat, result.selected, grid, result.selected)

@@ -10,6 +10,7 @@ controls in C, so its estimand is a ratio of two simple regressions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,16 +155,65 @@ def make_spec(k_z: int, ell: int, subset: tuple[int, ...]) -> JustIdSpec:
     return JustIdSpec(k_z, ((ell - 1) << (k_z - 1)) + mask + 1)
 
 
-def instrument_specs(k_z: int, all_controls: bool) -> list[JustIdSpec]:
-    """One spec per instrument l, equal to its :func:`enumerate_specs` entry:
-    with all other instruments as controls, id ``l·2^(k_z−1)``, or with none,
-    id ``(l−1)·2^(k_z−1) + 1``. Raises as :func:`enumerate_specs` does."""
+def as_spec_ids(specs: list[JustIdSpec] | np.ndarray, k_z: int) -> np.ndarray:
+    """``specs`` as a 1-D int64 array of spec ids of ``k_z`` instruments.
+
+    ``specs`` is a sequence of :class:`JustIdSpec` or of ids, such as an
+    id array. A spec of another instrument count raises
+    :class:`~faskit.errors.DimensionMismatchError`, an id outside
+    ``1..spec_count(k_z)`` raises ``ValueError``, and ids that are not
+    integers raise ``TypeError``.
+    """
     _check_count(k_z)
-    half = 1 << (k_z - 1)
-    return [
-        JustIdSpec(k_z, ell * half if all_controls else (ell - 1) * half + 1)
-        for ell in range(1, k_z + 1)
+    if not isinstance(specs, np.ndarray):
+        specs = list(specs)
+        if specs and isinstance(specs[0], JustIdSpec):
+            other = next(
+                (s for s in specs if not (isinstance(s, JustIdSpec) and s.k_z == k_z)), None
+            )
+            if isinstance(other, JustIdSpec):
+                raise DimensionMismatchError(
+                    f"spec {other.label!r} is one of {other.k_z} instruments, not {k_z}"
+                )
+            if other is not None:
+                raise TypeError(f"{other!r} is not a JustIdSpec")
+            specs = [s.spec_id for s in specs]
+    ids = np.asarray(specs)
+    if ids.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise TypeError(f"spec ids must be a 1-D sequence of ints, got {ids.dtype} {ids.shape}")
+    ids = ids.astype(np.int64, copy=False)
+    top = k_z << (k_z - 1)
+    if ids.min() < 1 or ids.max() > top:
+        bad = ids[(ids < 1) | (ids > top)][0]
+        raise ValueError(f"spec_id {bad} is outside 1..{top} for {k_z} instruments")
+    return ids
+
+
+def _controls(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based instrument of each ``spec_id - 1`` in ``bits``, and its
+    controls as a k-bit mask, bit i for Z_(i+1)."""
+    ell = bits >> (k - 1)
+    mask = bits & ((1 << (k - 1)) - 1)
+    below = (1 << ell) - 1
+    return ell, (mask & below) | ((mask >> ell) << (ell + 1))
+
+
+def spec_fields(k_z: int, ids: np.ndarray) -> tuple[np.ndarray, list[list[int]], list[str]]:
+    """The ``instrument_index``, ``control_subset`` (as a list) and
+    ``label`` of :class:`JustIdSpec` for each of the int64 ``ids``, decoded
+    in bulk without building a spec."""
+    ell, controls = _controls(ids - 1, k_z)
+    member = (controls[:, None] >> np.arange(k_z)) & 1
+    flat = iter((np.nonzero(member)[1] + 1).tolist())
+    subsets = [list(itertools.islice(flat, size)) for size in member.sum(axis=1).tolist()]
+    instrument = ell + 1
+    labels = [
+        f"Z{i}|{','.join(map(str, subset))}" if subset else f"Z{i}"
+        for i, subset in zip(instrument.tolist(), subsets)
     ]
+    return instrument, subsets, labels
 
 
 def _popcount(values: np.ndarray, k: int) -> np.ndarray:
@@ -216,7 +266,7 @@ def _lstsq_coefficients(
 
 
 def spec_coefficients(
-    R: np.ndarray, specs: list[JustIdSpec]
+    R: np.ndarray, specs: list[JustIdSpec] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficient vectors a of the specs' transformed instruments ``Z a``.
 
@@ -227,9 +277,11 @@ def spec_coefficients(
     of ``R[:, l]`` on ``R[:, C]``, which are those of Z_l on Z_C. Returns
     ``A``, the degenerate mask and each spec's control count ``|C|``.
 
-    Each spec's subset ``S = C ∪ {l}`` is read from its ``spec_id``; a spec
-    whose ``k_z`` is not ``R``'s column count raises
-    :class:`~faskit.errors.DimensionMismatchError`. By the
+    ``specs`` is a list of :class:`JustIdSpec` or an array of their ids,
+    read through :func:`as_spec_ids` with ``k_z`` the column count of
+    ``R``, so a spec of another instrument count raises
+    :class:`~faskit.errors.DimensionMismatchError`. Each spec's subset ``S
+    = C ∪ {l}`` is read from its id. By the
     partitioned inverse, ``a_S = H[:, l] / H[l, l]`` with ``H = (G_SS)⁻¹``,
     so the specs need one inverse per distinct subset, taken for a stack of
     subsets per subset size. A subset whose inverse fails the guard of
@@ -240,18 +292,9 @@ def spec_coefficients(
     chosen per subset, so a spec's ``a`` does not depend on the other specs.
     """
     k = R.shape[1]
-    other = next((s for s in specs if s.k_z != k), None)
-    if other is not None:
-        raise DimensionMismatchError(
-            f"spec {other.label!r} is one of {other.k_z} instruments, but R has {k} columns"
-        )
-    ids = np.fromiter((s.spec_id - 1 for s in specs), dtype=np.int64, count=len(specs))
-    ell = ids >> (k - 1)
-    mask = ids & ((1 << (k - 1)) - 1)
-    below = (1 << ell) - 1
-    controls = (mask & below) | ((mask >> ell) << (ell + 1))
+    ell, controls = _controls(as_spec_ids(specs, k) - 1, k)
     subset = controls | (1 << ell)
-    position = _popcount(subset & below, k)
+    position = _popcount(subset & ((1 << ell) - 1), k)
     size = _popcount(subset, k)
     # the distinct subsets, sorted; np.unique would do, at a higher peak RSS
     present = np.zeros(1 << k, dtype=bool)
@@ -259,8 +302,8 @@ def spec_coefficients(
     subsets = np.flatnonzero(present)
     subset_size = _popcount(subsets, k)
     G = R.T @ R
-    A = np.zeros((k, len(specs)))
-    batched = np.zeros(len(specs), dtype=bool)
+    A = np.zeros((k, len(subset)))
+    batched = np.zeros(len(subset), dtype=bool)
     for s in np.flatnonzero(np.bincount(subset_size)):
         group = subsets[subset_size == s]
         members = np.nonzero((group[:, None] >> np.arange(k)) & 1)[1].reshape(-1, s)
@@ -271,7 +314,7 @@ def spec_coefficients(
         cols, rows, pos = cols[keep], rows[keep], position[cols[keep]]
         A[members[rows], cols[:, None]] = H[rows, :, pos] / H[rows, pos, pos][:, None]
         batched[cols] = True
-    degenerate = np.zeros(len(specs), dtype=bool)
+    degenerate = np.zeros(len(subset), dtype=bool)
     base_ss = np.sum(R * R, axis=0)
     for col in np.flatnonzero(~batched):
         C = [i for i in range(k) if subset[col] >> i & 1 and i != ell[col]]

@@ -330,8 +330,8 @@ def _published_table(figures, k):
     beta, f_stat = np.array(list(figures.values())).T
     missing = np.full(len(figures), np.nan)
     return SpecTable(
-        [by_label[label] for label in figures], beta, missing, missing, missing, f_stat,
-        np.full(len(figures), None, dtype=object),
+        k, np.array([by_label[label].spec_id for label in figures]), beta, missing, missing,
+        missing, f_stat, np.full(len(figures), None, dtype=object),
     )
 
 

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import example1_model, random_model
 from faskit import (
     Dataset,
+    JustIdSpec,
     Mode,
     SimulationConfig,
     fas_estimate,
@@ -43,6 +44,7 @@ from faskit.errors import (
     ParseError,
     ZeroFirstStageError,
 )
+from faskit.jsontext import indented_chunks
 
 CSV = """y,x,z1,z2,w
 1.0,0.5,0.1,0.2,1.0
@@ -340,8 +342,34 @@ def test_run_report_shape_and_consistency():
 
 
 def test_report_json_round_trip():
+    # the spec rows are a row source, which faskit's writer serializes and
+    # plain json.dumps does not: the report reads back as the one that holds
+    # the rows as a list
     report = run(_seeded_dataset(k=3), pairwise=True)
-    assert json.loads(json.dumps(report)) == report
+    text = "".join(indented_chunks(report))
+    assert json.loads(text) == {**report, "specs": list(report["specs"])}
+    assert text == json.dumps({**report, "specs": list(report["specs"])}, indent=2)
+
+
+def test_the_reports_build_no_spec_object(monkeypatch):
+    # the spec rows go from the sweep's id array to the text and JSON
+    # writers as columns; a JustIdSpec is only the library's one-spec view
+    built = []
+    post_init = JustIdSpec.__post_init__
+    monkeypatch.setattr(
+        JustIdSpec, "__post_init__", lambda spec: (built.append(spec.spec_id), post_init(spec))
+    )
+    model = random_model(np.random.default_rng(157), 6)
+    report = run(simulate(SimulationConfig(model=model, n=400, seed=157)))
+    oracle = oracle_report(model, frontier_grid=5)
+    for each in (report, oracle):
+        "".join(indented_chunks(each))
+    render_estimate_text(report)
+    render_oracle_text(oracle)
+    assert built == []
+    assert len(report["specs"]) == 6 * 2**5 == len(oracle["modes"]["general"]["specs"])
+    JustIdSpec(6, 7)
+    assert built == [7]
 
 
 def test_text_report_carries_the_same_numbers():

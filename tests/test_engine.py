@@ -26,7 +26,7 @@ from faskit import (
     specs_for_mode,
 )
 from faskit.fas import _BLOCK_ELEMENTS
-from faskit.specs import spec_coefficients
+from faskit.specs import JustIdSpec, as_spec_ids, spec_coefficients
 
 FIELDS = ("beta_hat", "se", "pi_hat", "psi_hat", "f_stat")
 
@@ -131,6 +131,7 @@ def test_population_moments_match_a_direct_solve():
 def _lstsq_reference(R, specs):
     """spec_coefficients as one lstsq per spec, written out."""
     k = R.shape[1]
+    specs = [JustIdSpec(k, i) for i in as_spec_ids(specs, k).tolist()]
     A = np.zeros((k, len(specs)))
     degenerate = np.zeros(len(specs), dtype=bool)
     n_controls = np.zeros(len(specs), dtype=np.intp)

@@ -38,6 +38,7 @@ from faskit.errors import (
     TooManyInstrumentsError,
 )
 from faskit.estimators import SpecTable
+from faskit.specs import JustIdSpec, make_spec
 
 
 def _fake_table(f_stats, failure=None):
@@ -45,7 +46,7 @@ def _fake_table(f_stats, failure=None):
     ones = np.ones(m)
     failure = np.array([None] * m if failure is None else failure, dtype=object)
     return SpecTable(
-        enumerate_specs(2)[:m], np.arange(m, dtype=float), ones, ones, ones,
+        2, np.arange(1, m + 1), np.arange(m, dtype=float), ones, ones, ones,
         np.array(f_stats, dtype=float), failure,
     )
 
@@ -117,8 +118,30 @@ def test_mode_views_equal_a_lattice_filter():
                 modes = modes[::-1] if k % 2 else modes
                 union, views = fas_module._mode_views(list(modes), k)
                 want_union, want_views = _lattice_views(modes, lattice, k)
-                assert union == want_union, (k, modes)
-                assert views == want_views and list(views) == list(modes), (k, modes)
+                assert union.tolist() == [s.spec_id for s in want_union], (k, modes)
+                assert {m: v.tolist() for m, v in views.items()} == want_views, (k, modes)
+                assert list(views) == list(modes), (k, modes)
+
+
+def _object_views(modes, k):
+    """The object-built fas._mode_views that id arithmetic replaced."""
+    families = {m: specs_for_mode(m, k) for m in modes}
+    by_id = {s.spec_id: s for family in families.values() for s in family}
+    union = [by_id[i] for i in sorted(by_id)]
+    position = {s.spec_id: pos for pos, s in enumerate(union)}
+    return union, {m: [position[s.spec_id] for s in f] for m, f in families.items()}
+
+
+def test_mode_view_ids_equal_the_object_built_views():
+    for k in range(1, 7):
+        for size in (1, 2, 3):
+            for modes in itertools.permutations(Mode, size):
+                union, views = fas_module._mode_views(list(modes), k)
+                want_union, want_views = _object_views(modes, k)
+                assert union.dtype == np.int64 and union.tolist() == [
+                    s.spec_id for s in want_union
+                ], (k, modes)
+                assert {m: v.tolist() for m, v in views.items()} == want_views, (k, modes)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -378,6 +401,88 @@ def test_shrinking_any_frontier_component_falsifies():
             shrunk = delta.copy()
             shrunk[j] -= 1e-6
             assert identified_set(pi_t, psi_t, shrunk) is None
+
+
+def test_a_table_holds_spec_ids_and_builds_its_specs_on_read():
+    model = random_model(np.random.default_rng(17), 4)
+    data = simulate(SimulationConfig(model=model, n=300, seed=17))
+    ids = np.array([7, 1, 32, 12])
+    table = estimate_specs(data, ids)
+    assert table.k_z == 4 and table.spec_ids.dtype == np.int64
+    assert table.spec_ids.tolist() == ids.tolist()
+    assert table.specs == [JustIdSpec(table.k_z, i) for i in table.spec_ids.tolist()]
+    # a list of the same specs gives the same table
+    same = estimate_specs(data, table.specs)
+    assert same.spec_ids.tolist() == ids.tolist()
+    columns = ("beta_hat", "se", "pi_hat", "psi_hat", "f_stat", "failure")
+    for name in columns:
+        assert np.array_equal(getattr(same, name), getattr(table, name))
+    # take gives the rows at the positions, in their order, repeats and all
+    for positions in ([3, 0, 3], np.array([2, 1]), []):
+        taken = table.take(positions)
+        assert taken.k_z == 4
+        assert taken.spec_ids.tolist() == [ids[p] for p in positions]
+        for name in columns:
+            assert getattr(taken, name).tolist() == [getattr(table, name)[p] for p in positions]
+
+
+def _near_zero_relevance_model():
+    # Z1|2,3 has pi~ = 1.5e-12, and corr(Z_res, x) is below 1e-12. A rule
+    # relative to the largest |pi~| of each mode's family kept it in Excl
+    # (ratio 6.67e11), whose largest |pi~| is 1, and dropped it in General,
+    # whose largest is larger: Excl was [1.0, 6.67e11], not inside General.
+    rho = 0.9
+    return PopulationModel(
+        beta=1.0, gamma=np.array([1.0, 0.0, 0.0]), alpha=np.zeros(3),
+        pi=np.array([1.5e-12, 1.0, 1.0]), sigma_z=(1 - rho) * np.eye(3) + rho * np.ones((3, 3)),
+    )
+
+
+def test_population_relevance_is_one_decision_per_spec():
+    model = _near_zero_relevance_model()
+    results = population_fas_by_mode(model, list(Mode))
+    dropped = make_spec(3, 1, (2, 3)).spec_id
+    for mode, result in results.items():
+        assert result.selected.tolist() == (result.table.spec_ids != dropped).tolist(), mode
+        assert population_fas(model, mode).interval == result.interval
+    assert results[Mode.EXCL].interval == pytest.approx((1.0, 1.0))
+    assert results[Mode.GENERAL].interval == pytest.approx((1.0, 28 / 9))
+    assert results[Mode.EXO].selected.all()
+
+
+@st.composite
+def near_irrelevant_models(draw):
+    """Random models in which some specs' pi~ sit near the 1e-12 relevance
+    rule: tiny pi_l make the Excl spec of Z_l nearly irrelevant, and tiny
+    (sigma_z pi)_l the Exo spec of Z_l."""
+    k = draw(st.integers(2, 4))
+    model = random_model(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k)
+    tiny = st.sampled_from([0.0, 3e-13, 1e-12, 1.5e-12, 3e-12, 1e-11, 1e-9])
+    scales = np.array(draw(st.lists(st.one_of(tiny, st.just(None)), min_size=k, max_size=k)))
+    near = np.array([v is not None for v in scales])
+    assume(near.any() and not near.all())
+    target = model.pi.copy()
+    if draw(st.booleans()):
+        # near-zero entries of sigma_z pi, through pi = sigma_z^-1 q
+        target = model.sigma_z @ model.pi
+    target[near] = scales[near].astype(float) * np.sign(target[near])
+    model.pi = target if target is model.pi else np.linalg.solve(model.sigma_z, target)
+    return model
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(model=near_irrelevant_models())
+def test_population_excl_and_exo_nest_in_general(model):
+    results = population_fas_by_mode(model, list(Mode))
+    general = results[Mode.GENERAL]
+    relevant = dict(zip(general.table.spec_ids.tolist(), general.selected.tolist()))
+    for mode in (Mode.EXCL, Mode.EXO):
+        result = results[mode]
+        ids, selected = result.table.spec_ids.tolist(), result.selected.tolist()
+        assert selected == [relevant[i] for i in ids], mode
+        if result.interval is not None:
+            lo, hi = general.interval
+            assert lo <= result.interval[0] and result.interval[1] <= hi, mode
 
 
 def test_the_frontier_of_a_population_fas_spans_it():

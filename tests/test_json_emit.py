@@ -19,7 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import faskit
-from faskit.cli import main
+from faskit import Mode
+from faskit import fas as fas_module
+from faskit import jsontext
+from faskit.cli import _ESTIMATES, _ID_FIELDS, SpecRows, main
 from faskit.jsontext import indented_chunks
 from test_golden import CASES, _invoke
 
@@ -82,6 +85,66 @@ def test_writer_rejects_what_json_rejects(value):
         json.dumps(_as_lists(value), indent=2)
     with pytest.raises(TypeError):
         _text(value)
+
+
+_STATUSES = ("selected", "low-F", "degenerate", "zero-first-stage", "insufficient-observations")
+
+
+@st.composite
+def spec_rows(draw):
+    """A SpecRows of either report's layout: any sorted subset of a
+    lattice's ids, or the union of some modes' families (at k_z=1, the one
+    spec all modes share), with float columns drawn from _FLOATS."""
+    k = draw(st.integers(1, 6))
+    count = k << (k - 1)
+    if draw(st.booleans()):
+        ids = sorted(draw(st.sets(st.integers(1, count), max_size=min(count, 40))))
+    else:
+        modes = draw(st.lists(st.sampled_from(list(Mode)), min_size=1, max_size=3, unique=True))
+        ids = fas_module._mode_views(modes, k)[0].tolist()
+    ids = np.array(ids, dtype=np.int64)
+    m = len(ids)
+
+    def floats():
+        return np.array(draw(st.lists(_FLOATS, min_size=m, max_size=m)), dtype=np.float64)
+
+    if draw(st.booleans()):
+        columns = [(name, "float?", floats()) for name in _ESTIMATES]
+        columns.append(("f_stat", "float", floats()))
+        statuses = draw(st.lists(st.sampled_from(_STATUSES), min_size=m, max_size=m))
+        columns.append(("status", "str", np.array(statuses, dtype=object)))
+        return SpecRows(k, ids, tuple(_ID_FIELDS), columns)
+    relevant = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    columns = [
+        ("pi", "float", floats()), ("psi", "float", floats()), ("ratio", "float?", floats()),
+        ("relevant", "bool", relevant),
+    ]
+    return SpecRows(k, ids, ("spec_id", "label"), columns)
+
+
+_EMPTY_ROWS = SpecRows(3, np.zeros(0, dtype=np.int64), tuple(_ID_FIELDS), [
+    *((name, "float?", np.zeros(0)) for name in _ESTIMATES),
+    ("f_stat", "float", np.zeros(0)), ("status", "str", np.zeros(0, dtype=object)),
+])
+
+
+@pytest.mark.parametrize("block", [2, 7, None], ids=["2-rows", "7-rows", "default"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=spec_rows(), depth=st.integers(0, 3))
+@example(rows=_EMPTY_ROWS, depth=0)
+@example(rows=_EMPTY_ROWS, depth=2)
+def test_spec_rows_are_written_as_json_dumps_writes_their_list(block, rows, depth):
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(jsontext, "ROWS_PER_BLOCK", block)
+        text = "".join(indented_chunks(rows, depth))
+        listed = list(rows)
+    assert len(listed) == len(rows)
+    assert text == json.dumps(listed, indent=2).replace("\n", "\n" + "  " * depth)
+    # in a report, as the oracle holds them
+    assert _text({"modes": {"general": {"specs": rows, "frontier": []}}}) == json.dumps(
+        {"modes": {"general": {"specs": listed, "frontier": []}}}, indent=2
+    )
 
 
 def _assert_standard_layout(stdout):

@@ -6,7 +6,7 @@ import pytest
 from conftest import spec_columns
 from faskit import Dataset, JustIdSpec, enumerate_specs, estimate_specs, spec_count
 from faskit.errors import DimensionMismatchError, InvalidCountError, TooManyInstrumentsError
-from faskit.specs import make_spec
+from faskit.specs import as_spec_ids, make_spec, spec_fields
 
 
 def test_counts_for_small_k():
@@ -175,6 +175,58 @@ def test_a_spec_of_another_instrument_count_raises():
     data3 = data.with_arrays(data.y, data.x, Z, z_names=("Z1", "Z2", "Z3"))
     with pytest.raises(DimensionMismatchError, match="'Z1\\|2' is one of 2 instruments"):
         estimate_specs(data3, [make_spec(3, 2, ()), make_spec(2, 1, (2,))])
+
+
+def test_a_spec_of_another_instrument_count_raises_before_rows_are_failed():
+    # one row and no intercept leave no spec a residual degree of freedom,
+    # so every row of the dataset's own count is "insufficient-observations"
+    rng = np.random.default_rng(3)
+    data = Dataset(
+        y=rng.standard_normal(1), x=rng.standard_normal(1), Z=rng.standard_normal((1, 3)),
+        z_names=("Z1", "Z2", "Z3"), intercept=False,
+    )
+    with pytest.raises(DimensionMismatchError, match="'Z1\\|2' is one of 2 instruments"):
+        estimate_specs(data, [make_spec(2, 1, (2,))])
+    table = estimate_specs(data, [make_spec(3, 1, (2,))])
+    assert table.failure.tolist() == ["insufficient-observations"]
+    assert table.k_z == 3 and table.spec_ids.tolist() == [make_spec(3, 1, (2,)).spec_id]
+
+
+def test_spec_ids_read_from_specs_or_from_ids():
+    specs = [make_spec(3, 2, (1,)), make_spec(3, 1, ())]
+    for given in (specs, [s.spec_id for s in specs], np.array([6, 1], dtype=np.int32)):
+        ids = as_spec_ids(given, 3)
+        assert ids.dtype == np.int64 and ids.tolist() == [6, 1]
+    assert as_spec_ids([], 3).dtype == np.int64 and as_spec_ids((), 3).size == 0
+
+
+@pytest.mark.parametrize("given, error", [
+    ([0], ValueError),
+    ([13], ValueError),
+    (np.array([1, 12, 13]), ValueError),
+    ([1.0], TypeError),
+    ([[1]], TypeError),
+    ([True], TypeError),
+    ([make_spec(2, 1, ())], DimensionMismatchError),
+    ([make_spec(3, 1, ()), 5], TypeError),
+])
+def test_spec_ids_outside_the_lattice_are_refused(given, error):
+    with pytest.raises(error):
+        as_spec_ids(given, 3)
+
+
+def test_spec_fields_decode_each_id_as_its_spec_does():
+    for k in range(1, 8):
+        specs = enumerate_specs(k)
+        instrument, controls, labels = spec_fields(k, np.arange(1, spec_count(k) + 1))
+        assert instrument.tolist() == [s.instrument_index for s in specs]
+        assert controls == [list(s.control_subset) for s in specs]
+        assert labels == [s.label for s in specs]
+    instrument, controls, labels = spec_fields(4, np.array([32, 1, 32], dtype=np.int64))
+    assert (instrument.tolist(), controls, labels) == (
+        [4, 1, 4], [[1, 2, 3], [], [1, 2, 3]], ["Z4|1,2,3", "Z1", "Z4|1,2,3"]
+    )
+    assert spec_fields(4, np.zeros(0, dtype=np.int64))[1:] == ([], [])
 
 
 def test_the_mismatched_k2_spec_would_have_taken_another_estimate():
