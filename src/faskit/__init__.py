@@ -19,7 +19,7 @@ from .estimators import (
 )
 from .fas import (
     FasResult,
-    FrontierPoint,
+    Frontier,
     Mode,
     PopulationModel,
     estimate_specs,
@@ -44,7 +44,7 @@ __all__ = [
     "ErrorLaw",
     "FasResult",
     "FaskitError",
-    "FrontierPoint",
+    "Frontier",
     "JustIdSpec",
     "Mode",
     "PairwiseTsls",

@@ -4,10 +4,10 @@ Three subcommands: ``estimate`` (CSV in, FAS report out), ``oracle``
 (population model in, population FAS and falsification frontier out), and
 ``simulate`` (model in, synthetic CSV and/or Monte Carlo summary out).
 Reports are built once as dictionaries whose ``specs`` blocks are
-:class:`SpecRows`: spec rows kept as columns, which
-:mod:`faskit.jsontext` writes a block of rows at a time and which yield
-their rows as plain dictionaries when iterated. The text and JSON emitters
-render the same in-memory numbers.
+:class:`SpecRows` and whose ``frontier`` blocks are :class:`FrontierRows`:
+rows kept as columns, which :mod:`faskit.jsontext` writes a block of rows
+at a time and which yield their rows as plain dictionaries when iterated.
+The text and JSON emitters render the same in-memory numbers.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .estimators import TSLS_FAILURES, tsls, tsls_pairwise_report
 from .fas import (
     DEFAULT_CUTOFF,
     FasResult,
+    Frontier,
     Mode,
     PopulationModel,
     fas_by_mode,
@@ -182,6 +183,26 @@ class SpecRows(Rows):
         ]
 
 
+class FrontierRows(Rows):
+    """The rows of a mode's ``frontier`` block, kept as the columns of its
+    :class:`~faskit.fas.Frontier`, whose deltas are formed only for the
+    rows being written or iterated. ``interval`` is None where empty."""
+
+    fields = (("b", "float"), ("delta", "floats"), ("interval", "interval"), ("on_frontier", "bool"))
+
+    def __init__(self, frontier: Frontier):
+        self.frontier = frontier
+
+    def __len__(self) -> int:
+        return len(self.frontier)
+
+    def block(self, start: int, stop: int) -> list:
+        f = self.frontier
+        interval = np.column_stack([f.lo[start:stop], f.hi[start:stop]])
+        interval[f.empty[start:stop]] = np.nan
+        return [f.b[start:stop], f.deltas(start, stop), interval, f.on_frontier[start:stop]]
+
+
 _ESTIMATES = ("beta_hat", "se", "pi_hat", "psi_hat")
 
 
@@ -303,20 +324,17 @@ def oracle_report(
     its frontier is an empty list. A ``frontier_grid`` below 2 raises
     ``ValueError`` before any work.
 
-    Each frontier point's ``"delta"`` is a float64 row view of its mode's
-    (grid x specs) delta matrix, not a list, so that no Python float is made
-    for a delta that is never written (the text report prints none), and
-    each mode's ``"specs"`` is a :class:`SpecRows`. The report serializes
-    through :mod:`faskit.jsontext`, which writes an array as its
-    ``tolist()`` and a :class:`SpecRows` as the list of its rows; plain
-    ``json.dumps`` needs the arrays as ``.tolist()`` and the spec rows as
-    ``list()``.
+    Each mode's ``"specs"`` is a :class:`SpecRows` and its ``"frontier"``
+    a :class:`FrontierRows`, which holds no delta: the JSON writer forms a
+    mode's deltas when it reaches its frontier, and the text report, which
+    prints none, never does. The report serializes through
+    :mod:`faskit.jsontext`, which writes a Rows as the list of its rows;
+    plain ``json.dumps`` needs each Rows as its ``list()``.
     """
     if frontier_grid < 2:
         raise ValueError(f"frontier grid needs at least 2 points, got {frontier_grid}")
     sections: dict[str, dict] = {}
     for each, result in population_fas_by_mode(model, _modes(mode)).items():
-        points = [] if result.interval is None else fas_frontier(result, frontier_grid)
         t = result.table
         columns = [
             ("pi", "float", t.pi_hat), ("psi", "float", t.psi_hat),
@@ -325,15 +343,8 @@ def oracle_report(
         sections[each.value] = {
             "interval": _interval_json(result.interval),
             "specs": SpecRows(model.k_z, t.spec_ids, ("spec_id", "label"), columns),
-            "frontier": [
-                {
-                    "b": float(p.b),
-                    "delta": p.delta,
-                    "interval": _interval_json(p.identified_set),
-                    "on_frontier": bool(p.on_frontier),
-                }
-                for p in points
-            ],
+            "frontier": [] if result.interval is None
+            else FrontierRows(fas_frontier(result, frontier_grid)),
         }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -544,12 +555,15 @@ def _oracle_lines(report: dict) -> Iterator[str]:
 
         yield from _table(["spec", "pi", "psi", "ratio", "relevant"], spec_cells)
         points = section["frontier"]
-        on = sum(1 for p in points if p["on_frontier"])
-        if points:
+        if isinstance(points, FrontierRows):
+            # read two columns, so that no delta is formed
+            b, on = points.frontier.b.tolist(), points.frontier.on_frontier.tolist()
+        else:
+            b, on = [p["b"] for p in points], [p["on_frontier"] for p in points]
+        if b:
             yield (
-                f"frontier: {len(points)} grid points on "
-                f"[{_fmt(points[0]['b'])}, {_fmt(points[-1]['b'])}]"
-                + (f", {on} on the frontier" if on else "")
+                f"frontier: {len(b)} grid points on [{_fmt(b[0])}, {_fmt(b[-1])}]"
+                + (f", {sum(on)} on the frontier" if any(on) else "")
             )
 
 

@@ -147,21 +147,33 @@ class PopulationModel:
 
 
 @dataclass(eq=False)
-class FrontierPoint:
-    """One point of the falsification frontier.
+class Frontier:
+    """The falsification frontier as columns, one entry per grid point ``b``.
 
-    ``delta`` holds |psi_j - b * pi_j| for every component of the mode's
-    moment vectors, as a float64 row view of the (grid x components) matrix
-    its :func:`frontier` call forms, so every point of one frontier shares
-    that matrix; ``identified_set`` is the interval the model admits at
-    exactly that delta (None when empty); ``on_frontier`` is False for b
-    outside the span of the relevant ratios.
+    ``lo`` and ``hi`` bound the identified set at exactly that point's
+    delta, which is empty where ``empty`` is True (``lo`` and ``hi`` then
+    mean nothing); ``on_frontier`` is False for b outside the span of the
+    relevant ratios. No delta is held: :meth:`deltas` forms them from the
+    moments ``pi`` and ``psi`` the frontier was built from.
     """
 
-    b: float
-    delta: np.ndarray
-    identified_set: tuple[float, float] | None
-    on_frontier: bool
+    b: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    empty: np.ndarray
+    on_frontier: np.ndarray
+    pi: np.ndarray
+    psi: np.ndarray
+
+    def __len__(self) -> int:
+        return self.b.size
+
+    def deltas(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """``|psi_j - b * pi_j|`` for the points in ``[start, stop)``, as a
+        new float64 (points x components) array. Each entry's bits are the
+        same whatever run of points it is formed in."""
+        delta = np.multiply.outer(self.b[start:stop], self.pi)
+        return np.abs(np.subtract(self.psi, delta, out=delta), out=delta)
 
 
 def specs_for_mode(mode: Mode, k_z: int) -> list[JustIdSpec]:
@@ -221,12 +233,13 @@ def estimate_specs(
     ``failure`` column comes from three masks (see :class:`SpecTable`); too
     few observations takes precedence. A sample with ``n <= 1 +
     n_absorbed`` leaves no spec a residual degree of freedom: every row is
-    then "insufficient-observations", and nothing is solved.
+    then "insufficient-observations", and nothing is solved. No spec gives
+    a table of no rows.
     """
     dataset = partial_out(dataset)
     ids = as_spec_ids(specs, dataset.k_z)
     m = len(ids)
-    if dataset.n <= 1 + dataset.n_absorbed:
+    if not m or dataset.n <= 1 + dataset.n_absorbed:
         failed = np.full(m, "insufficient-observations", dtype=object)
         nan = [np.full(m, np.nan) for _ in range(4)]
         return SpecTable(dataset.k_z, ids, *nan, np.zeros(m), failed)
@@ -342,7 +355,8 @@ def _population_moments(
     cov_zx = model.sigma_z @ model.pi
     cov_zy = model.sigma_z @ (model.pi * model.beta + model.gamma) + model.alpha
     var_x = float(model.pi @ cov_zx) + model.var_v
-    moments = []
+    # the join of no block is the moments of no spec
+    moments = [[np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)]]
     for first in range(0, len(ids), _SOLVE_SPECS):
         A, _, _ = spec_coefficients(R, ids[first : first + _SOLVE_SPECS])
         # one product per spec, so that no spec's bits depend on its family
@@ -417,8 +431,8 @@ def _finite(name: str, values) -> np.ndarray:
 def _identified_sets(
     pi: np.ndarray, psi: np.ndarray, delta: np.ndarray, rel: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(lo, hi, empty)`` of the identified set at each row of a (grid x
-    components) delta matrix, in one array pass; the components that
+    """``(lo, hi, empty)`` of the identified set at each row of a (points x
+    components) block of deltas, in one array pass; the components that
     ``rel`` marks count as ``pi_j != 0``, the others as ``pi_j == 0``."""
     empty = np.any(np.abs(psi[~rel]) > delta[:, ~rel], axis=1)
     center = psi[rel] / pi[rel]
@@ -473,7 +487,7 @@ def frontier(
     psi: np.ndarray,
     relevant: np.ndarray,
     b_grid: np.ndarray,
-) -> list[FrontierPoint]:
+) -> Frontier:
     """Falsification frontier over a grid of candidate effects.
 
     Parameters
@@ -491,16 +505,15 @@ def frontier(
 
     Returns
     -------
-    list of FrontierPoint
-        For each b: delta_j(b) = |psi_j - b * pi_j| and the identified set
-        at that delta, which is {b} itself on the frontier; it reads a
-        component as ``pi_j != 0`` by :func:`identified_set`'s rule, not by
-        ``relevant`` (:func:`fas_frontier` reads its FAS's own mask). An empty grid
-        gives an empty list. The (grid x components) delta matrix is formed
-        once, and each point's ``delta`` is one of its rows. The
-        identified-set kernel takes the matrix a block of rows at a time,
-        ``_BLOCK_ELEMENTS`` entries or one row, so beside the matrix it holds
-        two copies of one block, not two copies of the whole matrix.
+    Frontier
+        For each b, the identified set at delta_j(b) = |psi_j - b * pi_j|,
+        which is {b} itself on the frontier; it reads a component as
+        ``pi_j != 0`` by :func:`identified_set`'s rule, not by ``relevant``
+        (:func:`fas_frontier` reads its FAS's own mask). An empty grid gives
+        a frontier of no points. The identified-set kernel takes the deltas
+        from :meth:`Frontier.deltas` a block of grid rows at a time,
+        ``_BLOCK_ELEMENTS`` entries or one row, so it holds three copies of
+        one block and never the (grid x components) matrix.
 
     Raises
     ------
@@ -514,7 +527,7 @@ def frontier(
 def _frontier(
     pi: np.ndarray, psi: np.ndarray, relevant: np.ndarray, b_grid: np.ndarray,
     nonzero: np.ndarray | None,
-) -> list[FrontierPoint]:
+) -> Frontier:
     """:func:`frontier`, whose identified sets read the components that
     ``nonzero`` marks as ``pi_j != 0``; None reads them by
     :func:`identified_set`'s rule."""
@@ -531,33 +544,27 @@ def _frontier(
         raise DimensionMismatchError("frontier needs at least one relevant component")
     if np.any(pi[mask] == 0):
         raise ValueError("a relevant component has pi == 0, so its ratio psi/pi is undefined")
-    if not b.size:
-        return []
     ratios = psi[mask] / pi[mask]
     b_lo = float(np.min(ratios))
     b_hi = float(np.max(ratios))
     span_slack = 1e-12 * max(1.0, abs(b_lo), abs(b_hi))
     on_frontier = (b_lo - span_slack <= b) & (b <= b_hi + span_slack)
-
-    delta = np.multiply.outer(b, pi)
-    np.abs(np.subtract(psi, delta, out=delta), out=delta)
+    result = Frontier(
+        b, np.empty(b.size), np.empty(b.size), np.empty(b.size, dtype=bool), on_frontier, pi, psi
+    )
     if nonzero is None:
         nonzero = _relevance_mask(pi)
     # the kernel treats each row on its own, so blocks give the bits of one pass
     rows = max(1, _BLOCK_ELEMENTS // m)
-    blocks = [
-        _identified_sets(pi, psi, delta[i : i + rows], nonzero) for i in range(0, b.size, rows)
-    ]
-    lo, hi, empty = (np.concatenate(c) for c in zip(*blocks))
-    return [
-        FrontierPoint(b=b_j, delta=row, identified_set=None if e else (lo_j, hi_j), on_frontier=on)
-        for b_j, row, lo_j, hi_j, e, on in zip(
-            b.tolist(), delta, lo.tolist(), hi.tolist(), empty.tolist(), on_frontier.tolist()
+    for i in range(0, b.size, rows):
+        block = slice(i, i + rows)
+        result.lo[block], result.hi[block], result.empty[block] = _identified_sets(
+            pi, psi, result.deltas(i, i + rows), nonzero
         )
-    ]
+    return result
 
 
-def fas_frontier(result: FasResult, grid_points: int = 201) -> list[FrontierPoint]:
+def fas_frontier(result: FasResult, grid_points: int = 201) -> Frontier:
     """Frontier of a population FAS over an even grid spanning it.
 
     The grid runs from the smallest to the largest relevant ratio with

@@ -11,24 +11,23 @@ a report can hold its vectors as arrays and pay for their Python floats one
 vector at a time, only when it is written.
 
 A :class:`Rows` is a list of objects that share their keys, kept as columns:
-a report's ``specs`` blocks. It is written :data:`ROWS_PER_BLOCK` rows at a
-time. Each column of a block becomes its JSON texts in one pass, and each
-row is one ``%`` of a row template that the keys and the depth fix.
+a report's ``specs`` blocks and the oracle's ``frontier`` blocks. It is
+written :data:`ROWS_PER_BLOCK` rows at a time. Each column of a block
+becomes its JSON texts in one pass, and each row is one ``%`` of a row
+template that the keys and the depth fix.
 
-A report's large float vectors, such as the oracle's frontier deltas, are
-1-D float64 arrays, and their text goes through
-:class:`faskit.floattext.RowTexts`. When they hold at least
-``floattext.MIN_VALUES`` values and this process may run on more than one
-CPU, one worker process (``sys.executable -I -S`` on the ``floattext`` file,
-fed through unlinked temporary files in ``TMPDIR``) formats vectors from the
-last one back while this process writes from the first, and each vector's
-text is spliced in at its place. The bytes do not change; a worker that
-fails leaves its vectors to this process; a report with no such array, or a
-process with one CPU, starts no worker.
+The text of a "floats" column, such as a frontier's deltas, goes through
+one :class:`faskit.floattext.RowTexts` per Rows. When the column holds at
+least ``floattext.MIN_VALUES`` values and this process may run on more than
+one CPU, one worker process (``sys.executable -I -S`` on the ``floattext``
+file, fed through unlinked temporary files in ``TMPDIR``) formats its rows
+from the last one back while this process writes from the first. The bytes
+do not change, and a worker that fails leaves its rows to this process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -38,7 +37,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 _INDENT = "  "
-_FLOAT64 = np.dtype(np.float64)
 
 # Rows per block of a Rows: one block's texts are built, joined and yielded
 # at a time, so a large list never stands as one string. A block takes about
@@ -59,7 +57,11 @@ class Rows:
     - "str": strs, in a list or an object array;
     - "float": a float64 array, with NaN written ``NaN`` as json writes it;
     - "float?": a float64 array whose NaN stands for None, written ``null``;
-    - "ints": lists of ints.
+    - "ints": lists of ints;
+    - "floats": a 2-D float64 array of at least one column, each row
+      written as a list; a Rows holds at most one such column;
+    - "interval": an (n, 2) float64 array of ``[lo, hi]`` pairs, where a
+      NaN ``lo`` stands for None, written ``null``.
 
     Iterating yields each row as the dict json would write the same way: a
     report that holds a Rows renders and serializes as one that holds
@@ -97,6 +99,12 @@ def _int_lists(column: list, depth: int) -> list[str]:
     return [head + sep.join(map(str, v)) + tail if v else "[]" for v in column]
 
 
+def _intervals(column: np.ndarray, depth: int) -> list[str]:
+    head, sep, tail = _array_style(depth)
+    lows, highs = _floats(column[:, 0], "null"), _floats(column[:, 1], "NaN")
+    return [lo if lo == "null" else head + lo + sep + hi + tail for lo, hi in zip(lows, highs)]
+
+
 # How a column of each kind becomes its values' JSON texts at a depth.
 _TEXTS = {
     "int": lambda c, depth: list(map(str, c.tolist())),
@@ -105,6 +113,7 @@ _TEXTS = {
     "float": lambda c, depth: _floats(c, "NaN"),
     "float?": lambda c, depth: _floats(c, "null"),
     "ints": _int_lists,
+    "interval": _intervals,
 }
 
 # How a column of each kind becomes the values json.loads would give back.
@@ -115,10 +124,11 @@ _VALUES = {
     "float": np.ndarray.tolist,
     "float?": lambda c: [None if v != v else v for v in c.tolist()],
     "ints": list,
+    "floats": lambda c: map(np.ndarray.tolist, c),  # a row of Python floats at a time
+    "interval": lambda c: [None if lo != lo else [lo, hi] for lo, hi in c.tolist()],
 }
 
 _CONTAINERS = (list, tuple, dict, np.ndarray, Rows)
-_NODES = frozenset((list, tuple, dict, np.ndarray))
 
 
 @functools.cache
@@ -154,50 +164,57 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _is_float_row(value: np.ndarray) -> bool:
-    """Whether ``value`` goes to :mod:`faskit.floattext`: a non-empty 1-D
-    float64 array whose values are contiguous, so none is copied."""
-    return (
-        type(value) is np.ndarray and value.ndim == 1 and value.size > 0
-        and value.dtype == _FLOAT64 and value.flags.c_contiguous
-    )
-
-
-def _float_rows(value, depth: int, found: list) -> bool:
-    """Append ``(array, depth)`` for the 1-D float64 arrays under the dict,
-    list or tuple ``value``, in the order :func:`_chunks` writes them, and
-    say whether ``value`` holds any array.
-
-    A list or tuple is searched only while its containers hold arrays: one
-    that holds none, such as the first of a list of pairwise rows, ends the
-    search of that list. So the search costs next to nothing on a report
-    with no array. A :class:`Rows` is not searched: it holds no such array.
-    An array it does not find is written in this process, where
-    :func:`_chunks` meets it.
-    """
-    is_dict = type(value) is dict
-    items = value.values() if is_dict else value
-    if _NODES.isdisjoint(map(type, items)):
-        return False
-    held = False
-    for item in items:
-        kind = type(item)
-        if kind is np.ndarray:
-            if _is_float_row(item):
-                found.append((item, depth + 1))
-            held = True
-        elif kind in _NODES:
-            if _float_rows(item, depth + 1, found):
-                held = True
-            elif not is_dict:
-                break
-    return held
-
-
 def _array_style(depth: int) -> tuple[str, str, str]:
     """The (head, sep, tail) of a non-empty array's text at ``depth``."""
     inner = "\n" + _INDENT * (depth + 1)
     return "[" + inner, "," + inner, "\n" + _INDENT * depth + "]"
+
+
+def _rows_chunks(rows: Rows, depth: int) -> Iterator[str]:
+    """The text of ``json.dumps(list(rows), indent=2)`` at ``depth``, one
+    block of rows per piece. A "floats" column is formed once, for every
+    row, as the worker reads every row up front; each row is then three
+    pieces, so that the text of its floats, the middle one, is never copied."""
+    count = len(rows)
+    if not count:
+        yield "[]"
+        return
+    head, sep, tail = _array_style(depth)
+    member = "\n" + _INDENT * (depth + 2)
+    # json escapes a NUL in a key, so a raw one marks where the floats go
+    template = "{" + member + ("," + member).join(
+        encode_basestring_ascii(key).replace("%", "%%") + (": \0" if kind == "floats" else ": %s")
+        for key, kind in rows.fields
+    ) + "\n" + _INDENT * (depth + 1) + "}"
+    before, floats, after = template.partition("\0")
+    kinds = [kind for _, kind in rows.fields]
+    whole, source = None, contextlib.nullcontext(())
+    if floats:
+        # imported here, so that a process that writes no floats loads no worker code
+        from .floattext import RowTexts
+
+        at = kinds.index("floats")
+        whole = rows.block(0, count)
+        style = _array_style(depth + 2)
+        source = RowTexts([(row, row.size, style) for row in whole[at]], json=True)
+    with source as texts:
+        texts = iter(texts)
+        for start in range(0, count, ROWS_PER_BLOCK):
+            stop = min(start + ROWS_PER_BLOCK, count)
+            columns = rows.block(start, stop) if whole is None else [c[start:stop] for c in whole]
+            values = zip(*(
+                _TEXTS[kind](c, depth + 2) for kind, c in zip(kinds, columns) if kind != "floats"
+            ))
+            lead = head if start == 0 else sep
+            if not floats:
+                yield lead + sep.join(map(template.__mod__, values))
+                continue
+            for row in values:
+                yield lead + before % row[:at]
+                yield next(texts)
+                yield after % row[at:]
+                lead = sep
+    yield tail
 
 
 def indented_chunks(value, depth: int = 0) -> Iterator[str]:
@@ -205,56 +222,14 @@ def indented_chunks(value, depth: int = 0) -> Iterator[str]:
 
     ``depth`` is the indent level ``value`` sits at. Non-str keys are
     coerced as json coerces them, an ``np.ndarray`` is written as its
-    ``tolist()``, and a value json cannot encode raises ``TypeError``.
-    Closing the generator early kills and reaps any float-formatting worker
-    it started.
+    ``tolist()``, a :class:`Rows` as the list of its rows, and a value json
+    cannot encode raises ``TypeError``. Closing the generator early kills
+    and reaps any float-formatting worker it started.
     """
-    found: list = []
-    if type(value) in (dict, list, tuple):
-        _float_rows(value, depth, found)
-    if not found:
-        yield from _chunks(value, depth, found, iter(()))
-        return
-    from .floattext import RowTexts
-
-    jobs = [(array, array.size, _array_style(d)) for array, d in found]
-    found.reverse()
-    with RowTexts(jobs, json=True) as texts:
-        yield from _chunks(value, depth, found, iter(texts))
-
-
-def _rows_chunks(rows: Rows, depth: int) -> Iterator[str]:
-    """The text of ``json.dumps(list(rows), indent=2)`` at ``depth``, one
-    block of rows per piece."""
-    count = len(rows)
-    if not count:
-        yield "[]"
-        return
-    head, sep, tail = _array_style(depth)
-    member = "\n" + _INDENT * (depth + 2)
-    template = "{" + member + ("," + member).join(
-        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key, _ in rows.fields
-    ) + "\n" + _INDENT * (depth + 1) + "}"
-    spell = [_TEXTS[kind] for _, kind in rows.fields]
-    for start in range(0, count, ROWS_PER_BLOCK):
-        columns = rows.block(start, min(start + ROWS_PER_BLOCK, count))
-        texts = [text(c, depth + 2) for text, c in zip(spell, columns)]
-        yield (head if start == 0 else sep) + sep.join(map(template.__mod__, zip(*texts)))
-    yield tail
-
-
-def _chunks(value, depth: int, found: list, texts: Iterator) -> Iterator[str]:
-    """:func:`indented_chunks` of ``value``. ``found`` holds the arrays whose
-    text ``texts`` yields, last first: an array met at its depth takes the
-    next text, and any other array is written here."""
     if isinstance(value, Rows):
         yield from _rows_chunks(value, depth)
         return
     if isinstance(value, np.ndarray):
-        if found and found[-1][0] is value and found[-1][1] == depth:
-            found.pop()
-            yield next(texts)
-            return
         value = value.tolist()
     if not isinstance(value, _CONTAINERS):
         yield _scalar(value)
@@ -279,7 +254,7 @@ def _chunks(value, depth: int, found: list, texts: Iterator) -> Iterator[str]:
             head += encode_basestring_ascii(key if isinstance(key, str) else _scalar(key)) + ": "
         if isinstance(item, _CONTAINERS):
             yield head
-            yield from _chunks(item, depth + 1, found, texts)
+            yield from indented_chunks(item, depth + 1)
         else:
             yield head + _scalar(item)
         separator = "," + inner

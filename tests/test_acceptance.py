@@ -69,12 +69,14 @@ def test_criterion_1_example_frontier_exact(tmp_path):
     pi_t, psi_t = population_spec_moments(model, excl_specs)
     named = {0.0: (0.0, 1.0, 3.0), 0.5: (0.5, 0.5, 2.5),
              1.0: (1.0, 0.0, 2.0), 3.0: (3.0, 2.0, 0.0)}
-    for pt in frontier(pi_t, psi_t, np.ones(3, dtype=bool), np.array(sorted(named))):
-        want = np.array(named[pt.b])
-        assert np.max(np.abs(pt.delta - want)) <= 1e-12
-        assert pt.on_frontier
-        lo, hi = identified_set(pi_t, psi_t, pt.delta)
-        assert abs(lo - pt.b) <= 1e-12 and abs(hi - pt.b) <= 1e-12
+    f = frontier(pi_t, psi_t, np.ones(3, dtype=bool), np.array(sorted(named)))
+    assert f.on_frontier.all() and not f.empty.any()
+    for b, delta, lo_f, hi_f in zip(f.b.tolist(), f.deltas(), f.lo, f.hi):
+        want = np.array(named[b])
+        assert np.max(np.abs(delta - want)) <= 1e-12
+        lo, hi = identified_set(pi_t, psi_t, delta)
+        assert abs(lo - b) <= 1e-12 and abs(hi - b) <= 1e-12
+        assert abs(lo_f - b) <= 1e-12 and abs(hi_f - b) <= 1e-12
 
     assert time.monotonic() - t0 < 1.0
 

@@ -360,35 +360,40 @@ def _example1_moments():
     return population_spec_moments(model, specs)
 
 
+def _sets(f):
+    """Each point's identified set as :func:`identified_set` gives it:
+    ``(lo, hi)``, or None when it is empty."""
+    return [None if e else (lo, hi) for lo, hi, e in zip(f.lo.tolist(), f.hi.tolist(), f.empty)]
+
+
 def test_frontier_named_points():
     pi_t, psi_t = _example1_moments()
-    points = frontier(pi_t, psi_t, np.ones(3, dtype=bool), np.array([0.0, 0.5, 1.0, 3.0]))
+    f = frontier(pi_t, psi_t, np.ones(3, dtype=bool), np.array([0.0, 0.5, 1.0, 3.0]))
     expected = {
         0.0: (0.0, 1.0, 3.0),
         0.5: (0.5, 0.5, 2.5),
         1.0: (1.0, 0.0, 2.0),
         3.0: (3.0, 2.0, 0.0),
     }
-    for point in points:
-        want = np.array(expected[point.b])
-        assert np.max(np.abs(point.delta - want)) <= 1e-12
-        assert point.on_frontier
-        lo, hi = point.identified_set
-        assert abs(lo - point.b) <= 1e-12 and abs(hi - point.b) <= 1e-12
+    assert len(f) == 4 and f.on_frontier.all()
+    for b, delta, (lo, hi) in zip(f.b.tolist(), f.deltas(), _sets(f)):
+        want = np.array(expected[b])
+        assert np.max(np.abs(delta - want)) <= 1e-12
+        assert abs(lo - b) <= 1e-12 and abs(hi - b) <= 1e-12
 
 
 def test_frontier_flags_points_beyond_the_ratio_range():
     pi_t, psi_t = _example1_moments()
-    (point,) = frontier(pi_t, psi_t, np.ones(3, dtype=bool), np.array([3.1]))
-    assert not point.on_frontier
-    assert np.max(np.abs(point.delta - np.array([3.1, 2.1, 0.1]))) <= 1e-12
+    f = frontier(pi_t, psi_t, np.ones(3, dtype=bool), np.array([3.1]))
+    assert f.on_frontier.tolist() == [False]
+    assert np.max(np.abs(f.deltas() - np.array([[3.1, 2.1, 0.1]]))) <= 1e-12
 
 
 def test_frontier_zero_at_own_ratio():
     pi_t, psi_t = _example1_moments()
     for j, b in enumerate(psi_t / pi_t):
-        (point,) = frontier(pi_t, psi_t, np.ones(3, dtype=bool), np.array([b]))
-        assert abs(point.delta[j]) <= 1e-12
+        f = frontier(pi_t, psi_t, np.ones(3, dtype=bool), np.array([b]))
+        assert abs(f.deltas()[0, j]) <= 1e-12
 
 
 def test_shrinking_any_frontier_component_falsifies():
@@ -424,6 +429,14 @@ def test_a_table_holds_spec_ids_and_builds_its_specs_on_read():
         assert taken.spec_ids.tolist() == [ids[p] for p in positions]
         for name in columns:
             assert getattr(taken, name).tolist() == [getattr(table, name)[p] for p in positions]
+    # no spec, as a list or as an id array, gives no row and no moment
+    for none in ([], np.zeros(0, dtype=np.int64)):
+        empty = estimate_specs(data, none)
+        assert empty.k_z == 4 and empty.spec_ids.dtype == np.int64
+        for name in ("spec_ids",) + columns:
+            assert getattr(empty, name).shape == (0,), name
+        moments = population_spec_moments(model, none)
+        assert [(v.dtype, v.shape) for v in moments] == [(np.float64, (0,))] * 2
 
 
 def _near_zero_relevance_model():
@@ -487,11 +500,11 @@ def test_population_excl_and_exo_nest_in_general(model):
 
 def test_the_frontier_of_a_population_fas_spans_it():
     result = population_fas(example1_model(), Mode.EXCL)
-    family, points = result.table.specs, fas_frontier(result)
-    assert len(points) == 201
-    assert points[0].b == pytest.approx(0.0, abs=1e-12)
-    assert points[-1].b == pytest.approx(3.0, abs=1e-12)
-    assert all(p.on_frontier for p in points)
+    family, f = result.table.specs, fas_frontier(result)
+    assert len(f) == 201
+    assert f.b[0] == pytest.approx(0.0, abs=1e-12)
+    assert f.b[-1] == pytest.approx(3.0, abs=1e-12)
+    assert f.on_frontier.all()
     assert [s.label for s in family] == ["Z1|2,3", "Z2|1,3", "Z3|1,2"]
 
 
@@ -623,15 +636,16 @@ def test_frontier_points_equal_the_per_component_reference(rows, moments, grid):
         if rows is not None:
             # the kernel takes _BLOCK_ELEMENTS // len(pi) grid rows per block
             patch.setattr(fas_module, "_BLOCK_ELEMENTS", rows * len(pi))
-        points = frontier(pi, psi, relevant, grid)
-        assert len(points) == len(grid)
-        for b, point in zip(grid, points):
+        f = frontier(pi, psi, relevant, grid)
+        assert len(f) == len(grid) and np.array_equal(f.b, grid)
+        for i, (b, identified) in enumerate(zip(grid, _sets(f))):
             delta = np.abs(psi - b * pi)
-            assert point.b == b
-            assert np.array_equal(point.delta, delta)
-            assert point.identified_set == _reference_identified_set(pi, psi, delta)
-            assert point.on_frontier == (b_lo - span_slack <= b <= b_hi + span_slack)
-        assert frontier(pi, psi, relevant, grid[:0]) == []
+            # a point's deltas have the same bits alone and among all points
+            assert np.array_equal(f.deltas(i, i + 1), delta[None, :])
+            assert np.array_equal(f.deltas()[i], delta)
+            assert identified == _reference_identified_set(pi, psi, delta)
+            assert f.on_frontier[i] == (b_lo - span_slack <= b <= b_hi + span_slack)
+        assert len(frontier(pi, psi, relevant, grid[:0])) == 0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -652,31 +666,45 @@ def test_frontier_matches_its_closed_form(seed, m, outside):
     below = [r.min() - d for d in outside]
     above = [r.max() + d for d in outside]
     grid = np.concatenate([r, inside, below, above])
-    points = frontier(pi, psi, np.ones(m, dtype=bool), grid)
-    for b, point in zip(grid.tolist(), points):
+    f = frontier(pi, psi, np.ones(m, dtype=bool), grid)
+    for b, (lo, hi) in zip(grid.tolist(), _sets(f)):
         lo_want = b if np.any(r >= b) else 2 * r.max() - b
         hi_want = b if np.any(r <= b) else 2 * r.min() - b
-        lo, hi = point.identified_set
         for got, want in ((lo, lo_want), (hi, hi_want)):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
-def test_frontier_kernel_memory_is_two_blocks_beside_the_delta_matrix():
-    result = population_fas(random_model(np.random.default_rng(10), 10), Mode.GENERAL)
-    vector_bytes = result.table.pi_hat.nbytes
-    delta_bytes = 201 * vector_bytes
-    block_bytes = fas_module._BLOCK_ELEMENTS * 8
+def _frontier_peak(make):
+    """The result of ``make()`` and the peak of the memory it allocated."""
     tracemalloc.start()
     try:
-        points = fas_module.fas_frontier(result, 201)
+        result = make()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(points) == 201
-    # beside the matrix, the kernel holds two copies of one block of rows
-    # (radius and bound) and a few vectors of one entry per component; a
-    # pass over the whole matrix would hold two more copies of it
-    assert peak <= delta_bytes + 2 * block_bytes + 4 * vector_bytes, (peak, delta_bytes)
+    return result, peak
+
+
+def test_frontier_peaks_at_a_few_kernel_blocks_not_the_delta_matrix():
+    block_bytes = fas_module._BLOCK_ELEMENTS * 8
+    # 2^14 components by 201 points: a 26 MB matrix, which is never formed
+    rng = np.random.default_rng(14)
+    m = 2**14
+    pi = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.2, 3.0, size=m)
+    psi = rng.uniform(-5.0, 5.0, size=m)
+    grid = np.linspace(-3.0, 3.0, 201)
+    f, peak = _frontier_peak(lambda: frontier(pi, psi, np.ones(m, dtype=bool), grid))
+    assert len(f) == 201
+    # the kernel holds three copies of one block of rows (deltas, radius
+    # and bound) and a few vectors of one entry per component
+    assert peak <= 3 * block_bytes + 6 * pi.nbytes, peak
+    assert peak < 4 * 2**20 < 201 * pi.nbytes
+    # the same through fas_frontier, on the k=10 general family
+    result = population_fas(random_model(np.random.default_rng(10), 10), Mode.GENERAL)
+    vector_bytes = result.table.pi_hat.nbytes
+    f, peak = _frontier_peak(lambda: fas_module.fas_frontier(result, 201))
+    assert len(f) == 201
+    assert peak <= 3 * block_bytes + 6 * vector_bytes < 201 * vector_bytes, peak
 
 
 def test_model_validation():

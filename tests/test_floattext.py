@@ -16,11 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from faskit import Dataset, floattext, write_csv
-from faskit.jsontext import _float_rows, indented_chunks
-from test_json_emit import _as_lists
-
-_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 1.5e300]
+from faskit import Dataset, Frontier, floattext, write_csv
+from faskit.cli import FrontierRows
+from faskit.jsontext import ROWS_PER_BLOCK, indented_chunks
+from test_json_emit import EDGES, frontier_rows
 
 
 @contextmanager
@@ -54,39 +53,28 @@ def _workers(cpus):
         yield seen
 
 
-_ROWS = st.lists(st.sampled_from(_EDGES) | st.floats(), max_size=8).map(
-    lambda v: np.array(v, dtype=np.float64)
-)
-
-
-def _containers(children):
-    return st.lists(children, min_size=1, max_size=4) | st.dictionaries(
-        st.text(max_size=3), children, min_size=1, max_size=4
-    )
-
-
-# documents of mostly arrays, so that most examples give the workers rows
-_TREES = _containers(st.recursive(
-    st.one_of(_ROWS, _ROWS, _ROWS, st.floats(allow_nan=False), st.text(max_size=3)),
-    _containers,
-    max_leaves=12,
+# a point at each edge float, each with the edge floats' magnitudes as its deltas
+_EDGE_ROWS = FrontierRows(Frontier(
+    np.array(EDGES), np.zeros(9), np.zeros(9), np.zeros(9, dtype=bool), np.ones(9, dtype=bool),
+    np.zeros(9), np.array(EDGES),
 ))
 
 
 # a third CPU still gives one worker
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(_TREES)
-@example([np.array(_EDGES), {"a": [np.array([]), np.array([1e-5, -0.0])]}, [[np.array(_EDGES[::-1])]]])
-@example({"d": np.array([], dtype=np.float64), "e": [np.array([5e-324]), np.array([math.nan])]})
-def test_json_text_is_json_dumps_with_and_without_a_worker(cpus, tree):
-    found = []
-    _float_rows(tree, 0, found)
-    with _workers(cpus) as seen:
-        text = "".join(indented_chunks(tree))
-    assert text == json.dumps(_as_lists(tree), indent=2)
-    if cpus > 1 and found:
-        assert len(seen.started) == 1 and sorted(seen.served) == list(range(len(found)))
+@given(frontier_rows(st.integers(0, 4) | st.sampled_from(
+    [ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1]
+)))
+@example(_EDGE_ROWS)
+def test_json_text_is_json_dumps_with_and_without_a_worker(cpus, rows):
+    report = {"modes": {"general": {"specs": [], "frontier": rows}}}
+    with _workers(cpus) as seen, np.errstate(all="ignore"):
+        text = "".join(indented_chunks(report))
+        listed = list(rows)
+    assert text == json.dumps({"modes": {"general": {"specs": [], "frontier": listed}}}, indent=2)
+    if cpus > 1 and len(rows):
+        assert len(seen.started) == 1 and sorted(seen.served) == list(range(len(rows)))
     else:
         assert not seen.started and not seen.served
 

@@ -19,10 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import faskit
-from faskit import Mode
+from faskit import Frontier, Mode
 from faskit import fas as fas_module
 from faskit import jsontext
-from faskit.cli import _ESTIMATES, _ID_FIELDS, SpecRows, main
+from faskit.cli import _ESTIMATES, _ID_FIELDS, FrontierRows, SpecRows, main
 from faskit.jsontext import indented_chunks
 from test_golden import CASES, _invoke
 
@@ -122,6 +122,28 @@ def spec_rows(draw):
     return SpecRows(k, ids, ("spec_id", "label"), columns)
 
 
+# floats that json spells in its own way or whose repr is not plain
+EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 1.5e300]
+
+
+@st.composite
+def frontier_rows(draw, counts=st.integers(0, 6)):
+    """A FrontierRows of 1 to 8 components and ``counts`` points, over a
+    Frontier whose columns and moments mix EDGES with normal draws, so that
+    its b, intervals and deltas hold every spelling. Its deltas overflow or
+    meet ``inf - inf``, so form them under ``np.errstate(all="ignore")``."""
+    width, count = draw(st.integers(1, 8)), draw(counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def floats(size):
+        normal = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+        return np.where(rng.random(size) < 0.3, rng.choice(EDGES, size), normal)
+
+    empty, on = rng.random(count) < 0.3, rng.random(count) < 0.5
+    frontier = Frontier(floats(count), floats(count), floats(count), empty, on, floats(width), floats(width))
+    return FrontierRows(frontier)
+
+
 _EMPTY_ROWS = SpecRows(3, np.zeros(0, dtype=np.int64), tuple(_ID_FIELDS), [
     *((name, "float?", np.zeros(0)) for name in _ESTIMATES),
     ("f_stat", "float", np.zeros(0)), ("status", "str", np.zeros(0, dtype=object)),
@@ -130,21 +152,21 @@ _EMPTY_ROWS = SpecRows(3, np.zeros(0, dtype=np.int64), tuple(_ID_FIELDS), [
 
 @pytest.mark.parametrize("block", [2, 7, None], ids=["2-rows", "7-rows", "default"])
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(rows=spec_rows(), depth=st.integers(0, 3))
+@given(rows=spec_rows() | frontier_rows(), depth=st.integers(0, 3))
 @example(rows=_EMPTY_ROWS, depth=0)
 @example(rows=_EMPTY_ROWS, depth=2)
 def test_spec_rows_are_written_as_json_dumps_writes_their_list(block, rows, depth):
-    with pytest.MonkeyPatch.context() as patch:
-        if block is not None:
-            patch.setattr(jsontext, "ROWS_PER_BLOCK", block)
-        text = "".join(indented_chunks(rows, depth))
-        listed = list(rows)
+    with np.errstate(all="ignore"):
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(jsontext, "ROWS_PER_BLOCK", block)
+            text = "".join(indented_chunks(rows, depth))
+            listed = list(rows)
+        # in a report, as the oracle holds them
+        report = _text({"modes": {"general": {"specs": rows, "frontier": []}}})
     assert len(listed) == len(rows)
     assert text == json.dumps(listed, indent=2).replace("\n", "\n" + "  " * depth)
-    # in a report, as the oracle holds them
-    assert _text({"modes": {"general": {"specs": rows, "frontier": []}}}) == json.dumps(
-        {"modes": {"general": {"specs": listed, "frontier": []}}}, indent=2
-    )
+    assert report == json.dumps({"modes": {"general": {"specs": listed, "frontier": []}}}, indent=2)
 
 
 def _assert_standard_layout(stdout):
