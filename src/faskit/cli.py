@@ -207,24 +207,17 @@ _ESTIMATES = ("beta_hat", "se", "pi_hat", "psi_hat")
 
 
 def _estimate_rows(results: dict[Mode, FasResult], k_z: int) -> SpecRows:
-    """The ``specs`` rows of an estimate report: the union of the results'
-    tables in spec_id order. A spec in several modes' families has the same
-    row and status in each, from the one sweep, so any copy serves."""
-    tables = [r.table for r in results.values()]
-    ids = np.concatenate([t.spec_ids for t in tables])
-    # a row of each id, without the sort of np.unique, which costs peak RSS
-    row = np.full(ids.max() + 1, -1)
-    row[ids] = np.arange(len(ids))
-    ids = np.flatnonzero(row >= 0)
-    pick = row[ids]
-
-    def union(columns: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate(columns)[pick]
-
-    columns = [(name, "float?", union([getattr(t, name) for t in tables])) for name in _ESTIMATES]
-    columns.append(("f_stat", "float", union([t.f_stat for t in tables])))
-    columns.append(("status", "str", union([r.status for r in results.values()])))
-    return SpecRows(k_z, ids, tuple(_ID_FIELDS), columns)
+    """The ``specs`` rows of an estimate report: the rows of the widest
+    result, in spec_id order. The modes come one at a time or all three,
+    and Excl's and Exo's families nest in General's, so the widest result
+    holds every requested spec. A spec has the same row and status in each
+    mode, from the one sweep."""
+    result = max(results.values(), key=lambda r: len(r.table.spec_ids))
+    t = result.table
+    columns = [(name, "float?", getattr(t, name)) for name in _ESTIMATES]
+    columns.append(("f_stat", "float", t.f_stat))
+    columns.append(("status", "str", result.status))
+    return SpecRows(k_z, t.spec_ids, tuple(_ID_FIELDS), columns)
 
 
 def _fas_section(result: FasResult) -> dict:

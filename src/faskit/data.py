@@ -304,14 +304,15 @@ def write_csv(dataset: Dataset, path: str, outcome: str = "y", treatment: str = 
     the same float64 bits. Lines end in CRLF. The bytes are those
     ``csv.writer`` writes for the same rows.
 
-    The rows go in blocks of :data:`_WRITE_ROWS` through
-    :class:`faskit.floattext.RowTexts`. When the table holds at least
+    The table goes as one matrix to one
+    :class:`faskit.floattext.RowTexts`, which formats it in blocks of
+    :data:`_WRITE_ROWS` rows. When it holds at least
     ``floattext.MIN_VALUES`` values and this process may run on more than
     one CPU, one worker process (``sys.executable -I -S`` on the
     ``floattext`` file, fed through unlinked temporary files in ``TMPDIR``)
     formats blocks from the end of the table while this process formats
-    from the start, until they meet. The bytes do not change, and a worker that fails
-    leaves its blocks to this process.
+    from the start, until they meet. The bytes do not change, and a worker
+    that fails leaves its blocks to this process.
     """
     header = [outcome, treatment] + list(dataset.z_names) + list(dataset.control_names)
     blocks = [dataset.y[:, None], dataset.x[:, None], dataset.Z]
@@ -321,12 +322,7 @@ def write_csv(dataset: Dataset, path: str, outcome: str = "y", treatment: str = 
     # imported here, so that a process that writes no CSV never loads it
     from .floattext import RowTexts
 
-    style = ("", ",", "\r\n")
-    jobs = [
-        (table[start : start + _WRITE_ROWS], table.shape[1], style)
-        for start in range(0, table.shape[0], _WRITE_ROWS)
-    ]
-    with open(path, "w", newline="") as handle, RowTexts(jobs) as texts:
+    with open(path, "w", newline="") as handle, RowTexts(table, _WRITE_ROWS, ("", ",", "\r\n")) as texts:
         csv.writer(handle).writerow(header)
         for text in texts:
             handle.write(text)

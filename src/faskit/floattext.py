@@ -1,12 +1,13 @@
-"""Rows of float64 values as text, with a share of them formatted by a worker
-process on another CPU.
+"""The rows of a float64 matrix as text, with a share of them formatted by a
+worker process on another CPU.
 
-A *job* is a C-contiguous float64 buffer, read as rows of ``width`` values,
-and a *style* ``(head, sep, tail)``. The job's text is, row by row,
-``head + sep.join(value texts) + tail``. A value's text is its ``repr``
-(``nan``, ``inf``, ``-inf``), or, for a JSON writer, json's spelling of the
-non-finite values (``NaN``, ``Infinity``, ``-Infinity``). So a CSV row is
-what ``csv.writer`` writes, and a JSON array is what ``json.dumps`` writes.
+A call takes one 2-D, C-contiguous float64 matrix and a *style*
+``(head, sep, tail)``. A row's text is ``head + sep.join(value texts) +
+tail``, and a *job* is a run of ``rows_per_job`` consecutive rows, the last
+one perhaps shorter. A value's text is its ``repr`` (``nan``, ``inf``,
+``-inf``), or, for a JSON writer, json's spelling of the non-finite values
+(``NaN``, ``Infinity``, ``-Infinity``). So a CSV row is what ``csv.writer``
+writes, and a JSON array is what ``json.dumps`` writes.
 
 Turning a double into its shortest round-trip text costs about a
 microsecond in CPython, whichever formatter makes it, so a report of a
@@ -37,8 +38,6 @@ _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _job_text(view: memoryview, width: int, style: tuple[str, str, str], json: bool) -> str:
     """The text of one job, from its bytes ``view``."""
-    if not view.nbytes:
-        return ""
     head, sep, tail = style
     rows = view.cast("d", [view.nbytes // 8 // width, width]).tolist()
     texts = map(map, repeat(repr), rows)
@@ -57,42 +56,26 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _ints(source, count: int) -> array:
-    values = array("q")
-    values.frombytes(source.read(8 * count))
-    return values
-
-
-def _write_request(sink, jobs: list, json: bool) -> None:
-    """Write jobs for :func:`_work`: a count, then the header integers (json
-    flag, style count, three text lengths per style, then values, width and
-    style index per job), the style texts, and the float64 bytes."""
-    styles: dict[tuple[str, str, str], int] = {}
-    fields = []
-    for view, width, style in jobs:
-        fields += [view.nbytes // 8, width, styles.setdefault(style, len(styles))]
-    texts = [text.encode("ascii") for style in styles for text in style]
-    header = array("q", [int(json), len(styles), *map(len, texts), *fields])
-    sink.write(array("q", [len(header)]).tobytes())
-    sink.write(header.tobytes())
-    sink.write(b"".join(texts))
-    for view, _, _ in jobs:
-        sink.write(view)
+def _write_request(sink, texts: RowTexts) -> None:
+    """Write a call for :func:`_work`: seven integers (json flag, value
+    count, row width, bytes per job and the three style lengths), the style,
+    then the matrix's bytes."""
+    style = [text.encode("ascii") for text in texts._style]
+    values = texts._values
+    header = [int(texts._json), values.nbytes // 8, texts._width, texts._job_bytes, *map(len, style)]
+    sink.write(array("q", header).tobytes() + b"".join(style))
+    sink.write(values)
 
 
 def _work(source, sink) -> None:
-    """Format the jobs that :func:`_write_request` wrote to ``source``, the
-    last first. Each job's text goes to ``sink`` as one record as soon as it
-    is made: its byte length, then the text."""
-    header = _ints(source, _ints(source, 1)[0])
-    json, n_styles = header[:2]
-    texts = [source.read(size).decode("ascii") for size in header[2 : 2 + 3 * n_styles]]
-    styles = list(zip(texts[0::3], texts[1::3], texts[2::3]))
-    fields = header[2 + 3 * n_styles :]
-    values = [source.read(8 * count) for count in fields[0::3]]
-    for job in reversed(range(len(values))):
-        width, style = fields[3 * job + 1 : 3 * job + 3]
-        text = _job_text(memoryview(values[job]), width, styles[style], bool(json)).encode("ascii")
+    """Format the jobs of the call that :func:`_write_request` wrote to
+    ``source``, the last first. Each job's text goes to ``sink`` as one
+    record as soon as it is made: its byte length, then the text."""
+    json, count, width, job_bytes, *lengths = array("q", source.read(7 * 8))
+    style = tuple(source.read(length).decode("ascii") for length in lengths)
+    values = memoryview(source.read(8 * count))
+    for start in reversed(range(0, values.nbytes, job_bytes)):
+        text = _job_text(values[start : start + job_bytes], width, style, bool(json)).encode("ascii")
         sink.write(array("q", [len(text)]).tobytes() + text)
         sink.flush()
 
@@ -101,11 +84,11 @@ class _Worker:
     """A worker process over every job, which it formats from the last down,
     and what the caller has read of its records."""
 
-    def __init__(self, jobs: list, json: bool) -> None:
+    def __init__(self, texts: RowTexts) -> None:
         import subprocess
         import tempfile
 
-        self.count = len(jobs)
+        self.count = texts._count
         # the byte offset and length of each finished job's text, from the last
         self.records: list[tuple[int, int]] = []
         self._end = 0
@@ -113,7 +96,7 @@ class _Worker:
         try:
             self.output = tempfile.TemporaryFile()
             with tempfile.TemporaryFile() as request:
-                _write_request(request, jobs, json)
+                _write_request(request, texts)
                 request.flush()
                 request.seek(0)
                 self.process = subprocess.Popen(
@@ -157,40 +140,49 @@ class _Worker:
 
 
 class RowTexts:
-    """The texts of float64 jobs, in order, some of them formatted by a
-    worker.
+    """The texts of a float64 matrix's jobs, in order, some of them formatted
+    by a worker.
 
-    ``jobs`` is a list of ``(buffer, width, style)``: a C-contiguous float64
-    buffer, such as an ``np.ndarray``, whose value count is a multiple of
-    ``width``, and an ASCII ``(head, sep, tail)``. ``json`` picks json's
-    spelling of non-finite values over ``repr``'s.
+    ``matrix`` is a 2-D, C-contiguous float64 buffer of at least one column,
+    such as an ``np.ndarray``; a job is ``rows_per_job`` of its rows, and
+    ``style`` is an ASCII ``(head, sep, tail)``. ``json`` picks json's
+    spelling of non-finite values over ``repr``'s. Any other input raises
+    ``ValueError``.
 
     Use it as a context manager: entering starts the worker, if any, and
     iterating yields each job's text in order. Leaving the block kills and
     reaps the worker if it still runs, also on an early exit.
 
-    One worker starts when the jobs hold at least :data:`MIN_VALUES` values
-    and this process may run on more than one CPU (``os.sched_getaffinity``).
-    It formats the jobs from the last down, while this process takes them in
-    order and formats each job the worker has not finished yet itself. So
-    the two meet where their wall times meet, wherever the caller spends its
-    own time, and the worker is then killed. A worker that fails leaves its
-    unfinished jobs to this process.
+    One worker starts when the matrix holds at least :data:`MIN_VALUES`
+    values and this process may run on more than one CPU
+    (``os.sched_getaffinity``). It formats the jobs from the last down,
+    while this process takes them in order and formats each job the worker
+    has not finished yet itself. So the two meet where their wall times
+    meet, wherever the caller spends its own time, and the worker is then
+    killed. A worker that fails leaves its unfinished jobs to this process.
     """
 
-    def __init__(self, jobs, json: bool = False) -> None:
-        self._jobs = [(memoryview(buffer).cast("B"), width, tuple(style)) for buffer, width, style in jobs]
-        for view, width, style in self._jobs:
-            if width < 1 or view.nbytes % (8 * width) or not "".join(style).isascii():
-                raise ValueError("a job needs whole rows of float64 values and an ASCII style")
-        self._json = json
+    def __init__(self, matrix, rows_per_job: int, style, json: bool = False) -> None:
+        view, self._style = memoryview(matrix), tuple(style)
+        if not (
+            view.format == "d" and view.ndim == 2 and view.shape[1] and view.c_contiguous
+            and rows_per_job >= 1 and "".join(self._style).isascii()
+        ):
+            raise ValueError(
+                "RowTexts takes a 2-D, C-contiguous float64 matrix, rows_per_job >= 1 and an ASCII style"
+            )
+        # a view with no rows cannot be cast
+        self._values = view.cast("B") if view.nbytes else memoryview(b"")
+        self._width, self._json = view.shape[1], json
+        self._job_bytes = 8 * self._width * rows_per_job
+        self._count = -(-self._values.nbytes // self._job_bytes)
         self._worker: _Worker | None = None
 
     def __enter__(self) -> RowTexts:
-        total = sum(view.nbytes for view, _, _ in self._jobs) // 8
+        total = self._values.nbytes // 8
         # os.pread is missing on Windows, where records could not be read
         if total and total >= MIN_VALUES and _cpus() > 1 and hasattr(os, "pread"):
-            self._worker = _Worker(self._jobs, self._json)
+            self._worker = _Worker(self)
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -203,7 +195,8 @@ class RowTexts:
             self._worker = None
 
     def _text(self, job: int) -> str:
-        return _job_text(*self._jobs[job], self._json)
+        start = job * self._job_bytes
+        return _job_text(self._values[start : start + self._job_bytes], self._width, self._style, self._json)
 
     def __iter__(self):
         job, worker = 0, self._worker
@@ -215,7 +208,7 @@ class RowTexts:
             while job < worker.count:
                 yield worker.text(job)
                 job += 1
-        while job < len(self._jobs):
+        while job < self._count:
             yield self._text(job)
             job += 1
 

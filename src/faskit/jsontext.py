@@ -17,12 +17,14 @@ becomes its JSON texts in one pass, and each row is one ``%`` of a row
 template that the keys and the depth fix.
 
 The text of a "floats" column, such as a frontier's deltas, goes through
-one :class:`faskit.floattext.RowTexts` per Rows. When the column holds at
-least ``floattext.MIN_VALUES`` values and this process may run on more than
-one CPU, one worker process (``sys.executable -I -S`` on the ``floattext``
-file, fed through unlinked temporary files in ``TMPDIR``) formats its rows
-from the last one back while this process writes from the first. The bytes
-do not change, and a worker that fails leaves its rows to this process.
+one :class:`faskit.floattext.RowTexts` per Rows, which takes the whole
+column as one matrix and gives each row's text as its own job. When the
+column holds at least ``floattext.MIN_VALUES`` values and this process may
+run on more than one CPU, one worker process (``sys.executable -I -S`` on
+the ``floattext`` file, fed through unlinked temporary files in ``TMPDIR``)
+formats its rows from the last one back while this process writes from the
+first. The bytes do not change, and a worker that fails leaves its rows to
+this process.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ class Rows:
 
     Iterating yields each row as the dict json would write the same way: a
     report that holds a Rows renders and serializes as one that holds
-    ``list(rows)``.
+    ``list(rows)``. It takes :data:`ROWS_PER_BLOCK` rows at a time, or one
+    when a "floats" column is there, whose rows may be long.
     """
 
     fields: tuple[tuple[str, str], ...] = ()
@@ -79,8 +82,9 @@ class Rows:
 
     def __iter__(self) -> Iterator[dict]:
         keys = [key for key, _ in self.fields]
-        for start in range(0, len(self), ROWS_PER_BLOCK):
-            columns = self.block(start, min(start + ROWS_PER_BLOCK, len(self)))
+        step = 1 if any(kind == "floats" for _, kind in self.fields) else ROWS_PER_BLOCK
+        for start in range(0, len(self), step):
+            columns = self.block(start, min(start + step, len(self)))
             values = [_VALUES[kind](c) for (_, kind), c in zip(self.fields, columns)]
             for row in zip(*values):
                 yield dict(zip(keys, row))
@@ -172,8 +176,8 @@ def _array_style(depth: int) -> tuple[str, str, str]:
 
 def _rows_chunks(rows: Rows, depth: int) -> Iterator[str]:
     """The text of ``json.dumps(list(rows), indent=2)`` at ``depth``, one
-    block of rows per piece. A "floats" column is formed once, for every
-    row, as the worker reads every row up front; each row is then three
+    block of rows per piece. A "floats" column is formed once, as one
+    matrix, since the worker reads all of it up front; each row is then three
     pieces, so that the text of its floats, the middle one, is never copied."""
     count = len(rows)
     if not count:
@@ -195,8 +199,7 @@ def _rows_chunks(rows: Rows, depth: int) -> Iterator[str]:
 
         at = kinds.index("floats")
         whole = rows.block(0, count)
-        style = _array_style(depth + 2)
-        source = RowTexts([(row, row.size, style) for row in whole[at]], json=True)
+        source = RowTexts(whole[at], 1, _array_style(depth + 2), json=True)
     with source as texts:
         texts = iter(texts)
         for start in range(0, count, ROWS_PER_BLOCK):

@@ -31,6 +31,7 @@ from faskit import (
 )
 from faskit import fas as fas_module
 from faskit import specs as specs_module
+from faskit.cli import FrontierRows
 from faskit.errors import (
     DimensionMismatchError,
     InvalidCountError,
@@ -705,6 +706,21 @@ def test_frontier_peaks_at_a_few_kernel_blocks_not_the_delta_matrix():
     f, peak = _frontier_peak(lambda: fas_module.fas_frontier(result, 201))
     assert len(f) == 201
     assert peak <= 3 * block_bytes + 6 * vector_bytes < 201 * vector_bytes, peak
+
+
+def test_iterating_frontier_rows_forms_one_point_of_deltas_at_a_time():
+    # 2^14 components by 201 points: a 26 MB delta matrix, of which the
+    # first row needs one row
+    rng = np.random.default_rng(14)
+    m = 2**14
+    pi = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.2, 3.0, size=m)
+    psi = rng.uniform(-5.0, 5.0, size=m)
+    f = frontier(pi, psi, np.ones(m, dtype=bool), np.linspace(-3.0, 3.0, 201))
+    row, peak = _frontier_peak(lambda: next(iter(FrontierRows(f))))
+    assert row["delta"] == f.deltas(0, 1)[0].tolist()
+    # the point's delta row, then the row's list of Python floats: a pointer
+    # and a 24-byte float per component, four rows' worth
+    assert peak <= 6 * pi.nbytes < 201 * pi.nbytes, peak
 
 
 def test_model_validation():

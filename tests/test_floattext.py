@@ -106,12 +106,11 @@ def test_csv_bytes_are_those_of_csv_writer_with_and_without_a_worker(tmp_path):
 
 
 def _rows():
-    rng = np.random.default_rng(11)
-    return [(rng.standard_normal(300), 300, ("[", ", ", "]")) for _ in range(6)]
+    return np.random.default_rng(11).standard_normal((6, 300))
 
 
-def _text_of(jobs):
-    with floattext.RowTexts(jobs, json=True) as texts:
+def _text_of(matrix):
+    with floattext.RowTexts(matrix, 1, ("[", ", ", "]"), json=True) as texts:
         return "".join(texts)
 
 
@@ -143,10 +142,10 @@ def test_a_worker_that_fails_leaves_its_rows_to_the_caller(monkeypatch, tmp_path
 def test_an_early_exit_kills_and_reaps_the_worker(monkeypatch):
     # many CPUs still start one worker
     monkeypatch.setattr(floattext, "_cpus", lambda: 8)
-    rng = np.random.default_rng(2)
-    jobs = [(rng.standard_normal(10), 10, ("", ",", "\n"))]
-    jobs += [(rng.standard_normal(2**16), 2**16, ("", ",", "\n")) for _ in range(6)]
-    texts = floattext.RowTexts(jobs)
+    # 2^16 jobs of 6 values: the caller formats its first at once, while the
+    # worker, with all the others to do, still runs
+    matrix = np.random.default_rng(2).standard_normal((2**16, 6))
+    texts = floattext.RowTexts(matrix, 1, ("", ",", "\n"))
     with pytest.raises(KeyboardInterrupt):
         with texts:
             process = texts._worker.process
@@ -158,9 +157,47 @@ def test_an_early_exit_kills_and_reaps_the_worker(monkeypatch):
 
 def test_a_small_call_starts_no_worker(monkeypatch):
     monkeypatch.setattr(floattext, "_cpus", lambda: 8)
-    jobs = [(np.ones(floattext.MIN_VALUES - 1), 1, ("", "", "\n"))]
-    with floattext.RowTexts(jobs) as texts:
+    with floattext.RowTexts(np.ones((floattext.MIN_VALUES - 1, 1)), 1, ("", "", "\n")) as texts:
         assert texts._worker is None
+
+
+_TABLE = np.random.default_rng(4).standard_normal((8, 6))
+
+
+@pytest.mark.parametrize("matrix, rows_per_job, style", [
+    (_TABLE.ravel(), 1, ("", ",", "\n")),
+    (_TABLE.astype(np.float32), 1, ("", ",", "\n")),
+    (_TABLE.astype(">f8"), 1, ("", ",", "\n")),
+    (np.ones((8, 6), dtype=np.int64), 1, ("", ",", "\n")),
+    (_TABLE[:, ::2], 1, ("", ",", "\n")),
+    (np.asfortranarray(_TABLE), 1, ("", ",", "\n")),
+    (np.ones((8, 0)), 1, ("", ",", "\n")),
+    (_TABLE, 0, ("", ",", "\n")),
+    (_TABLE, -2, ("", ",", "\n")),
+    (_TABLE, 1, ("", "\u00b7", "\n")),
+], ids=[
+    "1-D", "float32", "big-endian", "int64", "strided", "Fortran", "no-columns",
+    "0-rows-per-job", "negative-rows-per-job", "non-ASCII-style",
+])
+def test_a_matrix_it_cannot_take_raises_before_any_worker_starts(matrix, rows_per_job, style):
+    with _workers(2) as seen, pytest.raises(ValueError):
+        with floattext.RowTexts(matrix, rows_per_job, style) as texts:
+            list(texts)
+    assert not seen.started
+
+
+@pytest.mark.parametrize("rows_per_job", [1, 3, 8, 9])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_jobs_are_runs_of_rows_and_the_last_may_be_shorter(cpus, rows_per_job):
+    style = ("<", ";", ">\n")
+    rows = ["<" + ";".join(map(repr, row)) + ">\n" for row in _TABLE.tolist()]
+    expected = ["".join(rows[i : i + rows_per_job]) for i in range(0, 8, rows_per_job)]
+    with _workers(cpus) as seen:
+        with floattext.RowTexts(_TABLE, rows_per_job, style) as texts:
+            assert list(texts) == expected
+        with floattext.RowTexts(np.ones((0, 6)), rows_per_job, style) as texts:
+            assert list(texts) == []
+    assert len(seen.served) == (len(expected) if cpus > 1 else 0)
 
 
 def test_csv_bytes_stay_the_same_while_a_worker_writes(tmp_path, monkeypatch):
