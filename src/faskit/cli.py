@@ -30,6 +30,7 @@ from .fas import (
     Frontier,
     Mode,
     PopulationModel,
+    _check_cutoff,
     fas_by_mode,
     fas_frontier,
     population_fas_by_mode,
@@ -363,6 +364,7 @@ def simulate_report(
     csv_path: str | None = None,
 ) -> dict:
     """Draw data, estimate the requested FAS modes, and summarize against population."""
+    _check_cutoff(cutoff)
     modes = _modes(mode)
     population = {
         each.value: _interval_json(result.interval)
@@ -693,6 +695,7 @@ def estimate(
     robust, pairwise, cutoff, mode, emit,
 ):
     """Estimate falsification adaptive sets from a CSV file."""
+    _check_cutoff(cutoff)
     instrument_names = [s.strip() for s in instruments.split(",") if s.strip()]
     control_names = [s.strip() for s in controls.split(",") if s.strip()]
     dataset, dropped = load_csv(

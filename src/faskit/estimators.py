@@ -1,12 +1,12 @@
 """The just-identified IV column kernel, 2SLS with its weight decomposition,
 and the overidentification test.
 
-:func:`iv_columns` estimates a block of transformed instruments at once as
-ratios of two simple regressions, so ``beta_hat * pi_hat == psi_hat`` holds
-to rounding; :func:`faskit.fas.estimate_specs` gathers its blocks into one
-:class:`SpecTable`, for one spec or many. 2SLS over any instrument subset is
-reported together with the weights that write it as a weighted sum of the
-just-identified estimates, and with a two-step efficient GMM J statistic.
+:func:`faskit.fas.estimate_specs` estimates specs, one or many, as one
+:class:`SpecTable`, and :func:`iv_columns` adds the robust standard errors
+and first-stage F of a block of them from the n rows. 2SLS over any
+instrument subset is reported together with the weights that write it as a
+weighted sum of the just-identified estimates, and with a two-step efficient
+GMM J statistic.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
 from .linalg import _check_flavor, partial_out, projection_basis
 from .specs import JustIdSpec, make_spec, spec_coefficients
 
-# Relative threshold below which a just-identifying moment z'x counts as zero.
+# 2SLS's relative zero, for x'P_Z x against x'x and for |residuals| against |y|.
 FIRST_STAGE_TOL = 1e-12
 
 # The code a report records for a 2SLS fit that raised one of these.
@@ -43,15 +43,15 @@ class SpecTable:
     """Estimates of just-identified specs of ``k_z`` instruments: row i for
     the spec whose id is ``spec_ids[i]`` (int64), one array per column.
 
-    ``beta_hat = z'y / z'x``, its robust ``se``, the first-stage and
-    reduced-form coefficients ``pi_hat`` and ``psi_hat`` of x and y on the
-    transformed instrument, and ``f_stat``, the squared robust t-ratio of
-    ``pi_hat``. ``failure`` (dtype object) is None for an estimated row;
+    ``beta_hat = w'y / w'x`` for the transformed instrument w, its robust
+    ``se``, the first-stage and reduced-form coefficients ``pi_hat`` and
+    ``psi_hat`` of x and y on w, and ``f_stat``, the squared robust t-ratio
+    of ``pi_hat``. ``failure`` (dtype object) is None for an estimated row;
     otherwise it is "degenerate" (collinear controls or transform),
-    "zero-first-stage" (the transformed instrument is orthogonal to the
+    "zero-first-stage" (``|corr(w, x)| <= 1e-12``: w is orthogonal to the
     treatment) or "insufficient-observations" (``n <= 1 + |C| +
     n_absorbed``), and the row holds NaN but for an ``f_stat`` of 0.0. A
-    population table holds moments instead; see
+    population table holds moments from the same engine instead; see
     :func:`faskit.fas.population_fas_by_mode`.
     """
 
@@ -131,24 +131,19 @@ class PairwiseTsls:
 
 
 def iv_columns(
-    W: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    n_absorbed: int = 0,
-    robust_flavor: str = "hc1",
-) -> tuple[np.ndarray, ...]:
-    """Just-identified IV of y on x with each row of W, shape (b, n), as the
-    instrument.
+    W: np.ndarray, x: np.ndarray, y: np.ndarray, pi_hat: np.ndarray, beta_hat: np.ndarray,
+    ww: np.ndarray, wx: np.ndarray, n_absorbed: int = 0, robust_flavor: str = "hc1",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Robust ``se`` and ``f_stat`` of the just-identified IVs of y on x
+    whose instruments w are the rows of W, shape (b, n), given each one's
+    ``pi_hat``, ``beta_hat``, ``ww = w'w`` and ``wx = w'x``.
 
     W, x and y are partialled upstream, which absorbed ``n_absorbed``
-    columns. Returns per-row arrays in :class:`SpecTable` column order:
-    ``beta_hat = w'y / w'x``, ``se`` from the robust IV variance ``sum(w^2
-    u^2) / (w'x)^2`` with ``u = y - x beta_hat``, ``pi_hat = w'x / w'w``,
-    ``psi_hat = w'y / w'w`` and ``f_stat``, the squared robust t-ratio of
-    pi_hat (+inf when its variance is zero); hc1 scales both variances by
-    ``n / (n - 1 - n_absorbed)``. Last comes the mask of rows with ``|w'x|
-    <= 1e-12 * |w| * |x|``, whose estimates are not estimates. Every sum
-    runs along one row, so a row's numbers do not depend on the other rows.
+    columns. ``se`` is the root of ``sum(w^2 u^2) / (w'x)^2``, ``u = y - x
+    beta_hat``, and ``f_stat`` is ``pi_hat^2`` over ``sum(w^2 v^2) /
+    (w'w)^2``, ``v = x - w pi_hat``, or +inf when that is zero; hc1 scales
+    both by ``n / (n - 1 - n_absorbed)``. Every sum runs along one row, so
+    a row's numbers do not depend on the other rows.
 
     Raises ValueError for an unknown ``robust_flavor`` and
     InsufficientObservationsError when ``n <= 1 + n_absorbed``.
@@ -159,13 +154,7 @@ def iv_columns(
         raise InsufficientObservationsError(f"need n > p: n={n}, p=1, absorbed={n_absorbed}")
     scale = n / (n - 1 - n_absorbed) if flavor == "hc1" else 1.0
     buf = np.empty_like(W)  # one reused buffer, to hold working memory down
-    ww = np.multiply(W, W, out=buf).sum(axis=1)
-    wx = np.multiply(W, x, out=buf).sum(axis=1)
-    wy = np.multiply(W, y, out=buf).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pi_hat = wx / ww
-        psi_hat = wy / ww
-        beta_hat = wy / wx
         np.multiply(W, -pi_hat[:, None], out=buf)
         buf += x
         buf *= W  # w * (x - w pi_hat)
@@ -175,8 +164,7 @@ def iv_columns(
         buf *= W  # w * (y - x beta_hat)
         var_beta = scale * np.square(buf, out=buf).sum(axis=1) / (wx * wx)
         f_stat = np.where(var_pi > 0.0, pi_hat * pi_hat / var_pi, np.inf)
-        zero_first_stage = np.abs(wx) <= FIRST_STAGE_TOL * np.sqrt(ww * float(x @ x))
-    return beta_hat, np.sqrt(var_beta), pi_hat, psi_hat, f_stat, zero_first_stage
+    return np.sqrt(var_beta), f_stat
 
 
 def _solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -227,8 +215,11 @@ def _tsls_core(
     if n <= q + n_absorbed:
         raise InsufficientObservationsError(f"need n > p: n={n}, p={q}, absorbed={n_absorbed}")
     # 2SLS is the just-identified IV with the projected treatment as instrument
-    beta, se = iv_columns(xhat[None, :], x, y, n_absorbed, flavor)[:2]
-    beta, se = float(beta[0]), float(se[0])
+    w = xhat[None, :]
+    ww, wx, wy = ((w * v).sum(axis=1) for v in (xhat, x, y))
+    beta = wy / wx
+    se = float(iv_columns(w, x, y, wx / ww, beta, ww, wx, n_absorbed, flavor)[0][0])
+    beta = float(beta[0])
     resid = y - x * beta
 
     c = Zm.T @ x

@@ -28,7 +28,7 @@ from .specs import (
     spec_coefficients,
 )
 
-# Relative tolerance for population-level "pi != 0" decisions.
+# Relative tolerance for "pi != 0" decisions, per spec and per component.
 POPULATION_RELEVANCE_TOL = 1e-12
 
 # Guard band for declaring an intersection empty; rescues pure rounding noise
@@ -210,6 +210,31 @@ def _mode_views(modes: list[Mode], k_z: int) -> tuple[np.ndarray, dict[Mode, np.
     return union, {m: np.searchsorted(union, ids) for m, ids in families.items()}
 
 
+def _spec_moments(R: np.ndarray, zx: np.ndarray, zy: np.ndarray, xx: float, ids: np.ndarray):
+    """The per-spec engine of the sample sweep and the population oracle.
+
+    ``R`` is a triangular factor of the instrument Gram, ``G = R'R``, and
+    ``zx``, ``zy`` and ``xx`` the cross moments: for a sample, the R of a QR
+    of the partialled Z, ``Z'x``, ``Z'y`` and ``x'x``; for a population,
+    ``chol(sigma_z)'``, ``cov(Z, x)``, ``cov(Z, y)`` and ``var(x)``. Spec
+    (l, C) instruments with ``w = Z a``, the residual of Z_l on Z_C. Per
+    chunk of :data:`_SOLVE_SPECS` ids this yields :func:`spec_coefficients`'
+    ``(A, degenerate, |C|)``, then ``w'w = |R a|^2``, ``w'x = a'zx``, ``w'y
+    = a'zy`` and the relevance mask ``|w'x| > 1e-12 * sqrt(w'w * xx)``, that
+    is ``|corr(w, x)| > 1e-12``. Each sum runs over the k coefficients in
+    one fixed order, one spec per array element, so a spec's bits do not
+    depend on the other specs in the call: ``np.matmul`` takes another path
+    for a stack of one, and ``np.sum`` changes its order at 8 terms.
+    """
+    for first in range(0, len(ids), _SOLVE_SPECS):
+        A, degenerate, n_controls = spec_coefficients(R, ids[first : first + _SOLVE_SPECS])
+        # the builtin sum() adds whole arrays, one term at a time, in order
+        wx, wy = (sum(z[j] * a_j for j, a_j in enumerate(A)) for z in (zx, zy))
+        ww = sum(sum(r[j] * a_j for j, a_j in enumerate(A)) ** 2 for r in R)
+        relevant = np.abs(wx) > POPULATION_RELEVANCE_TOL * np.sqrt(ww * xx)
+        yield A, degenerate, n_controls, ww, wx, wy, relevant
+
+
 def estimate_specs(
     dataset: Dataset,
     specs: list[JustIdSpec] | np.ndarray,
@@ -223,18 +248,13 @@ def estimate_specs(
 
     The dataset is partialled of its intercept and controls first (a no-op
     on an already-partialled one), so by Frisch-Waugh-Lovell the estimates
-    are those of the design that includes them. :func:`spec_coefficients`
-    on one QR of the instruments gives ``A``, one call per
-    :data:`_SOLVE_SPECS` specs, and :func:`iv_columns` estimates ``Z A`` a
-    block of columns at a time, with one matrix-vector product per spec, so
-    that a spec's estimate does not depend on the family it is swept in:
-    ``estimate_specs(data, [spec])`` is bit for bit its row of any sweep.
-    The blocks join into one table in the order of ``specs``, whose
-    ``failure`` column comes from three masks (see :class:`SpecTable`); too
-    few observations takes precedence. A sample with ``n <= 1 +
-    n_absorbed`` leaves no spec a residual degree of freedom: every row is
-    then "insufficient-observations", and nothing is solved. No spec gives
-    a table of no rows.
+    are those of the design that includes them. :func:`_spec_moments` on
+    one QR of the instruments gives the moments, degeneracy and relevance,
+    and :func:`iv_columns` the ``se`` and ``f_stat`` from ``Z A``, one
+    matrix-vector product per spec, so ``estimate_specs(data, [spec])`` is
+    bit for bit its row of any sweep. Too few observations takes precedence
+    over the other failures (see :class:`SpecTable`); with ``n <= 1 +
+    n_absorbed`` every row has it, and nothing is solved.
     """
     dataset = partial_out(dataset)
     ids = as_spec_ids(specs, dataset.k_z)
@@ -243,26 +263,36 @@ def estimate_specs(
         failed = np.full(m, "insufficient-observations", dtype=object)
         nan = [np.full(m, np.nan) for _ in range(4)]
         return SpecTable(dataset.k_z, ids, *nan, np.zeros(m), failed)
-    R = np.linalg.qr(dataset.Z, mode="r")
+    Z, x, y, n_absorbed = dataset.Z, dataset.x, dataset.y, dataset.n_absorbed
     width = max(1, _BLOCK_ELEMENTS // dataset.n)
     blocks, solves = [], []
-    for first in range(0, m, _SOLVE_SPECS):
-        A, degenerate, n_controls = spec_coefficients(R, ids[first : first + _SOLVE_SPECS])
-        solves.append((degenerate, n_controls))
-        for start in range(0, A.shape[1], width):
-            W = np.matmul(dataset.Z, A[:, start : start + width].T[:, :, None])[:, :, 0]
-            blocks.append(iv_columns(W, dataset.x, dataset.y, dataset.n_absorbed, robust_flavor))
-    *values, f_stat, zero = (np.concatenate(c) for c in zip(*blocks))
-    degenerate, n_controls = (np.concatenate(c) for c in zip(*solves))
+    moments = _spec_moments(np.linalg.qr(Z, mode="r"), Z.T @ x, Z.T @ y, float(x @ x), ids)
+    for A, degenerate, n_controls, ww, wx, wy, relevant in moments:
+        solves.append((degenerate, n_controls, ~relevant))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beta_hat, pi_hat, psi_hat = wy / wx, wx / ww, wy / ww
+        for b in (slice(i, i + width) for i in range(0, A.shape[1], width)):
+            W = np.matmul(Z, A[:, b].T[:, :, None])[:, :, 0]
+            se, f_stat = iv_columns(
+                W, x, y, pi_hat[b], beta_hat[b], ww[b], wx[b], n_absorbed, robust_flavor
+            )
+            blocks.append((beta_hat[b], se, pi_hat[b], psi_hat[b], f_stat))
+    *values, f_stat = (np.concatenate(c) for c in zip(*blocks))
+    degenerate, n_controls, zero = (np.concatenate(c) for c in zip(*solves))
     failure = np.full(m, None, dtype=object)
     failure[zero] = "zero-first-stage"
     failure[degenerate] = "degenerate"
-    failure[dataset.n <= 1 + n_controls + dataset.n_absorbed] = "insufficient-observations"
+    failure[dataset.n <= 1 + n_controls + n_absorbed] = "insufficient-observations"
     failed = np.not_equal(failure, None)
     for column in values:
         column[failed] = np.nan
     f_stat[failed] = 0.0
     return SpecTable(dataset.k_z, ids, *values, f_stat, failure)
+
+
+def _check_cutoff(cutoff: float) -> None:
+    if not cutoff > 0.0:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
 
 
 def fas_from_estimates(table: SpecTable, cutoff: float, mode: Mode) -> FasResult:
@@ -272,8 +302,7 @@ def fas_from_estimates(table: SpecTable, cutoff: float, mode: Mode) -> FasResult
     above ``cutoff``; the interval is [min beta_hat, max beta_hat] over the
     selected rows, or None (reported, not raised) when there are none.
     """
-    if not cutoff > 0.0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    _check_cutoff(cutoff)
     selected = table.estimated & (table.f_stat >= cutoff)
     return FasResult(mode, _span(table, selected), table, selected)
 
@@ -289,10 +318,11 @@ def fas_by_mode(
     The dataset is partialled of (intercept, controls) first; the union of
     the modes' families from :func:`specs_for_mode` (k_z specs each for
     Excl and Exo, the whole lattice only for General) is then estimated
-    once on the partialled sample. Each mode's interval spans the estimates
-    of its own family that clear the relevance cutoff; its table is the
-    rows of that family in the sweep's table.
+    once on the partialled sample, after the cutoff is checked. Each mode's
+    interval spans the estimates of its own family that clear the relevance
+    cutoff; its table is the rows of that family in the sweep's table.
     """
+    _check_cutoff(cutoff)
     family, views = _mode_views(modes, dataset.k_z)
     table = estimate_specs(partial_out(dataset), family, robust_flavor)
     return {
@@ -324,20 +354,11 @@ def population_spec_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Population first-stage and reduced-form coefficients per spec.
 
-    For spec (l, C) these are the coefficients of x and y on the residual of
-    Z_l after population projection on Z_C:
-
-        pi~ = cov(Z_res, x) / var(Z_res),  psi~ = cov(Z_res, y) / var(Z_res).
-
-    The sweep's coefficient solve on the Cholesky factor of ``sigma_z``
-    gives ``Z_res = Z'a``, so ``pi~ = a'cov(Z, x) / |R a|^2``, and so on.
-    It runs :data:`_SOLVE_SPECS` specs at a time; ``validate()`` bounds the
-    condition number of ``sigma_z``, so no spec is degenerate, and most
-    take the batched subset inverse of :func:`spec_coefficients`.
-    ``specs`` is a list of :class:`~faskit.specs.JustIdSpec` or an array of
-    their ids, as for :func:`estimate_specs`.
-
-    Returns (pi~, psi~) arrays aligned with ``specs``.
+    For spec (l, C), with Z_res the residual of Z_l after population
+    projection on Z_C, these are ``pi~ = cov(Z_res, x) / var(Z_res)`` and
+    ``psi~ = cov(Z_res, y) / var(Z_res)``, from :func:`_spec_moments`.
+    ``specs`` is as for :func:`estimate_specs`. Returns (pi~, psi~) arrays
+    aligned with ``specs``.
     """
     pi_t, psi_t, _ = _population_moments(model, specs)
     return pi_t, psi_t
@@ -346,27 +367,18 @@ def population_spec_moments(
 def _population_moments(
     model: PopulationModel, specs: list[JustIdSpec] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`population_spec_moments`, and the mask of the relevant specs:
-    ``|a'cov(Z, x)| > 1e-12 * sqrt(|R a|^2 * var(x))``, that is
-    ``|corr(Z_res, x)| > 1e-12``, with ``var(x) = pi' sigma_z pi + var_v``."""
+    """:func:`population_spec_moments`, and the mask of the relevant specs."""
     model.validate()
     ids = as_spec_ids(specs, model.k_z)
     R = np.linalg.cholesky(model.sigma_z).T
     cov_zx = model.sigma_z @ model.pi
     cov_zy = model.sigma_z @ (model.pi * model.beta + model.gamma) + model.alpha
     var_x = float(model.pi @ cov_zx) + model.var_v
-    # the join of no block is the moments of no spec
+    # the join of no chunk is the moments of no spec
     moments = [[np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)]]
-    for first in range(0, len(ids), _SOLVE_SPECS):
-        A, _, _ = spec_coefficients(R, ids[first : first + _SOLVE_SPECS])
-        # one product per spec, so that no spec's bits depend on its family
-        a = A.T[:, :, None]
-        variance = np.sum(np.matmul(R, a)[:, :, 0] ** 2, axis=1)
-        zx, zy = (np.matmul(cov, a)[:, 0] for cov in (cov_zx, cov_zy))
-        relevant = np.abs(zx) > POPULATION_RELEVANCE_TOL * np.sqrt(variance * var_x)
-        moments.append([zx / variance, zy / variance, relevant])
-    pi_t, psi_t, relevant = (np.concatenate(c) for c in zip(*moments))
-    return pi_t, psi_t, relevant
+    for *_, ww, wx, wy, relevant in _spec_moments(R, cov_zx, cov_zy, var_x, ids):
+        moments.append([wx / ww, wy / ww, relevant])
+    return tuple(np.concatenate(c) for c in zip(*moments))
 
 
 def _relevance_mask(pi: np.ndarray) -> np.ndarray:
@@ -390,10 +402,9 @@ def population_fas_by_mode(model: PopulationModel, modes: list[Mode]) -> dict[Mo
     """Population FAS of each requested mode from one set of moments.
 
     The population moments run once over the union of the modes' families;
-    each mode's result views its own family in it. A spec is relevant when
-    ``|corr(Z_res, x)| > 1e-12``, the rule of the sample sweep's
-    zero-first-stage check, with ``var(x) = pi' sigma_z pi + var_v``. The
-    rule reads no other spec, so a spec is relevant in every mode or in
+    each mode's result views its own family in it. A spec is relevant by
+    the sample sweep's rule, ``|corr(Z_res, x)| > 1e-12``. The rule reads
+    no other spec, so a spec is relevant in every mode or in
     none, and Excl and Exo nest in General. Each table holds every spec's
     pi~ and psi~, with beta_hat their ratio, f_stat +inf (no sampling
     variance) and ``selected`` True where relevant; an irrelevant spec has

@@ -5,10 +5,7 @@ passes every number through several generator frames and builds the whole
 text before it returns. :func:`indented_chunks` writes the same text as a
 stream of pieces instead. A list, tuple or dict that holds no container goes
 through json's C encoder in one call, whose item separator carries the
-newline and indent; only the containers above those leaves are walked in
-Python. An ``np.ndarray`` is written as the list its ``tolist()`` gives, so
-a report can hold its vectors as arrays and pay for their Python floats one
-vector at a time, only when it is written.
+newline and indent; only the containers above those are walked in Python.
 
 A :class:`Rows` is a list of objects that share their keys, kept as columns:
 a report's ``specs`` blocks and the oracle's ``frontier`` blocks. It is
@@ -132,7 +129,7 @@ _VALUES = {
     "interval": lambda c: [None if lo != lo else [lo, hi] for lo, hi in c.tolist()],
 }
 
-_CONTAINERS = (list, tuple, dict, np.ndarray, Rows)
+_CONTAINERS = (list, tuple, dict, Rows)
 
 
 @functools.cache
@@ -224,16 +221,14 @@ def indented_chunks(value, depth: int = 0) -> Iterator[str]:
     """The text of ``json.dumps(value, indent=2)``, in pieces.
 
     ``depth`` is the indent level ``value`` sits at. Non-str keys are
-    coerced as json coerces them, an ``np.ndarray`` is written as its
-    ``tolist()``, a :class:`Rows` as the list of its rows, and a value json
-    cannot encode raises ``TypeError``. Closing the generator early kills
-    and reaps any float-formatting worker it started.
+    coerced as json coerces them, a :class:`Rows` is written as the list of
+    its rows, and a value json cannot encode, such as an ``np.ndarray``,
+    raises ``TypeError``. Closing the generator early kills and reaps any
+    float-formatting worker it started.
     """
     if isinstance(value, Rows):
         yield from _rows_chunks(value, depth)
         return
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
     if not isinstance(value, _CONTAINERS):
         yield _scalar(value)
         return

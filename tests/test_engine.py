@@ -21,7 +21,9 @@ from faskit import (
     PopulationModel,
     enumerate_specs,
     estimate_specs,
+    fas_by_mode,
     partial_out,
+    population_fas_by_mode,
     population_spec_moments,
     specs_for_mode,
 )
@@ -102,6 +104,15 @@ def test_a_spec_estimate_does_not_depend_on_its_family(monkeypatch):
             one = estimate_specs(sample, [spec])
             assert one.specs == [spec] and one.failure.tolist() == [None]
             assert np.array_equal(_table(one), row)
+    # and of the same population moments, also at k=10, where numpy's sums
+    # change their order
+    wide = random_model(np.random.default_rng(602), 10)
+    for each, stride in ((model, 1), (wide, 7)):
+        specs = enumerate_specs(each.k_z)
+        full_pi, full_psi = population_spec_moments(each, specs)
+        for pos in range(0, len(specs), stride):
+            pi_t, psi_t = population_spec_moments(each, [specs[pos]])
+            assert (pi_t[0], psi_t[0]) == (full_pi[pos], full_psi[pos]), specs[pos].label
 
 
 def test_population_moments_match_a_direct_solve():
@@ -122,6 +133,46 @@ def test_population_moments_match_a_direct_solve():
         pi_t, psi_t = population_spec_moments(model, specs)
         np.testing.assert_allclose(pi_t, want_pi, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(psi_t, want_psi, rtol=1e-12, atol=0.0)
+
+
+def _moment_sample(model, n, seed):
+    """A sample of n rows, with no intercept, whose second moments are the
+    model's: ``Z'Z/n = sigma_z``, ``Z'x/n = cov(Z, x)``, ``Z'y/n = cov(Z,
+    y)`` and ``x'x/n = var(x)``, up to rounding."""
+    k = model.k_z
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, k + 2)))[0] * np.sqrt(n)
+    Z = Q[:, :k] @ np.linalg.cholesky(model.sigma_z).T
+    x = Z @ model.pi + np.sqrt(model.var_v) * Q[:, k]
+    shift = np.linalg.solve(model.sigma_z, model.alpha)
+    u = np.sqrt(model.var_u - model.alpha @ shift) * Q[:, k + 1]
+    y = x * model.beta + Z @ (model.gamma + shift) + u
+    names = tuple(f"Z{i + 1}" for i in range(k))
+    return Dataset(y=y, x=x, Z=Z, z_names=names, intercept=False)
+
+
+def test_the_sample_engine_on_population_moments_is_the_oracle():
+    rng = np.random.default_rng(613)
+    models = [random_model(rng, 1 + i % 6) for i in range(20)]
+    # a first stage with a zero, so that some specs are irrelevant
+    models.append(PopulationModel(
+        beta=1.0, gamma=np.zeros(3), alpha=np.zeros(3), pi=np.array([1.0, 0.0, 0.5]),
+        sigma_z=np.eye(3),
+    ))
+    for seed, model in enumerate(models):
+        sample = fas_by_mode(_moment_sample(model, 200, seed), list(Mode), cutoff=1e-300)
+        population = population_fas_by_mode(model, list(Mode))
+        for mode in Mode:
+            got, want = sample[mode], population[mode]
+            assert got.table.failure.tolist() == want.table.failure.tolist()
+            relevant = want.selected
+            assert np.array_equal(got.selected, relevant)
+            for name in ("pi_hat", "psi_hat", "beta_hat"):
+                np.testing.assert_allclose(
+                    getattr(got.table, name)[relevant], getattr(want.table, name)[relevant],
+                    rtol=1e-10, atol=0.0,
+                )
+            np.testing.assert_allclose(got.interval, want.interval, rtol=1e-10, atol=0.0)
+    assert not population[Mode.GENERAL].selected.all()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from faskit import (
     population_spec_moments,
     simulate,
     specs_for_mode,
+    write_csv,
 )
+from faskit import cli as cli_module
 from faskit import fas as fas_module
 from faskit import specs as specs_module
 from faskit.cli import FrontierRows
@@ -86,9 +89,30 @@ def test_cutoff_comparison_is_inclusive():
     assert _screen(table, 10.0 - 1e-9).selected.tolist() == [True]
 
 
-def test_cutoff_must_be_positive():
-    with pytest.raises(ValueError):
-        _screen(_fake_table([1.0]), 0.0)
+def test_cutoff_must_be_positive(monkeypatch, tmp_path):
+    # a bad cutoff raises before any sweep, draw or load
+    model = example1_model()
+    data = simulate(SimulationConfig(model=model, n=50, seed=1))
+    path = str(tmp_path / "draw.csv")
+    write_csv(data, path)
+    sweep = mock.Mock(wraps=fas_module.estimate_specs)
+    draw = mock.Mock(wraps=cli_module.simulate)
+    load = mock.Mock(wraps=cli_module.load_csv)
+    monkeypatch.setattr(fas_module, "estimate_specs", sweep)
+    monkeypatch.setattr(cli_module, "simulate", draw)
+    monkeypatch.setattr(cli_module, "load_csv", load)
+    for cutoff in (0.0, -1.0, np.nan):
+        args = ["estimate", "--data", path, "--outcome", "y", "--treatment", "x"]
+        args += ["--instruments", ",".join(data.z_names), "--cutoff", str(cutoff)]
+        for run in (
+            lambda: _screen(_fake_table([1.0]), cutoff),
+            lambda: fas_by_mode(data, list(Mode), cutoff),
+            lambda: cli_module.simulate_report(model, 50, 1, cutoff=cutoff),
+            lambda: cli_module.main(args, standalone_mode=False),
+        ):
+            with pytest.raises(ValueError, match="cutoff must be positive"):
+                run()
+    assert sweep.call_count == draw.call_count == load.call_count == 0
 
 
 def test_specs_for_mode_families():

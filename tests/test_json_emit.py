@@ -34,10 +34,8 @@ _FLOATS = st.one_of(
 _SCALARS = st.one_of(
     _TEXT, _FLOATS, st.integers(), st.integers(-(10**300), 10**300), st.booleans(), st.none(),
 )
-# 1-D float64 arrays, which the writer encodes as their tolist()
-_ARRAYS = st.lists(_FLOATS, max_size=6).map(lambda v: np.array(v, dtype=np.float64))
 _TREES = st.recursive(
-    _SCALARS | _ARRAYS,
+    _SCALARS,
     lambda children: st.lists(children, max_size=5) | st.dictionaries(_TEXT, children, max_size=5),
     max_leaves=20,
 )
@@ -47,17 +45,6 @@ def _text(value):
     return "".join(indented_chunks(value))
 
 
-def _as_lists(value):
-    """``value`` with every array replaced by its ``tolist()``."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {key: _as_lists(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_as_lists(item) for item in value]
-    return value
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_TREES)
 @example({})
@@ -65,11 +52,8 @@ def _as_lists(value):
 @example({"a": [], "b": {}, "c": [[], {}, [[{}]]]})
 @example([{"": {"\ud800": []}}, [1, [2.5, [None, [True, [{}]]]]]])
 @example({"delta": [0.0, -0.0, math.nan, math.inf, -math.inf, 1e16], "ok": False})
-@example({"delta": np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1e16]), "ok": False})
-@example([np.array([]), {"d": np.array([], dtype=np.float64)}, np.array([-0.0])])
-@example(np.array([math.nan, -math.inf, 5e-324]))
 def test_writer_matches_json_dumps_indent_2(value):
-    assert _text(value) == json.dumps(_as_lists(value), indent=2)
+    assert _text(value) == json.dumps(value, indent=2)
 
 
 def test_writer_coerces_keys_and_tuples_as_json_does():
@@ -79,10 +63,11 @@ def test_writer_coerces_keys_and_tuples_as_json_does():
 
 @pytest.mark.parametrize("value", [
     object(), [1, object()], {"a": [{"b": {1, 2}}]}, [np.zeros(2), [np.ones(1), object()]],
+    np.zeros(2), {"d": np.zeros(0)},
 ])
 def test_writer_rejects_what_json_rejects(value):
     with pytest.raises(TypeError):
-        json.dumps(_as_lists(value), indent=2)
+        json.dumps(value, indent=2)
     with pytest.raises(TypeError):
         _text(value)
 
