@@ -5,71 +5,63 @@ admits (one identifying instrument, any subset of the others as controls),
 screens them by first-stage F, and reports the interval the surviving
 estimates span, together with a population oracle and the falsification
 frontier for known models.
+
+The names below load their submodule on first use (PEP 562), so that
+``import faskit`` imports no numpy: ``python -m faskit.cli`` and the
+``faskit`` script then reach the top of :mod:`faskit.cli`, which picks the
+BLAS thread count, before anything has loaded numpy.
 """
 
-from .data import Dataset, load_csv, write_csv
-from .dgp import ErrorLaw, SimulationConfig, derive_seed, simulate
-from .errors import FaskitError
-from .estimators import (
-    PairwiseTsls,
-    SpecTable,
-    TslsResult,
-    tsls,
-    tsls_pairwise_report,
-)
-from .fas import (
-    FasResult,
-    Frontier,
-    Mode,
-    PopulationModel,
-    estimate_specs,
-    fas_by_mode,
-    fas_estimate,
-    fas_from_estimates,
-    fas_frontier,
-    frontier,
-    identified_set,
-    population_fas,
-    population_fas_by_mode,
-    population_spec_moments,
-    specs_for_mode,
-)
-from .linalg import partial_out
-from .specs import JustIdSpec, enumerate_specs, spec_count
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dataset",
-    "ErrorLaw",
-    "FasResult",
-    "FaskitError",
-    "Frontier",
-    "JustIdSpec",
-    "Mode",
-    "PairwiseTsls",
-    "PopulationModel",
-    "SimulationConfig",
-    "SpecTable",
-    "TslsResult",
-    "derive_seed",
-    "enumerate_specs",
-    "estimate_specs",
-    "fas_by_mode",
-    "fas_estimate",
-    "fas_from_estimates",
-    "fas_frontier",
-    "frontier",
-    "identified_set",
-    "load_csv",
-    "partial_out",
-    "population_fas",
-    "population_fas_by_mode",
-    "population_spec_moments",
-    "simulate",
-    "spec_count",
-    "specs_for_mode",
-    "tsls",
-    "tsls_pairwise_report",
-    "write_csv",
-]
+# each public name, and the submodule that defines it
+_SOURCES = {
+    "Dataset": "data",
+    "ErrorLaw": "dgp",
+    "FasResult": "fas",
+    "FaskitError": "errors",
+    "Frontier": "fas",
+    "JustIdSpec": "specs",
+    "Mode": "fas",
+    "PairwiseTsls": "estimators",
+    "PopulationModel": "fas",
+    "SimulationConfig": "dgp",
+    "SpecTable": "estimators",
+    "TslsResult": "estimators",
+    "derive_seed": "dgp",
+    "enumerate_specs": "specs",
+    "estimate_specs": "fas",
+    "fas_by_mode": "fas",
+    "fas_estimate": "fas",
+    "fas_from_estimates": "fas",
+    "fas_frontier": "fas",
+    "frontier": "fas",
+    "identified_set": "fas",
+    "load_csv": "data",
+    "partial_out": "linalg",
+    "population_fas": "fas",
+    "population_fas_by_mode": "fas",
+    "population_spec_moments": "fas",
+    "simulate": "dgp",
+    "spec_count": "specs",
+    "specs_for_mode": "fas",
+    "tsls": "estimators",
+    "tsls_pairwise_report": "estimators",
+    "write_csv": "data",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

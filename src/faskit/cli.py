@@ -12,9 +12,23 @@ The text and JSON emitters render the same in-memory numbers.
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
+
+# One BLAS thread per CLI process. The sweep makes thousands of small BLAS
+# calls, and each wakes OpenBLAS's thread pool, whose idle threads then spin:
+# on a 2-core box they raised a k=10 sweep's CPU time by about 75% and saved
+# no wall time, and they split long sums across threads, so the last digits
+# of a report depended on the CPU count. OpenBLAS reads its thread count
+# once, when numpy loads it, from the first of these variables that is set.
+# A caller's own setting wins, and a process that loaded numpy before this
+# module (a library caller, a test) keeps what it has.
+if "numpy" not in sys.modules and not any(
+    os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import functools
 from collections.abc import Iterator
 
 import click
@@ -363,8 +377,17 @@ def simulate_report(
     error_law: ErrorLaw = ErrorLaw.GAUSSIAN,
     csv_path: str | None = None,
 ) -> dict:
-    """Draw data, estimate the requested FAS modes, and summarize against population."""
+    """Draw data, estimate the requested FAS modes, and summarize against population.
+
+    A ``csv_path`` that names a directory, or whose directory does not
+    exist, fails before the first draw."""
     _check_cutoff(cutoff)
+    if csv_path is not None:
+        if os.path.isdir(csv_path):
+            raise IsADirectoryError(f"cannot write the CSV to {csv_path}: it is a directory")
+        folder = os.path.dirname(csv_path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"cannot write the CSV to {csv_path}: no directory {folder}")
     modes = _modes(mode)
     population = {
         each.value: _interval_json(result.interval)
@@ -759,7 +782,7 @@ def entry() -> None:
         sys.exit(exc.exit_code)
     except click.exceptions.Abort:
         sys.exit(1)
-    except (FaskitError, FileNotFoundError, ValueError) as exc:
+    except (FaskitError, OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 

@@ -696,6 +696,28 @@ def test_cli_simulate_rejects_nonpositive_reps(tmp_path):
         assert "--reps" in res.output
 
 
+def test_cli_simulate_refuses_an_unwritable_out_before_the_first_draw(tmp_path, monkeypatch, capsys):
+    from faskit import cli
+
+    model_path = _write(tmp_path, MODEL_FILE, "model.txt")
+    draws = []
+    monkeypatch.setattr(cli, "simulate", lambda config: (draws.append(config), simulate(config))[1])
+    missing = tmp_path / "missing" / "draw.csv"
+    for out, reason in ((missing, f"no directory {missing.parent}"), (tmp_path, "it is a directory")):
+        monkeypatch.setattr(
+            sys, "argv",
+            ["faskit", "simulate", "--model", model_path, "--n", "300", "--seed", "9",
+             "--reps", "3", "--out", str(out)],
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            entry()
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write the CSV to {out}: {reason}\n"
+        assert captured.out == ""
+    assert draws == []
+
+
 def test_cli_robust_flavor_changes_standard_errors(tmp_path):
     data = _seeded_dataset()
     path = str(tmp_path / "sim.csv")
