@@ -70,8 +70,13 @@ _MODEL_KEYS = {"beta", "pi", "gamma", "alpha", "sigma_z", "var_u", "var_v", "rho
 
 
 def _parse_vector(text: str, key: str) -> np.ndarray:
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not any(tokens):
+        return np.zeros(0)
+    if not all(tokens):
+        raise ParseError(f"model key '{key}': blank entry in vector {text!r}")
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        return np.array([float(tok) for tok in tokens])
     except ValueError:
         raise ParseError(f"model key '{key}': cannot parse vector {text!r}") from None
 
@@ -79,10 +84,11 @@ def _parse_vector(text: str, key: str) -> np.ndarray:
 def load_model(path: str) -> tuple[PopulationModel, dict]:
     """Read a population model from a flat key-value file.
 
-    Lines are ``key = value`` with ``#`` comments. Vectors are comma lists;
-    ``sigma_z`` rows are separated by semicolons. ``beta`` and ``pi`` are
-    required; ``gamma`` and ``alpha`` default to zero vectors, ``sigma_z``
-    to the identity, ``var_u`` and ``var_v`` to 1.
+    Lines are ``key = value`` with ``#`` comments. Vectors are comma lists,
+    with no blank entry unless all are blank (an empty vector); ``sigma_z``
+    rows are separated by semicolons. ``beta`` and ``pi`` are required;
+    ``gamma`` and ``alpha`` default to zero vectors, ``sigma_z`` to the
+    identity, ``var_u`` and ``var_v`` to 1.
 
     Returns the model and a dict of simulation extras (``rho_uv`` when
     present in the file).
@@ -746,7 +752,7 @@ def oracle(model_path, grid, mode, emit):
 @main.command("simulate")
 @click.option("--model", "model_path", required=True, type=click.Path(), help="Model file.")
 @click.option("--n", type=int, required=True, help="Sample size.")
-@click.option("--seed", type=int, required=True, help="RNG seed.")
+@click.option("--seed", type=click.IntRange(min=0), required=True, help="RNG seed.")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="Write the draw as CSV.")
 @click.option(
     "--reps", type=click.IntRange(min=1), default=1, show_default=True,

@@ -61,6 +61,8 @@ class SimulationConfig:
             raise InsufficientObservationsError(f"n must be at least 10, got {self.n}")
         if not -1.0 <= self.rho_uv <= 1.0:
             raise InvalidVarianceError(f"rho_uv must lie in [-1, 1], got {self.rho_uv}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         self.error_law = ErrorLaw(self.error_law)
 
 

@@ -6,7 +6,8 @@ others as controls, Exo keeps each instrument alone, General enumerates every
 control partition. The requested modes' families are swept once, as their
 union, into one spec table, and each mode takes its own family's rows. In
 each mode the interval spans the estimates whose first-stage F clears the
-cutoff: an array operation on the table's columns.
+cutoff: an array operation on the table's columns. The population oracle
+fills the same table from population moments and takes the same screen.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from .data import Dataset
 from .errors import DimensionMismatchError, SingularSigmaError, ZeroFirstStageError
 from .estimators import SpecTable, iv_columns
 from .linalg import partial_out
-from .specs import (
-    JustIdSpec,
-    _check_count,
-    as_spec_ids,
-    enumerate_specs,
-    spec_coefficients,
-)
+from .specs import JustIdSpec, _check_count, as_spec_ids, spec_coefficients
 
 # Relative tolerance for "pi != 0" decisions, per spec and per component.
 POPULATION_RELEVANCE_TOL = 1e-12
@@ -74,11 +69,6 @@ class FasResult:
         status = np.where(self.table.estimated, "low-F", self.table.failure)
         status[self.selected] = "selected"
         return status
-
-
-def _span(table: SpecTable, selected: np.ndarray) -> tuple[float, float] | None:
-    betas = table.beta_hat[selected]
-    return (float(betas.min()), float(betas.max())) if betas.size else None
 
 
 @dataclass(eq=False)
@@ -177,13 +167,11 @@ class Frontier:
 
 
 def specs_for_mode(mode: Mode, k_z: int) -> list[JustIdSpec]:
-    """The spec family a mode reports over, in enumeration order: all of
-    :func:`enumerate_specs` for General, and k_z specs built directly for
-    Excl and Exo. Every mode raises the count errors enumerate_specs does."""
-    mode = Mode(mode)
-    if mode == Mode.GENERAL:
-        return enumerate_specs(k_z)
-    return [JustIdSpec(k_z, i) for i in _family_ids(mode, k_z).tolist()]
+    """The spec family a mode reports over, in enumeration order: the
+    whole :func:`~faskit.specs.enumerate_specs` lattice for General, and
+    k_z specs for Excl and Exo, each built from its id. Every mode raises
+    the count errors enumerate_specs does."""
+    return [JustIdSpec(k_z, i) for i in _family_ids(Mode(mode), k_z).tolist()]
 
 
 def _family_ids(mode: Mode, k_z: int) -> np.ndarray:
@@ -304,7 +292,25 @@ def fas_from_estimates(table: SpecTable, cutoff: float, mode: Mode) -> FasResult
     """
     _check_cutoff(cutoff)
     selected = table.estimated & (table.f_stat >= cutoff)
-    return FasResult(mode, _span(table, selected), table, selected)
+    betas = table.beta_hat[selected]
+    interval = (float(betas.min()), float(betas.max())) if betas.size else None
+    return FasResult(mode, interval, table, selected)
+
+
+def _by_mode(k_z: int, modes: list[Mode], cutoff: float, table_of) -> dict[Mode, FasResult]:
+    """Screen each mode's family with :func:`fas_from_estimates`, after the
+    cutoff is checked: ``table_of`` builds one table for the union of the
+    families, from its ids, and each mode takes its own rows of it. A mode
+    whose family is the union screens that table itself."""
+    _check_cutoff(cutoff)
+    family, views = _mode_views(modes, k_z)
+    table = table_of(family)
+    return {
+        mode: fas_from_estimates(
+            table if len(view) == len(family) else table.take(view), cutoff, mode
+        )
+        for mode, view in views.items()
+    }
 
 
 def fas_by_mode(
@@ -315,19 +321,16 @@ def fas_by_mode(
 ) -> dict[Mode, FasResult]:
     """Estimate the FAS of each requested mode from one sweep.
 
-    The dataset is partialled of (intercept, controls) first; the union of
-    the modes' families from :func:`specs_for_mode` (k_z specs each for
-    Excl and Exo, the whole lattice only for General) is then estimated
-    once on the partialled sample, after the cutoff is checked. Each mode's
+    After the cutoff is checked, the union of the modes' families from
+    :func:`specs_for_mode` (k_z specs each for Excl and Exo, the whole
+    lattice only for General) is estimated once by :func:`estimate_specs`,
+    which partials the dataset of (intercept, controls) first. Each mode's
     interval spans the estimates of its own family that clear the relevance
     cutoff; its table is the rows of that family in the sweep's table.
     """
-    _check_cutoff(cutoff)
-    family, views = _mode_views(modes, dataset.k_z)
-    table = estimate_specs(partial_out(dataset), family, robust_flavor)
-    return {
-        mode: fas_from_estimates(table.take(view), cutoff, mode) for mode, view in views.items()
-    }
+    return _by_mode(
+        dataset.k_z, modes, cutoff, lambda ids: estimate_specs(dataset, ids, robust_flavor)
+    )
 
 
 def fas_estimate(
@@ -360,14 +363,12 @@ def population_spec_moments(
     ``specs`` is as for :func:`estimate_specs`. Returns (pi~, psi~) arrays
     aligned with ``specs``.
     """
-    pi_t, psi_t, _ = _population_moments(model, specs)
-    return pi_t, psi_t
+    table = _population_table(model, specs)
+    return table.pi_hat, table.psi_hat
 
 
-def _population_moments(
-    model: PopulationModel, specs: list[JustIdSpec] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`population_spec_moments`, and the mask of the relevant specs."""
+def _population_table(model: PopulationModel, specs: list[JustIdSpec] | np.ndarray) -> SpecTable:
+    """The specs' population moments as a table; see :func:`population_fas_by_mode`."""
     model.validate()
     ids = as_spec_ids(specs, model.k_z)
     R = np.linalg.cholesky(model.sigma_z).T
@@ -378,7 +379,12 @@ def _population_moments(
     moments = [[np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)]]
     for *_, ww, wx, wy, relevant in _spec_moments(R, cov_zx, cov_zy, var_x, ids):
         moments.append([wx / ww, wy / ww, relevant])
-    return tuple(np.concatenate(c) for c in zip(*moments))
+    pi_t, psi_t, relevant = (np.concatenate(c) for c in zip(*moments))
+    ratio = np.divide(psi_t, pi_t, out=np.full_like(psi_t, np.nan), where=relevant)
+    return SpecTable(
+        model.k_z, ids, ratio, np.full_like(psi_t, np.nan), pi_t, psi_t,
+        np.where(relevant, np.inf, 0.0), np.where(relevant, None, "zero-first-stage"),
+    )
 
 
 def _relevance_mask(pi: np.ndarray) -> np.ndarray:
@@ -386,38 +392,21 @@ def _relevance_mask(pi: np.ndarray) -> np.ndarray:
     return np.abs(pi) > POPULATION_RELEVANCE_TOL * np.max(np.abs(pi), initial=1.0)
 
 
-def _population_result(
-    mode: Mode, table_ids: np.ndarray, k_z: int,
-    pi_t: np.ndarray, psi_t: np.ndarray, relevant: np.ndarray,
-) -> FasResult:
-    ratio = np.divide(psi_t, pi_t, out=np.full_like(psi_t, np.nan), where=relevant)
-    table = SpecTable(
-        k_z, table_ids, ratio, np.full_like(psi_t, np.nan), pi_t, psi_t,
-        np.where(relevant, np.inf, 0.0), np.where(relevant, None, "zero-first-stage"),
-    )
-    return FasResult(mode, _span(table, relevant), table, relevant)
-
-
 def population_fas_by_mode(model: PopulationModel, modes: list[Mode]) -> dict[Mode, FasResult]:
     """Population FAS of each requested mode from one set of moments.
 
-    The population moments run once over the union of the modes' families;
-    each mode's result views its own family in it. A spec is relevant by
-    the sample sweep's rule, ``|corr(Z_res, x)| > 1e-12``. The rule reads
-    no other spec, so a spec is relevant in every mode or in
-    none, and Excl and Exo nest in General. Each table holds every spec's
-    pi~ and psi~, with beta_hat their ratio, f_stat +inf (no sampling
-    variance) and ``selected`` True where relevant; an irrelevant spec has
-    failure "zero-first-stage" and NaN beta_hat and se.
+    The population moments run once, over the union of the modes' families,
+    into one table, and each mode screens its own family's rows of it with
+    the sample's screen: :func:`fas_from_estimates` at
+    :data:`DEFAULT_CUTOFF`. The table holds every spec's pi~ and psi~, with
+    beta_hat their ratio. A spec is relevant by the sample sweep's rule,
+    ``|corr(Z_res, x)| > 1e-12``, and then has f_stat +inf (no sampling
+    variance), which every cutoff passes; an irrelevant spec has f_stat
+    0.0, failure "zero-first-stage" and NaN beta_hat and se. The rule reads
+    no other spec, so a spec is relevant in every mode or in none, and Excl
+    and Exo nest in General.
     """
-    family, views = _mode_views(modes, model.k_z)
-    pi_t, psi_t, relevant = _population_moments(model, family)
-    return {
-        mode: _population_result(
-            mode, family[view], model.k_z, pi_t[view], psi_t[view], relevant[view]
-        )
-        for mode, view in views.items()
-    }
+    return _by_mode(model.k_z, modes, DEFAULT_CUTOFF, lambda ids: _population_table(model, ids))
 
 
 def population_fas(model: PopulationModel, mode: Mode = Mode.GENERAL) -> FasResult:

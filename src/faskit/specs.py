@@ -283,36 +283,30 @@ def spec_coefficients(
     :class:`~faskit.errors.DimensionMismatchError`. Each spec's subset ``S
     = C ∪ {l}`` is read from its id. By the
     partitioned inverse, ``a_S = H[:, l] / H[l, l]`` with ``H = (G_SS)⁻¹``,
-    so the specs need one inverse per distinct subset, taken for a stack of
-    subsets per subset size. A subset whose inverse fails the guard of
+    so each spec takes the inverse of its own block ``G_SS``, in one stack
+    per subset size. A spec whose inverse fails the guard of
     :func:`_inverse_blocks`, which bounds ``cond(G_SS)`` by 1e5, is solved
-    spec by spec with least squares instead. Only such a spec can be
-    degenerate: when Z_C is rank deficient at the 1e-10 relative singular
-    value tolerance, or when ``|R a|^2 <= 1e-12 * |R_l|^2``. The path is
-    chosen per subset, so a spec's ``a`` does not depend on the other specs.
+    with least squares instead. Only such a spec can be degenerate: when
+    Z_C is rank deficient at the 1e-10 relative singular value tolerance,
+    or when ``|R a|^2 <= 1e-12 * |R_l|^2``. The path is chosen per spec,
+    and a block's inverse does not depend on the others in its stack, so a
+    spec's ``a`` does not depend on the other specs.
     """
     k = R.shape[1]
     ell, controls = _controls(as_spec_ids(specs, k) - 1, k)
     subset = controls | (1 << ell)
     position = _popcount(subset & ((1 << ell) - 1), k)
     size = _popcount(subset, k)
-    # the distinct subsets, sorted; np.unique would do, at a higher peak RSS
-    present = np.zeros(1 << k, dtype=bool)
-    present[subset] = True
-    subsets = np.flatnonzero(present)
-    subset_size = _popcount(subsets, k)
     G = R.T @ R
     A = np.zeros((k, len(subset)))
     batched = np.zeros(len(subset), dtype=bool)
-    for s in np.flatnonzero(np.bincount(subset_size)):
-        group = subsets[subset_size == s]
-        members = np.nonzero((group[:, None] >> np.arange(k)) & 1)[1].reshape(-1, s)
-        H, passed = _inverse_blocks(G[members[:, :, None], members[:, None, :]])
+    for s in np.flatnonzero(np.bincount(size)):
         cols = np.flatnonzero(size == s)
-        rows = np.searchsorted(group, subset[cols])
-        keep = passed[rows]
-        cols, rows, pos = cols[keep], rows[keep], position[cols[keep]]
-        A[members[rows], cols[:, None]] = H[rows, :, pos] / H[rows, pos, pos][:, None]
+        members = np.nonzero((subset[cols, None] >> np.arange(k)) & 1)[1].reshape(-1, s)
+        H, passed = _inverse_blocks(G[members[:, :, None], members[:, None, :]])
+        keep = np.flatnonzero(passed)
+        cols, pos = cols[keep], position[cols[keep]]
+        A[members[keep], cols[:, None]] = H[keep, :, pos] / H[keep, pos, pos][:, None]
         batched[cols] = True
     degenerate = np.zeros(len(subset), dtype=bool)
     base_ss = np.sum(R * R, axis=0)

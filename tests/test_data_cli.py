@@ -307,6 +307,17 @@ def test_a_ragged_sigma_z_is_a_parse_error(tmp_path, sigma, row):
         load_model(path)
 
 
+@pytest.mark.parametrize("vector", ["0.9,,0.7", "0.9, 0.7,", ",0.9"])
+@pytest.mark.parametrize("key", ["pi", "gamma", "sigma_z"])
+def test_a_blank_vector_entry_is_a_parse_error(tmp_path, key, vector):
+    values = {"pi": "0.9, 0.6, 0.7", "gamma": "0, 0.4, 0", "sigma_z": "1, 0, 0; 0, 1, 0; 0, 0, 1"}
+    values[key] = f"1, 0, 0; {vector}; 0, 0, 1" if key == "sigma_z" else vector
+    path = _write(tmp_path, "beta = 1\n" + "".join(f"{k} = {v}\n" for k, v in values.items()),
+                  "blank.txt")
+    with pytest.raises(ParseError, match=f"blank.txt: model key '{key}': blank entry"):
+        load_model(path)
+
+
 def _seeded_dataset(k=2, seed=149, n=400):
     rng = np.random.default_rng(seed)
     return simulate(SimulationConfig(model=random_model(rng, k), n=n, seed=seed))
@@ -694,6 +705,20 @@ def test_cli_simulate_rejects_nonpositive_reps(tmp_path):
         )
         assert res.exit_code == 2
         assert "--reps" in res.output
+
+
+def test_cli_simulate_rejects_a_negative_seed_before_any_draw(tmp_path, monkeypatch):
+    from faskit import cli
+
+    model_path = _write(tmp_path, MODEL_FILE, "model.txt")
+    draws = []
+    monkeypatch.setattr(cli, "simulate", draws.append)
+    res = CliRunner().invoke(
+        main, ["simulate", "--model", model_path, "--n", "300", "--seed", "-1"]
+    )
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+    assert draws == []
 
 
 def test_cli_simulate_refuses_an_unwritable_out_before_the_first_draw(tmp_path, monkeypatch, capsys):

@@ -104,6 +104,11 @@ def test_config_validation():
         SimulationConfig(model=_model(), n=100, seed=1, rho_uv=1.5)
 
 
+def test_a_negative_seed_is_refused_by_name():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        SimulationConfig(model=_model(), n=100, seed=-1)
+
+
 def test_derive_seed_is_deterministic_and_spread():
     seeds = {derive_seed(123, i) for i in range(100)}
     assert len(seeds) == 100

@@ -1,5 +1,6 @@
 """Relevance selection, FAS assembly, the population oracle, and the frontier."""
 
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -183,7 +184,6 @@ def test_excl_and_exo_never_build_the_lattice(monkeypatch):
     def no_lattice(k_z):
         raise AssertionError(f"enumerate_specs({k_z}) was called")
 
-    monkeypatch.setattr(fas_module, "enumerate_specs", no_lattice)
     monkeypatch.setattr(specs_module, "enumerate_specs", no_lattice)
     k = 20
     model = random_model(np.random.default_rng(151), k)
@@ -486,6 +486,30 @@ def test_population_relevance_is_one_decision_per_spec():
     assert results[Mode.EXCL].interval == pytest.approx((1.0, 1.0))
     assert results[Mode.GENERAL].interval == pytest.approx((1.0, 28 / 9))
     assert results[Mode.EXO].selected.all()
+
+
+def test_population_results_do_not_depend_on_the_screen_cutoff(monkeypatch):
+    """A population table's f_stat is +inf where a spec is relevant and 0.0
+    where not, so any positive cutoff selects the same specs."""
+    rng = np.random.default_rng(163)
+    models = []
+    for k in range(1, 7):
+        models.append(random_model(rng, k))
+        # Z1's Excl spec is irrelevant, and for k = 1 every spec is
+        models.append(random_model(rng, k))
+        models[-1].pi[0] = 0.0
+    want = [population_fas_by_mode(model, list(Mode)) for model in models]
+    assert not all(r.selected.all() for results in want for r in results.values())
+    for cutoff in (1e-300, 1e300):
+        monkeypatch.setattr(fas_module, "DEFAULT_CUTOFF", cutoff)
+        for model, results in zip(models, want):
+            for mode, got in population_fas_by_mode(model, list(Mode)).items():
+                assert got.interval == results[mode].interval, (cutoff, model.k_z, mode)
+                assert np.array_equal(got.selected, results[mode].selected)
+                for column in dataclasses.fields(SpecTable):
+                    np.testing.assert_array_equal(
+                        getattr(got.table, column.name), getattr(results[mode].table, column.name)
+                    )
 
 
 @st.composite
