@@ -35,16 +35,18 @@ import click
 import numpy as np
 
 from .data import Dataset, load_csv, write_csv
-from .dgp import ErrorLaw, SimulationConfig, derive_seed, simulate
+from .dgp import ErrorLaw, SimulationConfig, _model_setup, derive_seed, simulate
 from .errors import FaskitError, ParseError
 from .estimators import TSLS_FAILURES, tsls, tsls_pairwise_report
 from .fas import (
+    _BLOCK_ELEMENTS,
     DEFAULT_CUTOFF,
     FasResult,
     Frontier,
     Mode,
     PopulationModel,
     _check_cutoff,
+    _fas_by_draw,
     fas_by_mode,
     fas_frontier,
     population_fas_by_mode,
@@ -54,6 +56,11 @@ from .linalg import partial_out
 from .specs import spec_fields
 
 SCHEMA_VERSION = 1
+
+# Sample values, n·(k_z + 2) a draw, that one chunk of Monte Carlo draws may
+# hold: two blocks of the sweep's W, 10 draws at n=1000, k_z=4. 21 draws cut
+# 10% more CPU but added 1.2 MiB of peak RSS, not 0.5 (2-core box).
+_CHUNK_ELEMENTS = 2 * _BLOCK_ELEMENTS
 
 _MODE_CHOICES = ("excl", "exo", "general", "all")
 
@@ -385,8 +392,13 @@ def simulate_report(
 ) -> dict:
     """Draw data, estimate the requested FAS modes, and summarize against population.
 
-    A ``csv_path`` that names a directory, or whose directory does not
-    exist, fails before the first draw."""
+    Draws are swept in chunks of at most :data:`_CHUNK_ELEMENTS` sample
+    values (or one draw) by :func:`faskit.fas._fas_by_draw`, which gives
+    each the intervals of ``fas_by_mode`` on it alone. ``replications`` below
+    1, or a ``csv_path`` that names a directory or whose directory does not
+    exist, fails before any population work or draw."""
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications}")
     _check_cutoff(cutoff)
     if csv_path is not None:
         if os.path.isdir(csv_path):
@@ -399,22 +411,24 @@ def simulate_report(
         each.value: _interval_json(result.interval)
         for each, result in population_fas_by_mode(model, modes).items()
     }
+    # each config checks n, rho_uv and its seed before the model's setup runs
+    seeds = [seed] if replications == 1 else [derive_seed(seed, r) for r in range(replications)]
+    configs = [SimulationConfig(model, n, each, error_law, rho_uv) for each in seeds]
+    setup = _model_setup(model)
     endpoint_samples: dict[str, list[tuple[float, float] | None]] = {
         each.value: [] for each in modes
     }
-    first_dataset: Dataset | None = None
-    for rep in range(replications):
-        rep_seed = seed if replications == 1 else derive_seed(seed, rep)
-        dataset = simulate(
-            SimulationConfig(model=model, n=n, seed=rep_seed, error_law=error_law, rho_uv=rho_uv)
-        )
-        if first_dataset is None:
-            first_dataset = dataset
-        for each, result in fas_by_mode(dataset, modes, cutoff).items():
-            endpoint_samples[each.value].append(result.interval)
-
-    if csv_path is not None and first_dataset is not None:
-        write_csv(first_dataset, csv_path)
+    per_chunk = max(1, _CHUNK_ELEMENTS // (n * (model.k_z + 2)))
+    for first in range(0, replications, per_chunk):
+        draws = []
+        for config in configs[first : first + per_chunk]:
+            dataset = simulate(config, setup)
+            if csv_path is not None and config is configs[0]:
+                write_csv(dataset, csv_path)
+            draws.append(partial_out(dataset))
+        for results in _fas_by_draw(draws, modes, cutoff):
+            for each, result in results.items():
+                endpoint_samples[each.value].append(result.interval)
 
     report = {
         "schema_version": SCHEMA_VERSION,

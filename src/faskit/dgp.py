@@ -72,23 +72,10 @@ def derive_seed(seed: int, index: int) -> int:
     return int(state[0]) << 32 | int(state[1])
 
 
-def simulate(config: SimulationConfig) -> Dataset:
-    """Draw one dataset from the model.
-
-    Z is multivariate Gaussian with covariance sigma_z (via its Cholesky
-    factor). U is built as Z' sigma_z^{-1} alpha + eps with eps orthogonal
-    to Z, so cov(Z, U) = alpha holds exactly in population; the variance of
-    eps is var_u - alpha' sigma_z^{-1} alpha, which must be positive.
-
-    Raises
-    ------
-    InvalidVarianceError
-        If alpha is too large for var_u, leaving eps a nonpositive variance.
-    """
-    model = config.model
+def _model_setup(model: PopulationModel) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """:func:`simulate`'s work on the model alone, checks and errors
+    included: eta, the variance of eps, chol(sigma_z) and ``1'sigma_z 1 / k^2``."""
     model.validate()
-    n, k = config.n, model.k_z
-
     eta = np.linalg.solve(model.sigma_z, model.alpha)
     eps_var = model.var_u - float(model.alpha @ eta)
     if eps_var <= 0.0:
@@ -96,9 +83,32 @@ def simulate(config: SimulationConfig) -> Dataset:
             f"alpha' sigma_z^-1 alpha = {model.alpha @ eta:.6g} leaves eps variance "
             f"{eps_var:.6g}; increase var_u or shrink alpha"
         )
+    k = model.k_z
+    mean_var = float(np.ones(k) @ model.sigma_z @ np.ones(k)) / k**2
+    return eta, eps_var, np.linalg.cholesky(model.sigma_z), mean_var
+
+
+def simulate(config: SimulationConfig, setup: tuple | None = None) -> Dataset:
+    """Draw one dataset from the model.
+
+    Z is multivariate Gaussian with covariance sigma_z (via its Cholesky
+    factor). U is built as Z' sigma_z^{-1} alpha + eps with eps orthogonal
+    to Z, so cov(Z, U) = alpha holds exactly in population; the variance of
+    eps is var_u - alpha' sigma_z^{-1} alpha, which must be positive.
+
+    ``setup`` is ``_model_setup(config.model)``, for a caller that draws
+    many seeds of one model; by default it is made here.
+
+    Raises
+    ------
+    InvalidVarianceError
+        If alpha is too large for var_u, leaving eps a nonpositive variance.
+    """
+    model = config.model
+    eta, eps_var, chol, mean_var = _model_setup(model) if setup is None else setup
+    n, k = config.n, model.k_z
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    chol = np.linalg.cholesky(model.sigma_z)
     Z = rng.standard_normal((n, k)) @ chol.T
 
     if config.error_law == ErrorLaw.GAUSSIAN:
@@ -109,7 +119,6 @@ def simulate(config: SimulationConfig) -> Dataset:
         shock_u = (rng.standard_normal(n) ** 2 - 1.0) / np.sqrt(2.0)
         shock_v = (rng.standard_normal(n) ** 2 - 1.0) / np.sqrt(2.0)
         row_mean = Z.mean(axis=1)
-        mean_var = float(np.ones(k) @ model.sigma_z @ np.ones(k)) / k**2
         scale = np.sqrt((1.0 + row_mean**2) / (1.0 + mean_var))
 
     rho = config.rho_uv

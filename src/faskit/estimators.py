@@ -314,7 +314,8 @@ def tsls_pairwise_report(
         for variant, controls in [("raw", ())] + ([("partialled", rest)] if rest else []):
             fits.append(((a, b), variant, controls))
     pairs = [make_spec(k_z, i, controls) for pair, _, controls in fits for i in pair]
-    A, degenerate, _ = spec_coefficients(np.linalg.qr(Z, mode="r"), pairs)
+    A, degenerate, _ = spec_coefficients(np.linalg.qr(Z, mode="r")[None], pairs)
+    A, degenerate = A[0], degenerate[0]
     rows: list[PairwiseTsls] = []
     for i, (pair, variant, controls) in enumerate(fits):
         cols = slice(2 * i, 2 * i + 2)

@@ -198,28 +198,35 @@ def _mode_views(modes: list[Mode], k_z: int) -> tuple[np.ndarray, dict[Mode, np.
     return union, {m: np.searchsorted(union, ids) for m, ids in families.items()}
 
 
-def _spec_moments(R: np.ndarray, zx: np.ndarray, zy: np.ndarray, xx: float, ids: np.ndarray):
+def _spec_moments(R: np.ndarray, zx: np.ndarray, zy: np.ndarray, xx: np.ndarray, ids: np.ndarray):
     """The per-spec engine of the sample sweep and the population oracle.
 
-    ``R`` is a triangular factor of the instrument Gram, ``G = R'R``, and
-    ``zx``, ``zy`` and ``xx`` the cross moments: for a sample, the R of a QR
-    of the partialled Z, ``Z'x``, ``Z'y`` and ``x'x``; for a population,
-    ``chol(sigma_z)'``, ``cov(Z, x)``, ``cov(Z, y)`` and ``var(x)``. Spec
-    (l, C) instruments with ``w = Z a``, the residual of Z_l on Z_C. Per
-    chunk of :data:`_SOLVE_SPECS` ids this yields :func:`spec_coefficients`'
-    ``(A, degenerate, |C|)``, then ``w'w = |R a|^2``, ``w'x = a'zx``, ``w'y
-    = a'zy`` and the relevance mask ``|w'x| > 1e-12 * sqrt(w'w * xx)``, that
-    is ``|corr(w, x)| > 1e-12``. Each sum runs over the k coefficients in
-    one fixed order, one spec per array element, so a spec's bits do not
-    depend on the other specs in the call: ``np.matmul`` takes another path
-    for a stack of one, and ``np.sum`` changes its order at 8 terms.
+    ``R`` is a stack of d triangular factors of instrument Grams, ``G =
+    R'R``, and ``zx``, ``zy`` and ``xx`` the stacks of cross moments: for
+    samples, the R of a QR of the partialled Z, ``Z'x``, ``Z'y`` and
+    ``x'x``; for a population, a stack of one of ``chol(sigma_z)'``,
+    ``cov(Z, x)``, ``cov(Z, y)`` and ``var(x)``. Spec (l, C) instruments
+    with ``w = Z a``, the residual of Z_l on Z_C. Per chunk of
+    ``_SOLVE_SPECS // d`` ids (at least one) this yields
+    :func:`spec_coefficients`' ``(A, degenerate, |C|)``, then ``w'w = |R
+    a|^2``, ``w'x = a'zx``, ``w'y = a'zy`` and the relevance mask ``|w'x| >
+    1e-12 * sqrt(w'w * xx)``, that is ``|corr(w, x)| > 1e-12``, one row per
+    draw. Each sum runs over the k coefficients in one fixed order, one
+    (draw, spec) per array element, so a spec's bits depend on neither the
+    other specs nor the other draws in the stack: ``np.matmul`` takes
+    another path for a stack of one, and ``np.sum`` changes its order at 8
+    terms.
     """
-    for first in range(0, len(ids), _SOLVE_SPECS):
-        A, degenerate, n_controls = spec_coefficients(R, ids[first : first + _SOLVE_SPECS])
+    k = R.shape[2]
+    step = max(1, _SOLVE_SPECS // len(R))
+    for first in range(0, len(ids), step):
+        A, degenerate, n_controls = spec_coefficients(R, ids[first : first + step])
         # the builtin sum() adds whole arrays, one term at a time, in order
-        wx, wy = (sum(z[j] * a_j for j, a_j in enumerate(A)) for z in (zx, zy))
-        ww = sum(sum(r[j] * a_j for j, a_j in enumerate(A)) ** 2 for r in R)
-        relevant = np.abs(wx) > POPULATION_RELEVANCE_TOL * np.sqrt(ww * xx)
+        wx, wy = (sum(z[:, j, None] * A[:, j] for j in range(k)) for z in (zx, zy))
+        ww = sum(
+            sum(R[:, i, j, None] * A[:, j] for j in range(k)) ** 2 for i in range(R.shape[1])
+        )
+        relevant = np.abs(wx) > POPULATION_RELEVANCE_TOL * np.sqrt(ww * xx[:, None])
         yield A, degenerate, n_controls, ww, wx, wy, relevant
 
 
@@ -239,10 +246,12 @@ def estimate_specs(
     are those of the design that includes them. :func:`_spec_moments` on
     one QR of the instruments gives the moments, degeneracy and relevance,
     and :func:`iv_columns` the ``se`` and ``f_stat`` from ``Z A``, one
-    matrix-vector product per spec, so ``estimate_specs(data, [spec])`` is
-    bit for bit its row of any sweep. Too few observations takes precedence
-    over the other failures (see :class:`SpecTable`); with ``n <= 1 +
-    n_absorbed`` every row has it, and nothing is solved.
+    matrix-vector product per spec. A spec's bits depend on neither the
+    other specs nor the other draws of a stack, so ``estimate_specs(data,
+    [spec])`` is bit for bit its row of any sweep, or of a Monte Carlo
+    chunk's. Too few observations takes precedence over the other failures
+    (see :class:`SpecTable`); with ``n <= 1 + n_absorbed`` every row has
+    it, and nothing is solved.
     """
     dataset = partial_out(dataset)
     ids = as_spec_ids(specs, dataset.k_z)
@@ -251,31 +260,48 @@ def estimate_specs(
         failed = np.full(m, "insufficient-observations", dtype=object)
         nan = [np.full(m, np.nan) for _ in range(4)]
         return SpecTable(dataset.k_z, ids, *nan, np.zeros(m), failed)
-    Z, x, y, n_absorbed = dataset.Z, dataset.x, dataset.y, dataset.n_absorbed
-    width = max(1, _BLOCK_ELEMENTS // dataset.n)
-    blocks, solves = [], []
-    moments = _spec_moments(np.linalg.qr(Z, mode="r"), Z.T @ x, Z.T @ y, float(x @ x), ids)
-    for A, degenerate, n_controls, ww, wx, wy, relevant in moments:
-        solves.append((degenerate, n_controls, ~relevant))
+    return _estimate_stack([dataset], ids, robust_flavor)[0]
+
+
+def _estimate_stack(draws: list[Dataset], ids: np.ndarray, robust_flavor: str) -> list[SpecTable]:
+    """:func:`estimate_specs` of each of ``draws``, partialled datasets of
+    one ``n > 1 + n_absorbed``, ``k_z`` and ``n_absorbed``, for the int64
+    spec ``ids``, at least one. Each draw is QR'd on its own; one
+    :func:`_spec_moments` pass solves the k side of them all, and each
+    draw's ``se`` and ``f_stat`` then come from its own rows."""
+    k_z, n, n_absorbed, m = draws[0].k_z, draws[0].n, draws[0].n_absorbed, len(ids)
+    R = np.stack([np.linalg.qr(d.Z, mode="r") for d in draws])
+    zx = np.stack([d.Z.T @ d.x for d in draws])
+    zy = np.stack([d.Z.T @ d.y for d in draws])
+    xx = np.array([float(d.x @ d.x) for d in draws])
+    width = max(1, _BLOCK_ELEMENTS // n)
+    blocks, solves = [[] for _ in draws], [[] for _ in draws]
+    for A, degenerate, n_controls, ww, wx, wy, relevant in _spec_moments(R, zx, zy, xx, ids):
         with np.errstate(divide="ignore", invalid="ignore"):
             beta_hat, pi_hat, psi_hat = wy / wx, wx / ww, wy / ww
-        for b in (slice(i, i + width) for i in range(0, A.shape[1], width)):
-            W = np.matmul(Z, A[:, b].T[:, :, None])[:, :, 0]
-            se, f_stat = iv_columns(
-                W, x, y, pi_hat[b], beta_hat[b], ww[b], wx[b], n_absorbed, robust_flavor
-            )
-            blocks.append((beta_hat[b], se, pi_hat[b], psi_hat[b], f_stat))
-    *values, f_stat = (np.concatenate(c) for c in zip(*blocks))
-    degenerate, n_controls, zero = (np.concatenate(c) for c in zip(*solves))
-    failure = np.full(m, None, dtype=object)
-    failure[zero] = "zero-first-stage"
-    failure[degenerate] = "degenerate"
-    failure[dataset.n <= 1 + n_controls + n_absorbed] = "insufficient-observations"
-    failed = np.not_equal(failure, None)
-    for column in values:
-        column[failed] = np.nan
-    f_stat[failed] = 0.0
-    return SpecTable(dataset.k_z, ids, *values, f_stat, failure)
+        for i, d in enumerate(draws):
+            solves[i].append((degenerate[i], n_controls, ~relevant[i]))
+            for b in (slice(j, j + width) for j in range(0, A.shape[2], width)):
+                W = np.matmul(d.Z, A[i][:, b].T[:, :, None])[:, :, 0]
+                se, f_stat = iv_columns(
+                    W, d.x, d.y, pi_hat[i, b], beta_hat[i, b], ww[i, b], wx[i, b], n_absorbed,
+                    robust_flavor,
+                )
+                blocks[i].append((beta_hat[i, b], se, pi_hat[i, b], psi_hat[i, b], f_stat))
+    tables = []
+    for draw_blocks, draw_solves in zip(blocks, solves):
+        *values, f_stat = (np.concatenate(c) for c in zip(*draw_blocks))
+        degenerate, n_controls, zero = (np.concatenate(c) for c in zip(*draw_solves))
+        failure = np.full(m, None, dtype=object)
+        failure[zero] = "zero-first-stage"
+        failure[degenerate] = "degenerate"
+        failure[n <= 1 + n_controls + n_absorbed] = "insufficient-observations"
+        failed = np.not_equal(failure, None)
+        for column in values:
+            column[failed] = np.nan
+        f_stat[failed] = 0.0
+        tables.append(SpecTable(k_z, ids, *values, f_stat, failure))
+    return tables
 
 
 def _check_cutoff(cutoff: float) -> None:
@@ -297,20 +323,22 @@ def fas_from_estimates(table: SpecTable, cutoff: float, mode: Mode) -> FasResult
     return FasResult(mode, interval, table, selected)
 
 
-def _by_mode(k_z: int, modes: list[Mode], cutoff: float, table_of) -> dict[Mode, FasResult]:
+def _by_mode(k_z: int, modes: list[Mode], cutoff: float, tables_of) -> list[dict[Mode, FasResult]]:
     """Screen each mode's family with :func:`fas_from_estimates`, after the
-    cutoff is checked: ``table_of`` builds one table for the union of the
-    families, from its ids, and each mode takes its own rows of it. A mode
-    whose family is the union screens that table itself."""
+    cutoff is checked: ``tables_of`` builds tables for the union of the
+    families, one per draw, from its ids, and each mode takes its own rows
+    of each. A mode whose family is the union screens that table itself."""
     _check_cutoff(cutoff)
     family, views = _mode_views(modes, k_z)
-    table = table_of(family)
-    return {
-        mode: fas_from_estimates(
-            table if len(view) == len(family) else table.take(view), cutoff, mode
-        )
-        for mode, view in views.items()
-    }
+    return [
+        {
+            mode: fas_from_estimates(
+                table if len(view) == len(family) else table.take(view), cutoff, mode
+            )
+            for mode, view in views.items()
+        }
+        for table in tables_of(family)
+    ]
 
 
 def fas_by_mode(
@@ -329,8 +357,14 @@ def fas_by_mode(
     cutoff; its table is the rows of that family in the sweep's table.
     """
     return _by_mode(
-        dataset.k_z, modes, cutoff, lambda ids: estimate_specs(dataset, ids, robust_flavor)
-    )
+        dataset.k_z, modes, cutoff, lambda ids: [estimate_specs(dataset, ids, robust_flavor)]
+    )[0]
+
+
+def _fas_by_draw(draws: list[Dataset], modes: list[Mode], cutoff: float) -> list[dict]:
+    """:func:`fas_by_mode` of each of ``draws``, bit for bit, with the k
+    side of their sweeps solved in one pass; see :func:`_estimate_stack`."""
+    return _by_mode(draws[0].k_z, modes, cutoff, lambda ids: _estimate_stack(draws, ids, "hc1"))
 
 
 def fas_estimate(
@@ -377,8 +411,9 @@ def _population_table(model: PopulationModel, specs: list[JustIdSpec] | np.ndarr
     var_x = float(model.pi @ cov_zx) + model.var_v
     # the join of no chunk is the moments of no spec
     moments = [[np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)]]
-    for *_, ww, wx, wy, relevant in _spec_moments(R, cov_zx, cov_zy, var_x, ids):
-        moments.append([wx / ww, wy / ww, relevant])
+    stack = (R[None], cov_zx[None], cov_zy[None], np.array([var_x]))
+    for *_, ww, wx, wy, relevant in _spec_moments(*stack, ids):
+        moments.append([wx[0] / ww[0], wy[0] / ww[0], relevant[0]])
     pi_t, psi_t, relevant = (np.concatenate(c) for c in zip(*moments))
     ratio = np.divide(psi_t, pi_t, out=np.full_like(psi_t, np.nan), where=relevant)
     return SpecTable(
@@ -406,7 +441,9 @@ def population_fas_by_mode(model: PopulationModel, modes: list[Mode]) -> dict[Mo
     no other spec, so a spec is relevant in every mode or in none, and Excl
     and Exo nest in General.
     """
-    return _by_mode(model.k_z, modes, DEFAULT_CUTOFF, lambda ids: _population_table(model, ids))
+    return _by_mode(
+        model.k_z, modes, DEFAULT_CUTOFF, lambda ids: [_population_table(model, ids)]
+    )[0]
 
 
 def population_fas(model: PopulationModel, mode: Mode = Mode.GENERAL) -> FasResult:

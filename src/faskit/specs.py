@@ -252,9 +252,7 @@ def _inverse_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return H, passed
 
 
-def _lstsq_coefficients(
-    R: np.ndarray, ell: int, C: list[int], base_ss: np.ndarray
-) -> tuple[np.ndarray, bool]:
+def _lstsq_coefficients(R: np.ndarray, ell: int, C: list[int]) -> tuple[np.ndarray, bool]:
     """One spec's ``a`` and degeneracy from least squares on ``R``."""
     # resid_ss holds |R a|^2, or nothing when that is zero or Z_C is rank
     # deficient, so both of those cases come out degenerate
@@ -262,7 +260,7 @@ def _lstsq_coefficients(
     a = np.zeros(R.shape[1])
     a[ell] = 1.0
     a[C] = -phi
-    return a, bool(resid_ss.sum() <= DEGENERACY_TOL * base_ss[ell])
+    return a, bool(resid_ss.sum() <= DEGENERACY_TOL * np.sum(R * R, axis=0)[ell])
 
 
 def spec_coefficients(
@@ -270,12 +268,14 @@ def spec_coefficients(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficient vectors a of the specs' transformed instruments ``Z a``.
 
-    ``R`` is a triangular factor of the instrument Gram, ``G = R'R``: the R
-    of a QR of the partialled sample instruments, or the transposed
-    Cholesky factor of a population ``sigma_z``. Column s of ``A`` has
-    ``a_l = 1`` and ``a_C = -phi``, phi being the least squares coefficients
-    of ``R[:, l]`` on ``R[:, C]``, which are those of Z_l on Z_C. Returns
-    ``A``, the degenerate mask and each spec's control count ``|C|``.
+    ``R`` is a stack ``(d, r, k_z)`` of triangular factors of instrument
+    Grams, ``G = R'R``: the R of a QR of each draw's partialled sample
+    instruments, or the transposed Cholesky factor of a population
+    ``sigma_z`` as a stack of one. Column s of ``A[i]`` has ``a_l = 1`` and
+    ``a_C = -phi``, phi being the least squares coefficients of ``R[i][:,
+    l]`` on ``R[i][:, C]``, which are those of Z_l on Z_C. Returns ``A``
+    ``(d, k_z, m)``, the degenerate mask ``(d, m)`` and each spec's control
+    count ``|C|``.
 
     ``specs`` is a list of :class:`JustIdSpec` or an array of their ids,
     read through :func:`as_spec_ids` with ``k_z`` the column count of
@@ -283,34 +283,37 @@ def spec_coefficients(
     :class:`~faskit.errors.DimensionMismatchError`. Each spec's subset ``S
     = C ∪ {l}`` is read from its id. By the
     partitioned inverse, ``a_S = H[:, l] / H[l, l]`` with ``H = (G_SS)⁻¹``,
-    so each spec takes the inverse of its own block ``G_SS``, in one stack
-    per subset size. A spec whose inverse fails the guard of
-    :func:`_inverse_blocks`, which bounds ``cond(G_SS)`` by 1e5, is solved
-    with least squares instead. Only such a spec can be degenerate: when
-    Z_C is rank deficient at the 1e-10 relative singular value tolerance,
-    or when ``|R a|^2 <= 1e-12 * |R_l|^2``. The path is chosen per spec,
-    and a block's inverse does not depend on the others in its stack, so a
-    spec's ``a`` does not depend on the other specs.
+    so each (draw, spec) takes the inverse of its own block ``G_SS``, in
+    one stack per subset size; each Gram is its own 2-D product, as a
+    stacked matmul may round differently. A spec whose inverse fails the
+    guard of :func:`_inverse_blocks`, which bounds ``cond(G_SS)`` by 1e5,
+    is solved with least squares instead. Only such a spec can be
+    degenerate: when Z_C is rank deficient at the 1e-10 relative singular
+    value tolerance, or when ``|R a|^2 <= 1e-12 * |R_l|^2``. The path is
+    chosen per block, and a block's inverse does not depend on the others
+    in its stack, so a spec's ``a`` depends on neither the other specs nor
+    the other draws in the stack.
     """
-    k = R.shape[1]
+    d, k = len(R), R.shape[2]
     ell, controls = _controls(as_spec_ids(specs, k) - 1, k)
     subset = controls | (1 << ell)
     position = _popcount(subset & ((1 << ell) - 1), k)
     size = _popcount(subset, k)
-    G = R.T @ R
-    A = np.zeros((k, len(subset)))
-    batched = np.zeros(len(subset), dtype=bool)
+    G = np.stack([r.T @ r for r in R])
+    A = np.zeros((d, k, len(subset)))
+    batched = np.zeros((d, len(subset)), dtype=bool)
     for s in np.flatnonzero(np.bincount(size)):
         cols = np.flatnonzero(size == s)
         members = np.nonzero((subset[cols, None] >> np.arange(k)) & 1)[1].reshape(-1, s)
-        H, passed = _inverse_blocks(G[members[:, :, None], members[:, None, :]])
-        keep = np.flatnonzero(passed)
+        blocks = G[:, members[:, :, None], members[:, None, :]].reshape(-1, s, s)
+        H, passed = _inverse_blocks(blocks)
+        at = np.flatnonzero(passed)
+        draw, keep = np.divmod(at, len(cols))
         cols, pos = cols[keep], position[cols[keep]]
-        A[members[keep], cols[:, None]] = H[keep, :, pos] / H[keep, pos, pos][:, None]
-        batched[cols] = True
-    degenerate = np.zeros(len(subset), dtype=bool)
-    base_ss = np.sum(R * R, axis=0)
-    for col in np.flatnonzero(~batched):
+        A[draw[:, None], members[keep], cols[:, None]] = H[at, :, pos] / H[at, pos, pos][:, None]
+        batched[draw, cols] = True
+    degenerate = np.zeros((d, len(subset)), dtype=bool)
+    for draw, col in zip(*np.nonzero(~batched)):
         C = [i for i in range(k) if subset[col] >> i & 1 and i != ell[col]]
-        A[:, col], degenerate[col] = _lstsq_coefficients(R, int(ell[col]), C, base_ss)
+        A[draw, :, col], degenerate[draw, col] = _lstsq_coefficients(R[draw], int(ell[col]), C)
     return A, degenerate, size - 1

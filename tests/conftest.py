@@ -70,7 +70,7 @@ def spec_columns(data, specs) -> tuple[np.ndarray, np.ndarray]:
     matrix ``A`` of :func:`faskit.specs.spec_coefficients` whose columns are
     the ``a``: a spec's control coefficients are ``-a[C]``."""
     part = partial_out(data)
-    A = spec_coefficients(np.linalg.qr(part.Z, mode="r"), specs)[0]
+    A = spec_coefficients(np.linalg.qr(part.Z, mode="r")[None], specs)[0][0]
     return part.Z @ A, A
 
 

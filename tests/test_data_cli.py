@@ -743,6 +743,61 @@ def test_cli_simulate_refuses_an_unwritable_out_before_the_first_draw(tmp_path, 
     assert draws == []
 
 
+def test_simulate_report_refuses_fewer_than_one_replication_before_any_work(
+    tmp_path, monkeypatch
+):
+    from faskit import cli
+
+    model, _ = load_model(_write(tmp_path, MODEL_FILE, "model.txt"))
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *args: calls.append("draw"))
+    monkeypatch.setattr(cli, "population_fas_by_mode", lambda *args: calls.append("population"))
+    out = tmp_path / "draw.csv"
+    for reps in (0, -2):
+        with pytest.raises(ValueError, match=f"^replications must be at least 1, got {reps}$"):
+            cli.simulate_report(model, 300, 9, replications=reps, csv_path=str(out))
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("law", ["gaussian", "scaled-chi-square"])
+@pytest.mark.parametrize("mode", ["all", "excl"])
+def test_cli_simulate_reps_equal_a_per_draw_reference(tmp_path, law, mode):
+    # the draws span two chunks; the reference sweeps each draw on its own
+    from faskit import cli
+    from faskit.dgp import ErrorLaw, derive_seed
+    from faskit.fas import fas_by_mode
+
+    model_path = _write(tmp_path, MODEL_FILE, "model.txt")
+    model, _ = load_model(model_path)
+    n = 300
+    per_chunk = cli._CHUNK_ELEMENTS // (n * (model.k_z + 2))
+    reps = per_chunk + 2
+    res = CliRunner().invoke(
+        main,
+        ["simulate", "--model", model_path, "--n", str(n), "--seed", "9", "--reps", str(reps),
+         "--law", law, "--mode", mode, "--emit", "json"],
+    )
+    assert res.exit_code == 0 and per_chunk > 1
+    modes = list(Mode) if mode == "all" else [Mode(mode)]
+    intervals = {each.value: [] for each in modes}
+    for rep in range(reps):
+        draw = simulate(SimulationConfig(model, n, derive_seed(9, rep), ErrorLaw(law)))
+        for each, result in fas_by_mode(draw, modes).items():
+            intervals[each.value].append(result.interval)
+    summary = {}
+    for name, found in intervals.items():
+        lo, hi = (np.array([each[end] for each in found if each is not None]) for end in (0, 1))
+        summary[name] = {
+            "n_nonempty": len(lo),
+            "lo_mean": float(lo.mean()), "lo_sd": float(lo.std(ddof=1)),
+            "hi_mean": float(hi.mean()), "hi_sd": float(hi.std(ddof=1)),
+        }
+    expected = json.loads(res.output)
+    assert (expected["replications"], list(expected["replication_summary"])) == (reps, list(summary))
+    expected["replication_summary"] = summary
+    assert res.output == json.dumps(expected, indent=2) + "\n"
+
+
 def test_cli_robust_flavor_changes_standard_errors(tmp_path):
     data = _seeded_dataset()
     path = str(tmp_path / "sim.csv")

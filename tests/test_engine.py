@@ -5,6 +5,8 @@ The reference residualizes each transformed instrument with its own
 directly, sharing no code with faskit.
 """
 
+import itertools
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faskit.cli as cli
 import faskit.fas as fas_module
 import faskit.specs as specs_module
 from conftest import random_corr, random_model
@@ -25,8 +28,10 @@ from faskit import (
     partial_out,
     population_fas_by_mode,
     population_spec_moments,
+    simulate,
     specs_for_mode,
 )
+from faskit.cli import load_model
 from faskit.fas import _BLOCK_ELEMENTS
 from faskit.specs import JustIdSpec, as_spec_ids, spec_coefficients
 
@@ -197,12 +202,19 @@ def _lstsq_reference(R, specs):
     return A, degenerate, n_controls
 
 
+def _stacked_lstsq_reference(R, specs):
+    """_lstsq_reference of each factor of a stack, shaped as spec_coefficients returns."""
+    A, degenerate, n_controls = zip(*(_lstsq_reference(r, specs) for r in R))
+    return np.stack(A), np.stack(degenerate), n_controls[0]
+
+
 def _engine(R, specs):
     """spec_coefficients, plus the mask of the specs it solved by lstsq."""
     with mock.patch.object(
         specs_module, "_lstsq_coefficients", wraps=specs_module._lstsq_coefficients
     ) as per_spec:
-        A, degenerate, n_controls = spec_coefficients(R, specs)
+        A, degenerate, n_controls = spec_coefficients(R[None], specs)
+    A, degenerate = A[0], degenerate[0]
     solved = {(call.args[1], tuple(call.args[2])) for call in per_spec.call_args_list}
     fallback = np.array([
         (s.instrument_index - 1, tuple(c - 1 for c in s.control_subset)) in solved for s in specs
@@ -290,7 +302,7 @@ def test_numerical_edges_take_the_fallback(case, monkeypatch):
     subsets = [{s.instrument_index - 1, *(c - 1 for c in s.control_subset)} for s in specs]
     assert fallback.tolist() == [affected(S) for S in subsets]
     failure = estimate_specs(data, specs).failure
-    monkeypatch.setattr(fas_module, "spec_coefficients", _lstsq_reference)
+    monkeypatch.setattr(fas_module, "spec_coefficients", _stacked_lstsq_reference)
     assert failure.tolist() == estimate_specs(data, specs).failure.tolist()
 
 
@@ -322,3 +334,104 @@ def test_large_k_takes_the_batched_path():
     assert np.all(error <= 1e-10 * np.abs(A_ref).max(axis=0))
     pi_t, _ = population_spec_moments(model, specs)
     assert np.all(np.isfinite(pi_t))
+
+
+# ---------------------------------------------------------------------------
+# a Monte Carlo chunk: every draw's table is the one it gets alone
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _near_collinear_model():
+    # cond(sigma_z) is about 2e9: the pairs of Z1 and Z3 fail the batch guard
+    # and take least squares, yet sigma_z passes validate()
+    sigma = np.array([[1.0, 0.2, 1.0 - 1e-9], [0.2, 1.0, 0.2], [1.0 - 1e-9, 0.2, 1.0]])
+    return PopulationModel(
+        beta=1.0, gamma=np.zeros(3), alpha=np.zeros(3), pi=np.array([0.5, 0.4, 0.3]),
+        sigma_z=sigma,
+    )
+
+
+def _duplicate_z1_in_odd_draws(index, dataset):
+    # Z3 an exact copy of Z1, so every spec that holds both is degenerate
+    if index % 2:
+        Z = dataset.Z.copy()
+        Z[:, 2] = Z[:, 0]
+        return dataset.with_arrays(dataset.y, dataset.x, Z)
+    return dataset
+
+
+def _orthogonal_x(index, dataset):
+    # x off (1, Z) in the sample, as the model has it in population, so no
+    # spec has a first stage
+    design = np.column_stack([np.ones(dataset.n), dataset.Z])
+    x = dataset.x - design @ np.linalg.lstsq(design, dataset.x, rcond=None)[0]
+    return dataset.with_arrays(dataset.y, x, dataset.Z)
+
+
+def _golden(name):
+    return lambda: load_model(str(GOLDEN / name))[0]
+
+
+# name: (model, n, mode, edit of the i-th draw, failure codes the draws must show)
+CHUNK_CASES = {
+    "random-k1": (lambda: random_model(np.random.default_rng(801), 1), 300, "all", None, {None}),
+    "random-k4": (lambda: random_model(np.random.default_rng(802), 4), 400, "all", None, {None}),
+    "random-k6": (lambda: random_model(np.random.default_rng(803), 6), 200, "all", None, {None}),
+    "mixed": (_golden("mixed.model"), 300, "all", None, {None}),
+    "irrelevant": (_golden("irrelevant.model"), 300, "all", _orthogonal_x, {"zero-first-stage"}),
+    "k13-excl": (_golden("k13.model"), 500, "excl", None, {None}),
+    "near-collinear": (_near_collinear_model, 300, "all", _duplicate_z1_in_odd_draws,
+                       {None, "degenerate"}),
+}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_a_chunk_gives_each_draw_the_table_it_gets_alone(case, monkeypatch):
+    make_model, n, mode, edit, codes = CHUNK_CASES[case]
+    model = make_model()
+    modes = cli._modes(mode)
+    per_chunk = max(1, cli._CHUNK_ELEMENTS // (n * (model.k_z + 2)))
+    chunks = []
+
+    def record(draws, modes, cutoff):
+        results = fas_module._fas_by_draw(draws, modes, cutoff)
+        chunks.append((draws, results))
+        return results
+
+    monkeypatch.setattr(cli, "_fas_by_draw", record)
+    if edit is not None:
+        index = itertools.count()
+        monkeypatch.setattr(
+            cli, "simulate", lambda config, setup: edit(next(index), simulate(config, setup))
+        )
+    failures = set()
+    lstsq = mock.patch.object(
+        specs_module, "_lstsq_coefficients", wraps=specs_module._lstsq_coefficients
+    )
+    for reps in sorted({1, max(1, per_chunk - 1), per_chunk, per_chunk + 1}):
+        chunks.clear()
+        with lstsq as per_spec:
+            cli.simulate_report(model, n, 5, replications=reps, mode=mode)
+        full, rest = divmod(reps, per_chunk)
+        assert [len(draws) for draws, _ in chunks] == [per_chunk] * full + [rest] * (rest > 0)
+        for draws, results in chunks:
+            for draw, by_mode in zip(draws, results):
+                # the table of the union of the families: General's, or the one mode's
+                table = by_mode[Mode.GENERAL if Mode.GENERAL in modes else modes[0]].table
+                alone = estimate_specs(draw, table.spec_ids)
+                for name in ("spec_ids", *FIELDS):
+                    assert _same_bits(getattr(table, name), getattr(alone, name)), name
+                assert table.failure.tolist() == alone.failure.tolist()
+                failures.update(table.failure.tolist())
+                for each, result in fas_by_mode(draw, modes).items():
+                    assert by_mode[each].interval == result.interval
+                    assert np.array_equal(by_mode[each].selected, result.selected)
+        # only the near-collinear sigma_z leaves the batched inverse
+        assert per_spec.called == (case == "near-collinear")
+    assert codes <= failures
