@@ -422,10 +422,10 @@ def simulate_report(
     for first in range(0, replications, per_chunk):
         draws = []
         for config in configs[first : first + per_chunk]:
-            dataset = simulate(config, setup)
+            draws.append(simulate(config, setup))
             if csv_path is not None and config is configs[0]:
-                write_csv(dataset, csv_path)
-            draws.append(partial_out(dataset))
+                write_csv(draws[-1], csv_path)
+            draws[-1] = partial_out(draws[-1])  # which drops the raw draw
         for results in _fas_by_draw(draws, modes, cutoff):
             for each, result in results.items():
                 endpoint_samples[each.value].append(result.interval)

@@ -96,7 +96,7 @@ class Dataset:
             dupes = sorted({m for m in names if names.count(m) > 1})
             raise AmbiguousColumnError(f"duplicate column names: {', '.join(dupes)}")
         for label, arr in (("y", self.y), ("x", self.x), ("Z", self.Z), ("controls", self.controls)):
-            if arr.size and not np.all(np.isfinite(arr)):
+            if arr.size and not np.isfinite([arr.min(), arr.max()]).all():  # NaN survives min and max
                 raise ParseError(f"non-finite values in {label}")
 
     @property
@@ -137,7 +137,7 @@ def _parse_cell(token: str, column: str, row_number: int) -> float | None:
 def _read_header(path: str, referenced: list[str]) -> tuple[list[int], int]:
     """Header positions of the referenced columns, and the lines the header spans."""
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise FileNotFoundError(f"cannot open data file: {path}") from exc
     with handle:
@@ -228,14 +228,14 @@ def load_csv(
 ) -> tuple[Dataset, int]:
     """Read a CSV file into a :class:`Dataset` with listwise deletion.
 
-    The first record is the header; lines may end in LF or CRLF. A number
-    is ASCII decimal or scientific notation (``-1.5``, ``.5``, ``2.``,
-    ``3e-8``), with optional padding and no ``_``. Rows with a missing value
-    (blank, NA, NaN, N/A or ``.``, in any case) in any referenced column
-    are dropped and counted; rows whose cells are all blank are skipped
-    and not counted. Unreferenced columns are ignored entirely. Any
-    referenced cell that is present but is not a finite number raises
-    :class:`~faskit.errors.ParseError` naming its row and column.
+    The first record is the header (after a UTF-8 byte-order mark, if any);
+    lines may end in LF or CRLF. A number is ASCII decimal or scientific
+    notation (``-1.5``, ``.5``, ``2.``, ``3e-8``), with optional padding and
+    no ``_``. Rows with a missing value (blank, NA, NaN, N/A or ``.``, in
+    any case) in any referenced column are dropped and counted; rows whose
+    cells are all blank are skipped and not counted. Unreferenced columns
+    are ignored. A referenced cell that is present but not a finite number
+    raises :class:`~faskit.errors.ParseError` naming its row and column.
 
     A file with no missing or bad cell is read in one call to numpy's C
     parser; any other file is read row by row.
@@ -277,16 +277,10 @@ def load_csv(
     if table is None:
         table, dropped = _row_table(path, referenced, usecols)
 
-    col = {name: i for i, name in enumerate(referenced)}
+    k = 2 + len(instruments)  # roles are in column order, so each is a view of the table
     dataset = Dataset(
-        y=table[:, col[outcome]],
-        x=table[:, col[treatment]],
-        Z=table[:, [col[m] for m in instruments]],
-        z_names=list(instruments),
-        controls=table[:, [col[m] for m in controls]],
-        control_names=controls,
-        intercept=intercept,
-        provenance=path,
+        y=table[:, 0], x=table[:, 1], Z=table[:, 2:k], z_names=list(instruments),
+        controls=table[:, k:], control_names=controls, intercept=intercept, provenance=path,
     )
     return dataset, dropped
 
@@ -315,10 +309,7 @@ def write_csv(dataset: Dataset, path: str, outcome: str = "y", treatment: str = 
     that fails leaves its blocks to this process.
     """
     header = [outcome, treatment] + list(dataset.z_names) + list(dataset.control_names)
-    blocks = [dataset.y[:, None], dataset.x[:, None], dataset.Z]
-    if dataset.controls.shape[1]:
-        blocks.append(dataset.controls)
-    table = np.hstack(blocks)
+    table = np.hstack([dataset.y[:, None], dataset.x[:, None], dataset.Z, dataset.controls])
     # imported here, so that a process that writes no CSV never loads it
     from .floattext import RowTexts
 

@@ -121,13 +121,20 @@ def simulate(config: SimulationConfig, setup: tuple | None = None) -> Dataset:
         row_mean = Z.mean(axis=1)
         scale = np.sqrt((1.0 + row_mean**2) / (1.0 + mean_var))
 
+    # in place, with the bits of v = sqrt(var_v) (rho shock_u + sqrt(1 - rho^2) shock_v) scale,
+    # u = sqrt(eps_var) shock_u scale + Z eta, x = Z pi + v and y = x beta + Z gamma + u
     rho = config.rho_uv
-    eps = np.sqrt(eps_var) * shock_u * scale
-    v = np.sqrt(model.var_v) * (rho * shock_u + np.sqrt(1.0 - rho**2) * shock_v) * scale
-
-    u = Z @ eta + eps
-    x = Z @ model.pi + v
-    y = x * model.beta + Z @ model.gamma + u
+    v = rho * shock_u
+    v += np.multiply(shock_v, np.sqrt(1.0 - rho**2), out=shock_v)
+    v *= np.sqrt(model.var_v)
+    v *= scale
+    u = np.multiply(shock_u, np.sqrt(eps_var), out=shock_u)
+    u *= scale
+    u += Z @ eta
+    x = np.add(v, Z @ model.pi, out=v)
+    y = x * model.beta
+    y += Z @ model.gamma
+    y += u
 
     return Dataset(
         y=y,

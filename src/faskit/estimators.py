@@ -176,9 +176,12 @@ def _solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _meat(Zm: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Robust meat ``sum_i e_i^2 z_i z_i'`` of residuals e."""
-    scored = Zm * e[:, None]
-    return scored.T @ scored
+    """Robust meat ``sum_i e_i^2 z_i z_i'`` of residuals e, 8192 rows at a time."""
+    meat = np.zeros((Zm.shape[1],) * 2)
+    for rows in (slice(i, i + 8192) for i in range(0, len(e), 8192)):
+        scored = Zm[rows] * e[rows, None]
+        meat += scored.T @ scored
+    return meat
 
 
 def _tsls_core(
@@ -207,6 +210,7 @@ def _tsls_core(
     Q, R = projection_basis(Zm)  # full-rank check lives here
     Qx = Q.T @ x
     xhat = Q @ Qx
+    del Q  # n rows that nothing below reads
     denom = float(x @ xhat)
     if denom <= FIRST_STAGE_TOL * float(x @ x) or denom <= 0.0:
         raise WeakIdentificationError(
@@ -277,7 +281,8 @@ def tsls(
             f"instrument indices out of range 1..{dataset.k_z}: {bad}"
         )
     part = partial_out(dataset)
-    Zm = part.Z[:, [i - 1 for i in instrument_indices]]
+    columns = [i - 1 for i in instrument_indices]
+    Zm = part.Z if columns == list(range(part.k_z)) else part.Z[:, columns]
     return _tsls_core(part.y, part.x, Zm, part.n_absorbed, robust_flavor)
 
 

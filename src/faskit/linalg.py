@@ -1,10 +1,11 @@
 """Projections: the checked QR of a column block, and partialling.
 
-Partialling (:func:`partial_out`) runs before every estimator. 2SLS takes
-its fitted values, first stage and F statistic from one
-:func:`projection_basis` of its instrument block. Rank decisions, here and
-in the spec engine, use a relative singular value tolerance of 1e-10, so
-they are deterministic for a given input.
+Partialling (:func:`partial_out`), which runs before every estimator,
+removes the intercept by centring and the controls by a QR of the centred
+controls. 2SLS takes its fitted values, first stage and F statistic from
+one :func:`projection_basis` of its instrument block. Rank decisions, here
+and in the spec engine, use a relative singular value tolerance of 1e-10,
+so they are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -12,21 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionMismatchError, InsufficientObservationsError, RankDeficientError
+from .errors import InsufficientObservationsError, RankDeficientError
 
 # Relative singular value cutoff for all rank decisions.
 RANK_TOL = 1e-10
 
 _FLAVORS = ("hc0", "hc1")
-
-
-def _as_design(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2:
-        raise DimensionMismatchError(f"design must be 2-d, got ndim={X.ndim}")
-    return X
 
 
 def _check_flavor(robust_flavor: str) -> str:
@@ -45,7 +37,6 @@ def projection_basis(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     B has no more rows than columns, and RankDeficientError when its columns
     are numerically dependent.
     """
-    B = _as_design(B)
     n, r = B.shape
     if n <= r:
         raise InsufficientObservationsError(f"need n > columns: n={n}, columns={r}")
@@ -59,12 +50,9 @@ def projection_basis(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Q, R
 
 
-def _strip(a: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    a2 = a[:, None] if a.ndim == 1 else a
-    out = a2 - Q @ (Q.T @ a2)
-    dead = np.linalg.norm(out, axis=0) <= 1e-12 * np.linalg.norm(a2, axis=0)
-    out[:, dead] = 0.0
-    return out[:, 0] if a.ndim == 1 else out
+def _vanished(out: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the columns of ``out`` whose norm is at most ``tol`` of a's."""
+    return np.einsum("ij,ij->j", out, out) <= tol * tol * np.einsum("ij,ij->j", a, a)
 
 
 def partial_out(dataset: Dataset) -> Dataset:
@@ -75,24 +63,30 @@ def partial_out(dataset: Dataset) -> Dataset:
     later degrees-of-freedom corrections stay correct. A dataset with no
     intercept and no controls is already partialled and comes back as is.
 
-    A column the controls absorb completely comes back as rounding residue;
-    any column whose residual norm falls below 1e-12 of its input norm is
-    snapped to exact zeros so downstream degeneracy guards see it as such.
+    The intercept goes by centring, the controls by one QR of the centred
+    controls; a control that centring shrinks to ``RANK_TOL`` of its norm is
+    collinear with the intercept. Any output column below 1e-12 of its input
+    norm is snapped to zeros for the downstream degeneracy guards.
     """
-    pieces = []
-    if dataset.intercept:
-        pieces.append(np.ones((dataset.n, 1)))
-    if dataset.controls.shape[1]:
-        pieces.append(dataset.controls)
-    if not pieces:
+    n, W = dataset.n, dataset.controls
+    absorbed = int(dataset.intercept) + W.shape[1]
+    if not absorbed:
         return dataset
-    Q = projection_basis(np.hstack(pieces))[0]
+    if n <= absorbed:
+        raise InsufficientObservationsError(f"need n > columns: n={n}, columns={absorbed}")
+    raw = (dataset.y[:, None], dataset.x[:, None], dataset.Z, W)
+    y, x, Z, W = (a - a.mean(axis=0) if dataset.intercept else a.copy() for a in raw)
+    if dataset.intercept:
+        for out in (y, x, Z, W):  # the rounding a large offset leaves in the first mean
+            out -= out.mean(axis=0)
+    W[:, _vanished(W, raw[3], RANK_TOL)] = 0.0  # a control collinear with the intercept
+    if W.shape[1]:
+        Q = projection_basis(W)[0]
+        for out in (y, x, Z):
+            out -= Q @ (Q.T @ out)
+    for out, a in zip((y, x, Z), raw):
+        out[:, _vanished(out, a, 1e-12)] = 0.0
     return dataset.with_arrays(
-        _strip(dataset.y, Q),
-        _strip(dataset.x, Q),
-        _strip(dataset.Z, Q),
-        controls=np.empty((dataset.n, 0)),
-        control_names=[],
-        intercept=False,
-        n_absorbed=dataset.n_absorbed + Q.shape[1],
+        y[:, 0], x[:, 0], Z, controls=np.empty((n, 0)), control_names=[], intercept=False,
+        n_absorbed=dataset.n_absorbed + absorbed,
     )

@@ -84,6 +84,25 @@ def test_missing_cells_drop_rows_with_a_count(tmp_path):
     assert dropped == 0 and data.n == 5
 
 
+@pytest.mark.parametrize("missing", [False, True], ids=["one parse", "row by row"])
+def test_a_leading_byte_order_mark_is_not_part_of_the_first_name(tmp_path, missing):
+    # Excel's "CSV UTF-8" starts the file with one
+    text = CSV.replace("3.0,2.0,0.2,0.4,1.1", "3.0,,0.2,0.4,1.1") if missing else CSV
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    data, dropped = load_csv(str(path), "y", "x", ["z1", "z2"], controls=["w"])
+    clean, clean_dropped = load_csv(_write(tmp_path, text), "y", "x", ["z1", "z2"], controls=["w"])
+    assert (data.n, dropped) == (clean.n, clean_dropped) == ((4, 1) if missing else (5, 0))
+    for got, want in ((data.y, clean.y), (data.x, clean.x), (data.Z, clean.Z), (data.controls, clean.controls)):
+        assert np.array_equal(got, want)
+    usecols, header_lines = data_module._read_header(str(path), ["y", "x", "z1", "z2", "w"])
+    assert (data_module._loadtxt_table(str(path), usecols, header_lines) is None) == missing
+    args = ["estimate", "--data", str(path), "--outcome", "y", "--treatment", "x", "--instruments", "z1,z2"]
+    res = CliRunner().invoke(main, args + ["--emit", "json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["n"] == data.n
+
+
 def test_role_clash_is_ambiguous(tmp_path):
     path = _write(tmp_path, CSV)
     with pytest.raises(AmbiguousColumnError) as err:

@@ -1,8 +1,10 @@
 """Partialling out the intercept and controls."""
 
 import numpy as np
+import pytest
 
 from faskit import Dataset, enumerate_specs, estimate_specs, partial_out
+from faskit.errors import InsufficientObservationsError, RankDeficientError
 
 
 def _toy_dataset(rng, n=100, controls=None, control_names=()):
@@ -55,3 +57,78 @@ def test_partialling_on_a_copy_of_x_kills_the_first_stage():
     out = partial_out(data)
     assert np.max(np.abs(out.x)) < 1e-10
     assert estimate_specs(out, enumerate_specs(2)[:1]).failure.tolist() == ["zero-first-stage"]
+
+
+def _lstsq_residuals(a, X):
+    return a - X @ np.linalg.lstsq(X, a, rcond=None)[0]
+
+
+def _relative_errors(got, want):
+    got, want = np.atleast_2d(got.T).T, np.atleast_2d(want.T).T
+    return np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+
+
+@pytest.mark.parametrize("offset", [False, True], ids=["random", "offset 1e6"])
+def test_partial_out_equals_the_lstsq_residuals_on_intercept_and_controls(offset):
+    rng = np.random.default_rng(31)
+    n = 3000
+    W = rng.standard_normal((n, 2)) * [1.0, 40.0]
+    Z = rng.standard_normal((n, 3)) + W @ rng.uniform(-1, 1, (2, 3))
+    x = Z @ np.array([1.0, 0.5, -0.3]) + W[:, 0] + rng.standard_normal(n)
+    y = x + W @ np.array([0.3, -0.02]) + rng.standard_normal(n)
+    shifted_W, shifted_Z = W, Z
+    if offset:
+        # centring one pass would leave about 1e-8 of these columns' norms;
+        # the reference takes 1e6 off first, which is exact here (every
+        # value lies within a factor 2 of 1e6) and leaves the span of
+        # (1, W) unchanged, so lstsq sees well-conditioned columns
+        W, Z = W.copy(), Z.copy()
+        W[:, 0] += 1e6
+        Z[:, 1] += 1e6
+        shifted_W, shifted_Z = W.copy(), Z.copy()
+        shifted_W[:, 0] -= 1e6
+        shifted_Z[:, 1] -= 1e6
+    data = Dataset(y=y, x=x, Z=Z, z_names=("Z1", "Z2", "Z3"), controls=W, control_names=("w1", "w2"))
+    out = partial_out(data)
+    X = np.column_stack([np.ones(n), shifted_W])
+    for got, a in ((out.y, y), (out.x, x), (out.Z, shifted_Z)):
+        assert np.all(_relative_errors(got, _lstsq_residuals(a, X)) <= 1e-12)
+    assert out.n_absorbed == 3
+
+
+def test_partial_out_of_an_intercept_only_dataset_is_centring():
+    rng = np.random.default_rng(37)
+    data = _toy_dataset(rng, n=5000)
+    out = partial_out(data)
+    for got, a in ((out.y, data.y), (out.x, data.x), (out.Z, data.Z)):
+        assert np.all(_relative_errors(got, a - a.mean(0)) <= 1e-12)
+    assert out.n_absorbed == 1
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (3, 2), (2, 1)])
+def test_partial_out_needs_more_rows_than_partialled_columns(n, m):
+    rng = np.random.default_rng(41)
+    data = Dataset(
+        y=rng.standard_normal(n), x=rng.standard_normal(n), Z=rng.standard_normal((n, 2)),
+        z_names=("Z1", "Z2"), controls=rng.standard_normal((n, m)),
+        control_names=[f"w{i}" for i in range(m)],
+    )
+    with pytest.raises(InsufficientObservationsError):
+        partial_out(data)
+
+
+@pytest.mark.parametrize("value", [0.1, 7.0, -3e5])
+@pytest.mark.parametrize("with_other", [False, True])
+def test_a_control_collinear_with_the_intercept_is_rank_deficient(value, with_other):
+    rng = np.random.default_rng(43)
+    n = 200
+    controls = np.full((n, 1), value)
+    if with_other:
+        controls = np.column_stack([rng.standard_normal(n), controls])
+    data = _toy_dataset(rng, n=n, controls=controls, control_names=[f"w{i}" for i in range(controls.shape[1])])
+    with pytest.raises(RankDeficientError):
+        partial_out(data)
+    # without the intercept, a nonzero constant is an ordinary control
+    alone = Dataset(y=data.y, x=data.x, Z=data.Z, z_names=data.z_names, controls=controls,
+                    control_names=data.control_names, intercept=False)
+    assert partial_out(alone).n_absorbed == controls.shape[1]
