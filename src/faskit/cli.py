@@ -213,8 +213,11 @@ class SpecRows(Rows):
 
 class FrontierRows(Rows):
     """The rows of a mode's ``frontier`` block, kept as the columns of its
-    :class:`~faskit.fas.Frontier`, whose deltas are formed only for the
-    rows being written or iterated. ``interval`` is None where empty."""
+    :class:`~faskit.fas.Frontier`. Its deltas come from
+    :meth:`Frontier.deltas <faskit.fas.Frontier.deltas>` for only the rows
+    asked of :meth:`floats`: the JSON writer asks for one point's, or a
+    bounded block of points' for a float-formatting worker, at a time, and
+    iterating asks for one point's. ``interval`` is None where empty."""
 
     fields = (("b", "float"), ("delta", "floats"), ("interval", "interval"), ("on_frontier", "bool"))
 
@@ -228,7 +231,10 @@ class FrontierRows(Rows):
         f = self.frontier
         interval = np.column_stack([f.lo[start:stop], f.hi[start:stop]])
         interval[f.empty[start:stop]] = np.nan
-        return [f.b[start:stop], f.deltas(start, stop), interval, f.on_frontier[start:stop]]
+        return [f.b[start:stop], None, interval, f.on_frontier[start:stop]]
+
+    def floats(self, start: int, stop: int) -> np.ndarray:
+        return self.frontier.deltas(start, stop)
 
 
 _ESTIMATES = ("beta_hat", "se", "pi_hat", "psi_hat")
@@ -346,9 +352,11 @@ def oracle_report(
     ``ValueError`` before any work.
 
     Each mode's ``"specs"`` is a :class:`SpecRows` and its ``"frontier"``
-    a :class:`FrontierRows`, which holds no delta: the JSON writer forms a
-    mode's deltas when it reaches its frontier, and the text report, which
-    prints none, never does. The report serializes through
+    a :class:`FrontierRows`, which holds no delta: the JSON writer forms
+    each point's deltas as it writes that point (a float-formatting worker's
+    input is written a bounded block of points at a time), so no mode's
+    delta matrix is ever held whole, and the text report, which prints
+    none, never forms one. The report serializes through
     :mod:`faskit.jsontext`, which writes a Rows as the list of its rows;
     plain ``json.dumps`` needs each Rows as its ``list()``.
     """

@@ -1,13 +1,14 @@
 """The rows of a float64 matrix as text, with a share of them formatted by a
 worker process on another CPU.
 
-A call takes one 2-D, C-contiguous float64 matrix and a *style*
-``(head, sep, tail)``. A row's text is ``head + sep.join(value texts) +
-tail``, and a *job* is a run of ``rows_per_job`` consecutive rows, the last
-one perhaps shorter. A value's text is its ``repr`` (``nan``, ``inf``,
-``-inf``), or, for a JSON writer, json's spelling of the non-finite values
-(``NaN``, ``Infinity``, ``-Infinity``). So a CSV row is what ``csv.writer``
-writes, and a JSON array is what ``json.dumps`` writes.
+A call takes one 2-D, C-contiguous float64 matrix, or a :class:`RowSource`
+that forms the rows of one on demand, and a *style* ``(head, sep, tail)``.
+A row's text is ``head + sep.join(value texts) + tail``, and a *job* is a
+run of ``rows_per_job`` consecutive rows, the last one perhaps shorter. A
+value's text is its ``repr`` (``nan``, ``inf``, ``-inf``), or, for a JSON
+writer, json's spelling of the non-finite values (``NaN``, ``Infinity``,
+``-Infinity``). So a CSV row is what ``csv.writer`` writes, and a JSON
+array is what ``json.dumps`` writes.
 
 Turning a double into its shortest round-trip text costs about a
 microsecond in CPython, whichever formatter makes it, so a report of a
@@ -16,9 +17,12 @@ process format jobs while the caller formats and writes. The worker is
 ``sys.executable -I -S`` running this file, which imports no third-party
 module, so it starts in tens of milliseconds. Its input and output are
 unlinked temporary files in ``TMPDIR``, never pipes, so it never waits on a
-caller that is busy with its own work. The bytes are the same on every path,
-and a worker that cannot start, stops early or exits non-zero leaves its
-jobs to the caller.
+caller that is busy with its own work. The caller writes the input a block
+of :data:`BLOCK_VALUES` values at a time and forms each job it formats
+itself when it reaches it; the worker reads one job at a time, at its
+offset in the input. So neither process holds a row source's whole matrix. The
+bytes are the same on every path, and a worker that cannot start, stops
+early or exits non-zero leaves its jobs to the caller.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ from itertools import repeat
 # Values below which a call formats every job in process: under about 2^16
 # values, starting a worker costs about what it saves.
 MIN_VALUES = 1 << 16
+
+# Values per block of rows that a call asks of a row source to write the
+# worker's input, or one row when a row is longer.
+BLOCK_VALUES = 1 << 15
 
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -59,23 +67,31 @@ def _cpus() -> int:
 def _write_request(sink, texts: RowTexts) -> None:
     """Write a call for :func:`_work`: seven integers (json flag, value
     count, row width, bytes per job and the three style lengths), the style,
-    then the matrix's bytes."""
+    then the matrix's bytes, :data:`BLOCK_VALUES` values at a time."""
     style = [text.encode("ascii") for text in texts._style]
-    values = texts._values
-    header = [int(texts._json), values.nbytes // 8, texts._width, texts._job_bytes, *map(len, style)]
+    count, width = texts._rows, texts._width
+    header = [int(texts._json), count * width, width, texts._job_bytes, *map(len, style)]
     sink.write(array("q", header).tobytes() + b"".join(style))
-    sink.write(values)
+    step = max(1, BLOCK_VALUES // width)
+    for start in range(0, count, step):
+        sink.write(texts._bytes(start, min(start + step, count)))
 
 
 def _work(source, sink) -> None:
     """Format the jobs of the call that :func:`_write_request` wrote to
-    ``source``, the last first. Each job's text goes to ``sink`` as one
-    record as soon as it is made: its byte length, then the text."""
-    json, count, width, job_bytes, *lengths = array("q", source.read(7 * 8))
-    style = tuple(source.read(length).decode("ascii") for length in lengths)
-    values = memoryview(source.read(8 * count))
-    for start in reversed(range(0, values.nbytes, job_bytes)):
-        text = _job_text(values[start : start + job_bytes], width, style, bool(json)).encode("ascii")
+    ``source``, a regular file, the last first. Each job is read with
+    ``os.pread`` at its offset, so the matrix is never held whole, and its
+    text goes to ``sink`` as one record as soon as it is made: its byte
+    length, then the text."""
+    fd = source.fileno()
+    json, count, width, job_bytes, *lengths = array("q", os.pread(fd, 7 * 8, 0))
+    offset, style = 7 * 8, []
+    for length in lengths:
+        style.append(os.pread(fd, length, offset).decode("ascii"))
+        offset += length
+    for start in reversed(range(0, 8 * count, job_bytes)):
+        job = memoryview(os.pread(fd, min(job_bytes, 8 * count - start), offset + start))
+        text = _job_text(job, width, tuple(style), bool(json)).encode("ascii")
         sink.write(array("q", [len(text)]).tobytes() + text)
         sink.flush()
 
@@ -94,11 +110,10 @@ class _Worker:
         self._end = 0
         self.process = self.output = None
         try:
-            self.output = tempfile.TemporaryFile()
             with tempfile.TemporaryFile() as request:
                 _write_request(request, texts)
                 request.flush()
-                request.seek(0)
+                self.output = tempfile.TemporaryFile()
                 self.process = subprocess.Popen(
                     [sys.executable, "-I", "-S", os.path.abspath(__file__)],
                     stdin=request, stdout=self.output, stderr=subprocess.DEVNULL,
@@ -139,15 +154,50 @@ class _Worker:
             self.output.close()
 
 
+class RowSource:
+    """The rows of a float64 matrix of ``count`` rows of ``width`` values,
+    formed on demand: ``rows(start, stop)`` gives those in ``[start, stop)``
+    as a 2-D, C-contiguous float64 buffer, with the same bits on every call.
+    """
+
+    def __init__(self, count: int, width: int, rows) -> None:
+        self.count, self.width, self.rows = count, width, rows
+
+
+_TAKES = (
+    "RowTexts takes a 2-D, C-contiguous float64 matrix of at least one column, or a row source "
+    "whose blocks are such matrices of its width, rows_per_job >= 1 and an ASCII style"
+)
+
+
+def _matrix_bytes(buffer, shape=None) -> tuple[memoryview, tuple[int, ...]]:
+    """The bytes and shape of a 2-D, C-contiguous float64 buffer of at least
+    one column, whose shape must be ``shape`` when that is given."""
+    view = memoryview(buffer)
+    if not (
+        view.format == "d" and view.ndim == 2 and view.shape[1] and view.c_contiguous
+        and shape in (None, view.shape)
+    ):
+        raise ValueError(_TAKES)
+    # a view with no rows cannot be cast
+    return view.cast("B") if view.nbytes else memoryview(b""), view.shape
+
+
 class RowTexts:
     """The texts of a float64 matrix's jobs, in order, some of them formatted
     by a worker.
 
     ``matrix`` is a 2-D, C-contiguous float64 buffer of at least one column,
-    such as an ``np.ndarray``; a job is ``rows_per_job`` of its rows, and
-    ``style`` is an ASCII ``(head, sep, tail)``. ``json`` picks json's
-    spelling of non-finite values over ``repr``'s. Any other input raises
-    ``ValueError``.
+    such as an ``np.ndarray``, or a :class:`RowSource` of at least one
+    column, whose rows are formed only as they are written: a block of at
+    most :data:`BLOCK_VALUES` values (or one longer row) at a time for the
+    worker's input, and each job this process formats itself when it
+    reaches it. A job is
+    ``rows_per_job`` rows, and ``style`` is an ASCII ``(head, sep, tail)``.
+    ``json`` picks json's spelling of non-finite values over ``repr``'s. Any
+    other input raises ``ValueError``, as does a block of a row source that
+    is not a 2-D, C-contiguous float64 matrix of its width and of the rows
+    asked for.
 
     Use it as a context manager: entering starts the worker, if any, and
     iterating yields each job's text in order. Leaving the block kills and
@@ -163,23 +213,23 @@ class RowTexts:
     """
 
     def __init__(self, matrix, rows_per_job: int, style, json: bool = False) -> None:
-        view, self._style = memoryview(matrix), tuple(style)
-        if not (
-            view.format == "d" and view.ndim == 2 and view.shape[1] and view.c_contiguous
-            and rows_per_job >= 1 and "".join(self._style).isascii()
-        ):
-            raise ValueError(
-                "RowTexts takes a 2-D, C-contiguous float64 matrix, rows_per_job >= 1 and an ASCII style"
-            )
-        # a view with no rows cannot be cast
-        self._values = view.cast("B") if view.nbytes else memoryview(b"")
-        self._width, self._json = view.shape[1], json
+        self._style = tuple(style)
+        if not (rows_per_job >= 1 and "".join(self._style).isascii()):
+            raise ValueError(_TAKES)
+        if isinstance(matrix, RowSource):
+            if not (matrix.count >= 0 and matrix.width >= 1):
+                raise ValueError(_TAKES)
+            self._source, self._rows, self._width = matrix.rows, matrix.count, matrix.width
+        else:
+            self._source = None
+            self._values, (self._rows, self._width) = _matrix_bytes(matrix)
+        self._json, self._rows_per_job = json, rows_per_job
         self._job_bytes = 8 * self._width * rows_per_job
-        self._count = -(-self._values.nbytes // self._job_bytes)
+        self._count = -(-self._rows // rows_per_job)
         self._worker: _Worker | None = None
 
     def __enter__(self) -> RowTexts:
-        total = self._values.nbytes // 8
+        total = self._rows * self._width
         # os.pread is missing on Windows, where records could not be read
         if total and total >= MIN_VALUES and _cpus() > 1 and hasattr(os, "pread"):
             self._worker = _Worker(self)
@@ -194,9 +244,16 @@ class RowTexts:
             self._worker.discard()
             self._worker = None
 
+    def _bytes(self, start: int, stop: int) -> memoryview:
+        """The bytes of the rows in ``[start, stop)``."""
+        if self._source is None:
+            return self._values[8 * self._width * start : 8 * self._width * stop]
+        return _matrix_bytes(self._source(start, stop), (stop - start, self._width))[0]
+
     def _text(self, job: int) -> str:
-        start = job * self._job_bytes
-        return _job_text(self._values[start : start + self._job_bytes], self._width, self._style, self._json)
+        start = job * self._rows_per_job
+        rows = self._bytes(start, min(start + self._rows_per_job, self._rows))
+        return _job_text(rows, self._width, self._style, self._json)
 
     def __iter__(self):
         job, worker = 0, self._worker

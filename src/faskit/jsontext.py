@@ -14,14 +14,15 @@ becomes its JSON texts in one pass, and each row is one ``%`` of a row
 template that the keys and the depth fix.
 
 The text of a "floats" column, such as a frontier's deltas, goes through
-one :class:`faskit.floattext.RowTexts` per Rows, which takes the whole
-column as one matrix and gives each row's text as its own job. When the
-column holds at least ``floattext.MIN_VALUES`` values and this process may
-run on more than one CPU, one worker process (``sys.executable -I -S`` on
-the ``floattext`` file, fed through unlinked temporary files in ``TMPDIR``)
-formats its rows from the last one back while this process writes from the
-first. The bytes do not change, and a worker that fails leaves its rows to
-this process.
+one :class:`faskit.floattext.RowTexts` per Rows, which takes the column as
+a :class:`faskit.floattext.RowSource` over :meth:`Rows.floats` and gives
+each row's text as its own job, so the column is formed a row, or a bounded
+block of rows, at a time, never whole. When the column holds at least
+``floattext.MIN_VALUES`` values and this process may run on more than one
+CPU, one worker process (``sys.executable -I -S`` on the ``floattext``
+file, fed through unlinked temporary files in ``TMPDIR``) formats its rows
+from the last one back while this process writes from the first. The bytes
+do not change, and a worker that fails leaves its rows to this process.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class Rows:
     """A JSON array of objects that share their keys, kept as columns.
 
     A subclass sets ``fields``, the ``(key, kind)`` of each member in the
-    order the objects hold them, and gives ``len()`` and :meth:`block`.
+    order the objects hold them, and gives ``len()``, :meth:`block` and,
+    when it has a "floats" column, :meth:`floats`.
     ``kind`` says what a column holds and how it is spelled:
 
     - "int": ints, as an integer array;
@@ -58,7 +60,8 @@ class Rows:
     - "float?": a float64 array whose NaN stands for None, written ``null``;
     - "ints": lists of ints;
     - "floats": a 2-D float64 array of at least one column, each row
-      written as a list; a Rows holds at most one such column;
+      written as a list; a Rows holds at most one such column, whose rows
+      come from :meth:`floats`, not :meth:`block`, since they may be long;
     - "interval": an (n, 2) float64 array of ``[lo, hi]`` pairs, where a
       NaN ``lo`` stands for None, written ``null``.
 
@@ -74,15 +77,25 @@ class Rows:
         raise NotImplementedError
 
     def block(self, start: int, stop: int) -> list:
-        """One column per field, for the rows in ``[start, stop)``."""
+        """One column per field, for the rows in ``[start, stop)``; a
+        "floats" column's is None."""
+        raise NotImplementedError
+
+    def floats(self, start: int, stop: int) -> np.ndarray:
+        """The "floats" column, for the rows in ``[start, stop)``: a new
+        2-D, C-contiguous float64 array whose rows have the same bits
+        whatever run of rows they are formed in."""
         raise NotImplementedError
 
     def __iter__(self) -> Iterator[dict]:
         keys = [key for key, _ in self.fields]
         step = 1 if any(kind == "floats" for _, kind in self.fields) else ROWS_PER_BLOCK
         for start in range(0, len(self), step):
-            columns = self.block(start, min(start + step, len(self)))
-            values = [_VALUES[kind](c) for (_, kind), c in zip(self.fields, columns)]
+            stop = min(start + step, len(self))
+            values = [
+                _VALUES[kind](self.floats(start, stop) if kind == "floats" else c)
+                for (_, kind), c in zip(self.fields, self.block(start, stop))
+            ]
             for row in zip(*values):
                 yield dict(zip(keys, row))
 
@@ -173,9 +186,10 @@ def _array_style(depth: int) -> tuple[str, str, str]:
 
 def _rows_chunks(rows: Rows, depth: int) -> Iterator[str]:
     """The text of ``json.dumps(list(rows), indent=2)`` at ``depth``, one
-    block of rows per piece. A "floats" column is formed once, as one
-    matrix, since the worker reads all of it up front; each row is then three
-    pieces, so that the text of its floats, the middle one, is never copied."""
+    block of rows per piece. A "floats" column goes to the float writer as
+    a row source, which forms its rows as it writes them, and each row is
+    then three pieces, so that the text of its floats, the middle one, is
+    never copied."""
     count = len(rows)
     if not count:
         yield "[]"
@@ -189,19 +203,19 @@ def _rows_chunks(rows: Rows, depth: int) -> Iterator[str]:
     ) + "\n" + _INDENT * (depth + 1) + "}"
     before, floats, after = template.partition("\0")
     kinds = [kind for _, kind in rows.fields]
-    whole, source = None, contextlib.nullcontext(())
+    source = contextlib.nullcontext(())
     if floats:
         # imported here, so that a process that writes no floats loads no worker code
-        from .floattext import RowTexts
+        from .floattext import RowSource, RowTexts
 
         at = kinds.index("floats")
-        whole = rows.block(0, count)
-        source = RowTexts(whole[at], 1, _array_style(depth + 2), json=True)
+        # the column's width, from its first row
+        width = rows.floats(0, 1).shape[1]
+        source = RowTexts(RowSource(count, width, rows.floats), 1, _array_style(depth + 2), json=True)
     with source as texts:
         texts = iter(texts)
         for start in range(0, count, ROWS_PER_BLOCK):
-            stop = min(start + ROWS_PER_BLOCK, count)
-            columns = rows.block(start, stop) if whole is None else [c[start:stop] for c in whole]
+            columns = rows.block(start, min(start + ROWS_PER_BLOCK, count))
             values = zip(*(
                 _TEXTS[kind](c, depth + 2) for kind, c in zip(kinds, columns) if kind != "floats"
             ))

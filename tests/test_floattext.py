@@ -1,6 +1,7 @@
 """Float rows formatted by a worker process give the bytes of formatting
-them in process, on every path: with or without a worker, a worker that
-cannot start or fails, and an early exit, which leaves no worker running."""
+them in process, on every path: from a matrix or a row source, with or
+without a worker, a worker that cannot start or fails, and an early exit,
+which leaves no worker running."""
 
 import csv
 import io
@@ -215,3 +216,58 @@ def test_csv_bytes_stay_the_same_while_a_worker_writes(tmp_path, monkeypatch):
     write_csv(data, str(tmp_path / "worker.csv"))
     assert len(started) == 1 and started[0].process is not None
     assert (tmp_path / "worker.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+# 100k values: 2500 rows of 40, with json's non-finite spellings among them
+_LONG = np.random.default_rng(6).standard_normal((2500, 40))
+_LONG[[3, 1200, 2499], [0, 17, 39]] = math.nan, math.inf, -math.inf
+
+
+@pytest.mark.parametrize("rows_per_job", [1, 3, 1024])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_row_source_gives_the_bytes_of_its_matrix(cpus, rows_per_job):
+    rows = [json.dumps(row) + "\n" for row in _LONG.tolist()]
+    expected = ["".join(rows[i : i + rows_per_job]) for i in range(0, len(rows), rows_per_job)]
+    asked = []
+
+    def source(start, stop):
+        asked.append((start, stop))
+        return _LONG[start:stop].copy()
+
+    style = ("[", ", ", "]\n")
+    with _workers(cpus) as seen:
+        for matrix in (floattext.RowSource(2500, 40, source), _LONG):
+            with floattext.RowTexts(matrix, rows_per_job, style, json=True) as texts:
+                assert list(texts) == expected
+    if cpus > 1:
+        # the worker's input was written a block of rows at a time, and the
+        # worker, which finished first, served every job of both calls
+        step = floattext.BLOCK_VALUES // 40
+        assert asked == [(start, min(start + step, 2500)) for start in range(0, 2500, step)]
+        assert len(seen.started) == 2 and sorted(seen.served) == sorted(2 * list(range(len(expected))))
+    else:
+        assert asked == [(start, min(start + rows_per_job, 2500)) for start in range(0, 2500, rows_per_job)]
+        assert not seen.started
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("block, width", [
+    (lambda start, stop: _TABLE[start:stop].ravel(), 6),
+    (lambda start, stop: _TABLE[start:stop].astype(np.float32), 6),
+    (lambda start, stop: _TABLE[start:stop].astype(">f8"), 6),
+    (lambda start, stop: np.ones((stop - start, 6), dtype=np.int64), 6),
+    (lambda start, stop: np.hstack([_TABLE, _TABLE])[start:stop, ::2], 6),
+    (lambda start, stop: np.asfortranarray(_TABLE[start:stop]), 6),
+    (lambda start, stop: _TABLE[start:stop], 5),
+    (lambda start, stop: _TABLE[start : stop - 1], 6),
+    (lambda start, stop: np.ones((stop - start, 0)), 0),
+], ids=[
+    "1-D", "float32", "big-endian", "int64", "strided", "Fortran", "other-width", "other-rows",
+    "no-columns",
+])
+def test_a_block_it_cannot_take_raises_before_any_worker_starts(cpus, block, width):
+    # one job of all 8 rows, so that every block the source gives is its whole table
+    with _workers(cpus) as seen, pytest.raises(ValueError):
+        with floattext.RowTexts(floattext.RowSource(8, width, block), 8, ("", ",", "\n")) as texts:
+            list(texts)
+    assert not seen.started

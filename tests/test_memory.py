@@ -1,18 +1,25 @@
-"""Working memory of the n-side stages, pinned with tracemalloc.
+"""Working memory of the n-side stages and of the oracle's JSON frontier,
+pinned with tracemalloc.
 
-Each bound is a multiple of the instrument block's bytes, ``n * k * 8``, on
-a draw of n = 100,000 rows and k = 3 instruments read back from its CSV.
-tracemalloc sees every numpy array, but not LAPACK's own work buffers, so a
-bound counts the arrays a stage makes. The figures in the comments were
-taken with numpy 2.4.
+Each n-side bound is a multiple of the instrument block's bytes,
+``n * k * 8``, on a draw of n = 100,000 rows and k = 3 instruments read back
+from its CSV. tracemalloc sees every numpy array, but not LAPACK's own work
+buffers, so a bound counts the arrays a stage makes. The figures in the
+comments were taken with numpy 2.4.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from conftest import example1_model
-from faskit import SimulationConfig, load_csv, partial_out, simulate, tsls, tsls_pairwise_report, write_csv
+from conftest import example1_model, random_model
+from faskit import (
+    Frontier, SimulationConfig, floattext, load_csv, partial_out, simulate, tsls, tsls_pairwise_report,
+    write_csv,
+)
+from faskit.cli import oracle_report
+from faskit.jsontext import indented_chunks
 
 N, K = 100_000, 3
 BLOCK = N * K * 8
@@ -70,3 +77,34 @@ def test_2sls_and_the_pairwise_report_hold_no_copy_of_the_instruments(draw_csv):
     assert peak <= 2.5
     _, peak, _ = _traced(tsls_pairwise_report, part)
     assert peak <= 2.5
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_json_frontier_holds_no_delta_matrix(cpus, monkeypatch):
+    # k = 10 and 201 grid points: the general frontier's deltas are a
+    # 201 x 5120 matrix of 8.2 MB
+    report = oracle_report(random_model(np.random.default_rng(10), 10), mode="general", frontier_grid=201)
+    width = len(report["modes"]["general"]["frontier"].frontier.pi)
+    matrix = 201 * width * 8
+    calls, started = [], []
+    deltas, init = Frontier.deltas, floattext._Worker.__init__
+    monkeypatch.setattr(Frontier, "deltas", lambda self, *a: (calls.append(a), deltas(self, *a))[1])
+    monkeypatch.setattr(
+        floattext._Worker, "__init__", lambda self, *a: (init(self, *a), started.append(self))[0]
+    )
+    monkeypatch.setattr(floattext, "_cpus", lambda: cpus)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        size = sum(map(len, indented_chunks(report)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 0.81 MB on one CPU and 0.82 MB beside a worker: one row's texts, or
+    # a block of the worker's input; 9.0 MB each when the writer formed the
+    # whole matrix, in one call, for the worker and for itself
+    assert peak < matrix / 8
+    assert size > 201 * width * 10
+    # every call forms one row, or one block of at most 2^15 deltas
+    assert calls and all((stop - start) * width <= max(width, 1 << 15) for start, stop in calls)
+    assert [w.process is not None for w in started] == [True] * (cpus > 1)
