@@ -298,22 +298,29 @@ def write_csv(dataset: Dataset, path: str, outcome: str = "y", treatment: str = 
     the same float64 bits. Lines end in CRLF. The bytes are those
     ``csv.writer`` writes for the same rows.
 
-    The table goes as one matrix to one
-    :class:`faskit.floattext.RowTexts`, which formats it in blocks of
-    :data:`_WRITE_ROWS` rows. When it holds at least
+    The rows go to one :class:`faskit.floattext.RowTexts` as a function
+    that stacks ``y``, ``x``, ``Z`` and the controls for the rows asked, so
+    no whole-sample table is formed; it formats them in blocks of
+    :data:`_WRITE_ROWS` rows. When the sample holds at least
     ``floattext.MIN_VALUES`` values and this process may run on more than
     one CPU, one worker process (``sys.executable -I -S`` on the
     ``floattext`` file, fed through unlinked temporary files in ``TMPDIR``)
-    formats blocks from the end of the table while this process formats
+    formats blocks from the end of the sample while this process formats
     from the start, until they meet. The bytes do not change, and a worker
     that fails leaves its blocks to this process.
     """
     header = [outcome, treatment] + list(dataset.z_names) + list(dataset.control_names)
-    table = np.hstack([dataset.y[:, None], dataset.x[:, None], dataset.Z, dataset.controls])
+    columns = [dataset.y[:, None], dataset.x[:, None], dataset.Z, dataset.controls]
+    width = sum(c.shape[1] for c in columns)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        return np.hstack([c[start:stop] for c in columns])
+
     # imported here, so that a process that writes no CSV never loads it
     from .floattext import RowTexts
 
-    with open(path, "w", newline="") as handle, RowTexts(table, _WRITE_ROWS, ("", ",", "\r\n")) as texts:
+    texts = RowTexts(rows, dataset.n, width, _WRITE_ROWS, ("", ",", "\r\n"))
+    with open(path, "w", newline="") as handle, texts:
         csv.writer(handle).writerow(header)
         for text in texts:
             handle.write(text)

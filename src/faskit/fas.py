@@ -608,7 +608,8 @@ def fas_frontier(result: FasResult, grid_points: int = 201) -> Frontier:
     ``grid_points`` points; a degenerate span yields a single point. The
     identified sets read the specs that ``result.selected`` marks as the
     ones with ``pi~ != 0``, so the frontier and the interval rest on one
-    relevance decision.
+    relevance decision. Every other spec enters with ``pi_j = 0``, in its
+    delta as in the kernel, not with the rounding its table may hold.
 
     Raises
     ------
@@ -620,4 +621,5 @@ def fas_frontier(result: FasResult, grid_points: int = 201) -> Frontier:
     lo, hi = result.interval
     grid = np.linspace(lo, hi, grid_points) if hi > lo else np.array([lo])
     t = result.table
-    return _frontier(t.pi_hat, t.psi_hat, result.selected, grid, result.selected)
+    pi = np.where(result.selected, t.pi_hat, 0.0)
+    return _frontier(pi, t.psi_hat, result.selected, grid, result.selected)

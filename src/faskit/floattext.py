@@ -1,10 +1,10 @@
 """The rows of a float64 matrix as text, with a share of them formatted by a
 worker process on another CPU.
 
-A call takes one 2-D, C-contiguous float64 matrix, or a :class:`RowSource`
-that forms the rows of one on demand, and a *style* ``(head, sep, tail)``.
-A row's text is ``head + sep.join(value texts) + tail``, and a *job* is a
-run of ``rows_per_job`` consecutive rows, the last one perhaps shorter. A
+A call takes a function ``rows(start, stop)`` that forms those rows of a
+``count x width`` float64 matrix, and a *style* ``(head, sep, tail)``. A
+row's text is ``head + sep.join(value texts) + tail``, and a *job* is a run
+of ``rows_per_job`` consecutive rows, the last one perhaps shorter. A
 value's text is its ``repr`` (``nan``, ``inf``, ``-inf``), or, for a JSON
 writer, json's spelling of the non-finite values (``NaN``, ``Infinity``,
 ``-Infinity``). So a CSV row is what ``csv.writer`` writes, and a JSON
@@ -15,14 +15,15 @@ microsecond in CPython, whichever formatter makes it, so a report of a
 million floats spends most of its time here. :class:`RowTexts` lets a worker
 process format jobs while the caller formats and writes. The worker is
 ``sys.executable -I -S`` running this file, which imports no third-party
-module, so it starts in tens of milliseconds. Its input and output are
-unlinked temporary files in ``TMPDIR``, never pipes, so it never waits on a
-caller that is busy with its own work. The caller writes the input a block
-of :data:`BLOCK_VALUES` values at a time and forms each job it formats
-itself when it reaches it; the worker reads one job at a time, at its
-offset in the input. So neither process holds a row source's whole matrix. The
-bytes are the same on every path, and a worker that cannot start, stops
-early or exits non-zero leaves its jobs to the caller.
+module, so it starts in tens of milliseconds. It takes the width, the bytes
+per job, the JSON flag and the style as arguments. Its input, the matrix's
+bytes, and its output are unlinked temporary files in ``TMPDIR``, never
+pipes, so it never waits on a caller that is busy with its own work. The
+caller writes the input a block of :data:`BLOCK_VALUES` values at a time and
+forms each job it formats itself when it reaches it; the worker reads one
+job at a time, at its offset in the input. So neither process holds the
+whole matrix. The bytes are the same on every path, and a worker that
+cannot start, stops early or exits non-zero leaves its jobs to the caller.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from itertools import repeat
 # values, starting a worker costs about what it saves.
 MIN_VALUES = 1 << 16
 
-# Values per block of rows that a call asks of a row source to write the
-# worker's input, or one row when a row is longer.
+# Values per block of rows that a call forms to write the worker's input,
+# or one row when a row is longer.
 BLOCK_VALUES = 1 << 15
 
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -64,34 +65,16 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_request(sink, texts: RowTexts) -> None:
-    """Write a call for :func:`_work`: seven integers (json flag, value
-    count, row width, bytes per job and the three style lengths), the style,
-    then the matrix's bytes, :data:`BLOCK_VALUES` values at a time."""
-    style = [text.encode("ascii") for text in texts._style]
-    count, width = texts._rows, texts._width
-    header = [int(texts._json), count * width, width, texts._job_bytes, *map(len, style)]
-    sink.write(array("q", header).tobytes() + b"".join(style))
-    step = max(1, BLOCK_VALUES // width)
-    for start in range(0, count, step):
-        sink.write(texts._bytes(start, min(start + step, count)))
-
-
-def _work(source, sink) -> None:
-    """Format the jobs of the call that :func:`_write_request` wrote to
-    ``source``, a regular file, the last first. Each job is read with
-    ``os.pread`` at its offset, so the matrix is never held whole, and its
-    text goes to ``sink`` as one record as soon as it is made: its byte
-    length, then the text."""
+def _work(source, sink, width: int, job_bytes: int, style: tuple[str, str, str], json: bool) -> None:
+    """Format the jobs of the matrix whose bytes fill ``source``, a regular
+    file, the last first. Each job is read with ``os.pread`` at its offset,
+    so the matrix is never held whole, and its text goes to ``sink`` as one
+    record as soon as it is made: its byte length, then the text."""
     fd = source.fileno()
-    json, count, width, job_bytes, *lengths = array("q", os.pread(fd, 7 * 8, 0))
-    offset, style = 7 * 8, []
-    for length in lengths:
-        style.append(os.pread(fd, length, offset).decode("ascii"))
-        offset += length
-    for start in reversed(range(0, 8 * count, job_bytes)):
-        job = memoryview(os.pread(fd, min(job_bytes, 8 * count - start), offset + start))
-        text = _job_text(job, width, tuple(style), bool(json)).encode("ascii")
+    size = os.fstat(fd).st_size
+    for start in reversed(range(0, size, job_bytes)):
+        job = memoryview(os.pread(fd, min(job_bytes, size - start), start))
+        text = _job_text(job, width, style, json).encode("ascii")
         sink.write(array("q", [len(text)]).tobytes() + text)
         sink.flush()
 
@@ -109,13 +92,19 @@ class _Worker:
         self.records: list[tuple[int, int]] = []
         self._end = 0
         self.process = self.output = None
+        count, width = texts._rows, texts._width
         try:
             with tempfile.TemporaryFile() as request:
-                _write_request(request, texts)
+                step = max(1, BLOCK_VALUES // width)
+                for start in range(0, count, step):
+                    request.write(texts._bytes(start, min(start + step, count)))
                 request.flush()
                 self.output = tempfile.TemporaryFile()
                 self.process = subprocess.Popen(
-                    [sys.executable, "-I", "-S", os.path.abspath(__file__)],
+                    [
+                        sys.executable, "-I", "-S", os.path.abspath(__file__),
+                        str(width), str(texts._job_bytes), str(int(texts._json)), *texts._style,
+                    ],
                     stdin=request, stdout=self.output, stderr=subprocess.DEVNULL,
                 )
         except OSError:
@@ -154,50 +143,28 @@ class _Worker:
             self.output.close()
 
 
-class RowSource:
-    """The rows of a float64 matrix of ``count`` rows of ``width`` values,
-    formed on demand: ``rows(start, stop)`` gives those in ``[start, stop)``
-    as a 2-D, C-contiguous float64 buffer, with the same bits on every call.
-    """
-
-    def __init__(self, count: int, width: int, rows) -> None:
-        self.count, self.width, self.rows = count, width, rows
-
-
 _TAKES = (
-    "RowTexts takes a 2-D, C-contiguous float64 matrix of at least one column, or a row source "
-    "whose blocks are such matrices of its width, rows_per_job >= 1 and an ASCII style"
+    "RowTexts takes a row function whose blocks are 2-D, C-contiguous float64 matrices of the "
+    "rows asked for and of its width, at least one column, rows_per_job >= 1 and an ASCII style "
+    "with no NUL"
 )
-
-
-def _matrix_bytes(buffer, shape=None) -> tuple[memoryview, tuple[int, ...]]:
-    """The bytes and shape of a 2-D, C-contiguous float64 buffer of at least
-    one column, whose shape must be ``shape`` when that is given."""
-    view = memoryview(buffer)
-    if not (
-        view.format == "d" and view.ndim == 2 and view.shape[1] and view.c_contiguous
-        and shape in (None, view.shape)
-    ):
-        raise ValueError(_TAKES)
-    # a view with no rows cannot be cast
-    return view.cast("B") if view.nbytes else memoryview(b""), view.shape
 
 
 class RowTexts:
     """The texts of a float64 matrix's jobs, in order, some of them formatted
     by a worker.
 
-    ``matrix`` is a 2-D, C-contiguous float64 buffer of at least one column,
-    such as an ``np.ndarray``, or a :class:`RowSource` of at least one
-    column, whose rows are formed only as they are written: a block of at
-    most :data:`BLOCK_VALUES` values (or one longer row) at a time for the
+    ``rows(start, stop)`` forms the rows in ``[start, stop)`` of a matrix of
+    ``count`` rows of ``width`` values, as a 2-D, C-contiguous float64
+    buffer such as an ``np.ndarray``, with the same bits on every call. Rows
+    are formed only as they are written: a block of at most
+    :data:`BLOCK_VALUES` values (or one longer row) at a time for the
     worker's input, and each job this process formats itself when it
-    reaches it. A job is
-    ``rows_per_job`` rows, and ``style`` is an ASCII ``(head, sep, tail)``.
-    ``json`` picks json's spelling of non-finite values over ``repr``'s. Any
-    other input raises ``ValueError``, as does a block of a row source that
-    is not a 2-D, C-contiguous float64 matrix of its width and of the rows
-    asked for.
+    reaches it. A job is ``rows_per_job`` rows, and ``style`` is an ASCII
+    ``(head, sep, tail)`` with no NUL. ``json`` picks json's spelling of
+    non-finite values over ``repr``'s. Any other input raises
+    ``ValueError``, as does a block that is not a 2-D, C-contiguous float64
+    matrix of the rows asked for and of ``width`` columns.
 
     Use it as a context manager: entering starts the worker, if any, and
     iterating yields each job's text in order. Leaving the block kills and
@@ -212,20 +179,15 @@ class RowTexts:
     killed. A worker that fails leaves its unfinished jobs to this process.
     """
 
-    def __init__(self, matrix, rows_per_job: int, style, json: bool = False) -> None:
+    def __init__(self, rows, count: int, width: int, rows_per_job: int, style, json: bool = False) -> None:
         self._style = tuple(style)
-        if not (rows_per_job >= 1 and "".join(self._style).isascii()):
+        text = "".join(self._style)
+        if not (count >= 0 and width >= 1 and rows_per_job >= 1 and text.isascii() and "\0" not in text):
             raise ValueError(_TAKES)
-        if isinstance(matrix, RowSource):
-            if not (matrix.count >= 0 and matrix.width >= 1):
-                raise ValueError(_TAKES)
-            self._source, self._rows, self._width = matrix.rows, matrix.count, matrix.width
-        else:
-            self._source = None
-            self._values, (self._rows, self._width) = _matrix_bytes(matrix)
+        self._source, self._rows, self._width = rows, count, width
         self._json, self._rows_per_job = json, rows_per_job
-        self._job_bytes = 8 * self._width * rows_per_job
-        self._count = -(-self._rows // rows_per_job)
+        self._job_bytes = 8 * width * rows_per_job
+        self._count = -(-count // rows_per_job)
         self._worker: _Worker | None = None
 
     def __enter__(self) -> RowTexts:
@@ -245,10 +207,14 @@ class RowTexts:
             self._worker = None
 
     def _bytes(self, start: int, stop: int) -> memoryview:
-        """The bytes of the rows in ``[start, stop)``."""
-        if self._source is None:
-            return self._values[8 * self._width * start : 8 * self._width * stop]
-        return _matrix_bytes(self._source(start, stop), (stop - start, self._width))[0]
+        """The bytes of the rows in ``[start, stop)``, which is never empty."""
+        view = memoryview(self._source(start, stop))
+        if not (
+            view.format == "d" and view.ndim == 2 and view.shape == (stop - start, self._width)
+            and view.c_contiguous
+        ):
+            raise ValueError(_TAKES)
+        return view.cast("B")
 
     def _text(self, job: int) -> str:
         start = job * self._rows_per_job
@@ -271,4 +237,5 @@ class RowTexts:
 
 
 if __name__ == "__main__":
-    _work(sys.stdin.buffer, sys.stdout.buffer)
+    width, job_bytes, json = map(int, sys.argv[1:4])
+    _work(sys.stdin.buffer, sys.stdout.buffer, width, job_bytes, tuple(sys.argv[4:7]), bool(json))

@@ -14,15 +14,15 @@ becomes its JSON texts in one pass, and each row is one ``%`` of a row
 template that the keys and the depth fix.
 
 The text of a "floats" column, such as a frontier's deltas, goes through
-one :class:`faskit.floattext.RowTexts` per Rows, which takes the column as
-a :class:`faskit.floattext.RowSource` over :meth:`Rows.floats` and gives
-each row's text as its own job, so the column is formed a row, or a bounded
-block of rows, at a time, never whole. When the column holds at least
-``floattext.MIN_VALUES`` values and this process may run on more than one
-CPU, one worker process (``sys.executable -I -S`` on the ``floattext``
-file, fed through unlinked temporary files in ``TMPDIR``) formats its rows
-from the last one back while this process writes from the first. The bytes
-do not change, and a worker that fails leaves its rows to this process.
+one :class:`faskit.floattext.RowTexts` per Rows, which forms the column's
+rows with :meth:`Rows.floats` and gives each row's text as its own job, so
+the column is formed a row, or a bounded block of rows, at a time, never
+whole. When the column holds at least ``floattext.MIN_VALUES`` values and
+this process may run on more than one CPU, one worker process
+(``sys.executable -I -S`` on the ``floattext`` file, fed through unlinked
+temporary files in ``TMPDIR``) formats its rows from the last one back
+while this process writes from the first. The bytes do not change, and a
+worker that fails leaves its rows to this process.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def _array_style(depth: int) -> tuple[str, str, str]:
 def _rows_chunks(rows: Rows, depth: int) -> Iterator[str]:
     """The text of ``json.dumps(list(rows), indent=2)`` at ``depth``, one
     block of rows per piece. A "floats" column goes to the float writer as
-    a row source, which forms its rows as it writes them, and each row is
+    :meth:`Rows.floats`, which it calls as it writes the rows, and each row is
     then three pieces, so that the text of its floats, the middle one, is
     never copied."""
     count = len(rows)
@@ -206,12 +206,12 @@ def _rows_chunks(rows: Rows, depth: int) -> Iterator[str]:
     source = contextlib.nullcontext(())
     if floats:
         # imported here, so that a process that writes no floats loads no worker code
-        from .floattext import RowSource, RowTexts
+        from .floattext import RowTexts
 
         at = kinds.index("floats")
         # the column's width, from its first row
         width = rows.floats(0, 1).shape[1]
-        source = RowTexts(RowSource(count, width, rows.floats), 1, _array_style(depth + 2), json=True)
+        source = RowTexts(rows.floats, count, width, 1, _array_style(depth + 2), json=True)
     with source as texts:
         texts = iter(texts)
         for start in range(0, count, ROWS_PER_BLOCK):

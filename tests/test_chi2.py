@@ -1,9 +1,11 @@
 """Chi-square survival function against an independent reference."""
 
+import math
+
 import numpy as np
 import pytest
 
-from faskit.chi2 import chi2_sf, regularized_gamma_q
+from faskit.chi2 import chi2_sf
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -26,6 +28,8 @@ def test_boundaries():
     assert chi2_sf(0.0, 3) == 1.0
     assert chi2_sf(-1.0, 3) == 1.0
     assert 0.0 <= chi2_sf(1e6, 1) <= 1.0
+    for df in (1, 2, 3):
+        assert chi2_sf(math.inf, df) == chi2_sf(math.nan, df) == 0.0
 
 
 def test_df_must_be_positive():
@@ -34,10 +38,9 @@ def test_df_must_be_positive():
 
 
 def test_gamma_q_complements_gamma_p():
-    # Q(a, x) + P(a, x) = 1; P probed through scipy's gammainc
-    for a, x in ((0.5, 0.3), (2.5, 4.0), (10.0, 9.5)):
-        from scipy.special import gammainc
+    # chi2_sf(2x, 2a) is Q(a, x), and Q(a, x) + P(a, x) = 1; P probed through
+    # scipy's gammainc
+    from scipy.special import gammainc
 
-        assert regularized_gamma_q(a, x) == pytest.approx(
-            1.0 - float(gammainc(a, x)), abs=1e-12
-        )
+    for a, x in ((0.5, 0.3), (2.5, 4.0), (10.0, 9.5)):
+        assert chi2_sf(2.0 * x, int(2 * a)) == pytest.approx(1.0 - float(gammainc(a, x)), abs=1e-12)

@@ -557,6 +557,24 @@ def test_the_frontier_of_a_population_fas_spans_it():
     assert [s.label for s in family] == ["Z1|2,3", "Z2|1,3", "Z3|1,2"]
 
 
+def test_an_irrelevant_spec_enters_the_frontier_with_zero_pi():
+    # spec Z2|1,3 is irrelevant, and its table holds the rounding value
+    # pi~ = -9.9e-17 beside psi~ = -0.5: a delta formed with that pi~ was
+    # below |psi~|, and the kernel, which reads the spec as pi = 0, found
+    # the identified set at b empty
+    model = PopulationModel(
+        beta=1.0, gamma=np.array([0.0, -0.5, 0.0]), alpha=np.zeros(3), pi=np.array([1.0, 0.0, 0.7]),
+        sigma_z=np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]]),
+    )
+    for mode, result in population_fas_by_mode(model, list(Mode)).items():
+        for grid in (7, 201):
+            f = fas_frontier(result, grid)
+            assert not f.empty.any(), (mode, grid)
+            np.testing.assert_allclose(f.lo, f.b, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(f.hi, f.b, rtol=0, atol=1e-9)
+            assert (f.pi[~result.selected] == 0).all()
+
+
 def test_identified_set_rejects_nan_and_nonfinite_inputs():
     ones = np.ones(2)
     # a NaN delta used to drop its component's constraint: (1.5, 2.5)

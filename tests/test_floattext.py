@@ -1,7 +1,6 @@
 """Float rows formatted by a worker process give the bytes of formatting
-them in process, on every path: from a matrix or a row source, with or
-without a worker, a worker that cannot start or fails, and an early exit,
-which leaves no worker running."""
+them in process, on every path: with or without a worker, a worker that
+cannot start or fails, and an early exit, which leaves no worker running."""
 
 import csv
 import io
@@ -106,26 +105,31 @@ def test_csv_bytes_are_those_of_csv_writer_with_and_without_a_worker(tmp_path):
         assert len(seen.served) == (3 if cpus > 1 else 0)
 
 
-def _rows():
-    return np.random.default_rng(11).standard_normal((6, 300))
+def _texts(matrix, rows_per_job, style, json=False):
+    """A RowTexts over the rows of ``matrix``, a 2-D float64 array."""
+    count, width = matrix.shape
+    return floattext.RowTexts(lambda start, stop: matrix[start:stop], count, width, rows_per_job, style, json)
 
 
 def _text_of(matrix):
-    with floattext.RowTexts(matrix, 1, ("[", ", ", "]"), json=True) as texts:
+    with _texts(matrix, 1, ("[", ", ", "]"), json=True) as texts:
         return "".join(texts)
 
 
+_ROWS = np.random.default_rng(11).standard_normal((6, 300))
+
+
 def test_a_worker_that_cannot_start_leaves_its_rows_to_the_caller(monkeypatch, tmp_path, capfd):
-    expected = _text_of(_rows())
+    expected = _text_of(_ROWS)
     monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
     with _workers(2) as seen:
-        assert _text_of(_rows()) == expected
+        assert _text_of(_ROWS) == expected
     assert [w.process for w in seen.started] == [None] and not seen.served
     assert capfd.readouterr().err == ""
 
 
 def test_a_worker_that_fails_leaves_its_rows_to_the_caller(monkeypatch, tmp_path, capfd):
-    expected = _text_of(_rows())
+    expected = _text_of(_ROWS)
     script = tmp_path / "fails.py"
     script.write_text(
         "import sys\n"
@@ -135,7 +139,7 @@ def test_a_worker_that_fails_leaves_its_rows_to_the_caller(monkeypatch, tmp_path
     )
     monkeypatch.setattr(floattext, "__file__", str(script))
     with _workers(2) as seen:
-        assert _text_of(_rows()) == expected
+        assert _text_of(_ROWS) == expected
     assert [w.process.returncode for w in seen.started] == [3] and not seen.served
     assert capfd.readouterr().err == ""
 
@@ -146,7 +150,7 @@ def test_an_early_exit_kills_and_reaps_the_worker(monkeypatch):
     # 2^16 jobs of 6 values: the caller formats its first at once, while the
     # worker, with all the others to do, still runs
     matrix = np.random.default_rng(2).standard_normal((2**16, 6))
-    texts = floattext.RowTexts(matrix, 1, ("", ",", "\n"))
+    texts = _texts(matrix, 1, ("", ",", "\n"))
     with pytest.raises(KeyboardInterrupt):
         with texts:
             process = texts._worker.process
@@ -158,31 +162,33 @@ def test_an_early_exit_kills_and_reaps_the_worker(monkeypatch):
 
 def test_a_small_call_starts_no_worker(monkeypatch):
     monkeypatch.setattr(floattext, "_cpus", lambda: 8)
-    with floattext.RowTexts(np.ones((floattext.MIN_VALUES - 1, 1)), 1, ("", "", "\n")) as texts:
+    with _texts(np.ones((floattext.MIN_VALUES - 1, 1)), 1, ("", "", "\n")) as texts:
         assert texts._worker is None
 
 
 _TABLE = np.random.default_rng(4).standard_normal((8, 6))
 
 
-@pytest.mark.parametrize("matrix, rows_per_job, style", [
-    (_TABLE.ravel(), 1, ("", ",", "\n")),
-    (_TABLE.astype(np.float32), 1, ("", ",", "\n")),
-    (_TABLE.astype(">f8"), 1, ("", ",", "\n")),
-    (np.ones((8, 6), dtype=np.int64), 1, ("", ",", "\n")),
-    (_TABLE[:, ::2], 1, ("", ",", "\n")),
-    (np.asfortranarray(_TABLE), 1, ("", ",", "\n")),
-    (np.ones((8, 0)), 1, ("", ",", "\n")),
-    (_TABLE, 0, ("", ",", "\n")),
-    (_TABLE, -2, ("", ",", "\n")),
-    (_TABLE, 1, ("", "\u00b7", "\n")),
+def _table_rows(start, stop):
+    return _TABLE[start:stop]
+
+
+# the matrix a call declares and the call's own arguments; the blocks a row
+# function gives are checked by the test after the next
+@pytest.mark.parametrize("count, width, rows_per_job, style", [
+    (8, 0, 1, ("", ",", "\n")),
+    (-1, 6, 1, ("", ",", "\n")),
+    (8, 6, 0, ("", ",", "\n")),
+    (8, 6, -2, ("", ",", "\n")),
+    (8, 6, 1, ("", "\u00b7", "\n")),
+    (8, 6, 1, ("", "\0", "\n")),
 ], ids=[
-    "1-D", "float32", "big-endian", "int64", "strided", "Fortran", "no-columns",
-    "0-rows-per-job", "negative-rows-per-job", "non-ASCII-style",
+    "no-columns", "negative-count", "0-rows-per-job", "negative-rows-per-job", "non-ASCII-style",
+    "NUL-style",
 ])
-def test_a_matrix_it_cannot_take_raises_before_any_worker_starts(matrix, rows_per_job, style):
+def test_a_matrix_it_cannot_take_raises_before_any_worker_starts(count, width, rows_per_job, style):
     with _workers(2) as seen, pytest.raises(ValueError):
-        with floattext.RowTexts(matrix, rows_per_job, style) as texts:
+        with floattext.RowTexts(_table_rows, count, width, rows_per_job, style) as texts:
             list(texts)
     assert not seen.started
 
@@ -194,9 +200,9 @@ def test_jobs_are_runs_of_rows_and_the_last_may_be_shorter(cpus, rows_per_job):
     rows = ["<" + ";".join(map(repr, row)) + ">\n" for row in _TABLE.tolist()]
     expected = ["".join(rows[i : i + rows_per_job]) for i in range(0, 8, rows_per_job)]
     with _workers(cpus) as seen:
-        with floattext.RowTexts(_TABLE, rows_per_job, style) as texts:
+        with _texts(_TABLE, rows_per_job, style) as texts:
             assert list(texts) == expected
-        with floattext.RowTexts(np.ones((0, 6)), rows_per_job, style) as texts:
+        with _texts(np.ones((0, 6)), rows_per_job, style) as texts:
             assert list(texts) == []
     assert len(seen.served) == (len(expected) if cpus > 1 else 0)
 
@@ -234,17 +240,15 @@ def test_a_row_source_gives_the_bytes_of_its_matrix(cpus, rows_per_job):
         asked.append((start, stop))
         return _LONG[start:stop].copy()
 
-    style = ("[", ", ", "]\n")
     with _workers(cpus) as seen:
-        for matrix in (floattext.RowSource(2500, 40, source), _LONG):
-            with floattext.RowTexts(matrix, rows_per_job, style, json=True) as texts:
-                assert list(texts) == expected
+        with floattext.RowTexts(source, 2500, 40, rows_per_job, ("[", ", ", "]\n"), json=True) as texts:
+            assert list(texts) == expected
     if cpus > 1:
         # the worker's input was written a block of rows at a time, and the
-        # worker, which finished first, served every job of both calls
+        # worker, which finished first, served every job
         step = floattext.BLOCK_VALUES // 40
         assert asked == [(start, min(start + step, 2500)) for start in range(0, 2500, step)]
-        assert len(seen.started) == 2 and sorted(seen.served) == sorted(2 * list(range(len(expected))))
+        assert len(seen.started) == 1 and sorted(seen.served) == list(range(len(expected)))
     else:
         assert asked == [(start, min(start + rows_per_job, 2500)) for start in range(0, 2500, rows_per_job)]
         assert not seen.started
@@ -266,8 +270,8 @@ def test_a_row_source_gives_the_bytes_of_its_matrix(cpus, rows_per_job):
     "no-columns",
 ])
 def test_a_block_it_cannot_take_raises_before_any_worker_starts(cpus, block, width):
-    # one job of all 8 rows, so that every block the source gives is its whole table
+    # one job of all 8 rows, so that every block the function gives is its whole table
     with _workers(cpus) as seen, pytest.raises(ValueError):
-        with floattext.RowTexts(floattext.RowSource(8, width, block), 8, ("", ",", "\n")) as texts:
+        with floattext.RowTexts(block, 8, width, 8, ("", ",", "\n")) as texts:
             list(texts)
     assert not seen.started

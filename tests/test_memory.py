@@ -1,5 +1,5 @@
-"""Working memory of the n-side stages and of the oracle's JSON frontier,
-pinned with tracemalloc.
+"""Working memory of the n-side stages, of the CSV writer and of the
+oracle's JSON frontier, pinned with tracemalloc.
 
 Each n-side bound is a multiple of the instrument block's bytes,
 ``n * k * 8``, on a draw of n = 100,000 rows and k = 3 instruments read back
@@ -77,6 +77,23 @@ def test_2sls_and_the_pairwise_report_hold_no_copy_of_the_instruments(draw_csv):
     assert peak <= 2.5
     _, peak, _ = _traced(tsls_pairwise_report, part)
     assert peak <= 2.5
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_write_csv_holds_no_whole_sample_table(cpus, tmp_path, monkeypatch):
+    n = 200_000
+    data = simulate(SimulationConfig(example1_model(), n, 4))
+    table = n * (K + 2) * 8  # y, x and Z as one 8 MB table
+    started, init = [], floattext._Worker.__init__
+    monkeypatch.setattr(
+        floattext._Worker, "__init__", lambda self, *a: (init(self, *a), started.append(self))[0]
+    )
+    monkeypatch.setattr(floattext, "_cpus", lambda: cpus)
+    _, peak, _ = _traced(write_csv, data, str(tmp_path / "draw.csv"))
+    # 0.64 MB on one CPU and 1.07 MB beside a worker: a block of rows and
+    # its text; 8.6 and 9.0 MB when the writer stacked the whole sample
+    assert peak * BLOCK < table / 4
+    assert [w.process is not None for w in started] == [True] * (cpus > 1)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
