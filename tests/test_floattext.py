@@ -169,26 +169,29 @@ def test_a_small_call_starts_no_worker(monkeypatch):
 _TABLE = np.random.default_rng(4).standard_normal((8, 6))
 
 
-def _table_rows(start, stop):
-    return _TABLE[start:stop]
-
-
-# the matrix a call declares and the call's own arguments; the blocks a row
-# function gives are checked by the test after the next
-@pytest.mark.parametrize("count, width, rows_per_job, style", [
-    (8, 0, 1, ("", ",", "\n")),
-    (-1, 6, 1, ("", ",", "\n")),
-    (8, 6, 0, ("", ",", "\n")),
-    (8, 6, -2, ("", ",", "\n")),
-    (8, 6, 1, ("", "\u00b7", "\n")),
-    (8, 6, 1, ("", "\0", "\n")),
+# the matrix a call's row function slices, and the call's own arguments; the
+# blocks of a function that does not slice one matrix are checked by the next
+# test but one
+@pytest.mark.parametrize("matrix, count, width, rows_per_job, style", [
+    (_TABLE.ravel(), 8, 6, 1, ("", ",", "\n")),
+    (_TABLE.astype(np.float32), 8, 6, 1, ("", ",", "\n")),
+    (_TABLE.astype(">f8"), 8, 6, 1, ("", ",", "\n")),
+    (np.ones((8, 6), dtype=np.int64), 8, 6, 1, ("", ",", "\n")),
+    (np.hstack([_TABLE, _TABLE])[:, ::2], 8, 6, 1, ("", ",", "\n")),
+    (np.asfortranarray(_TABLE), 8, 6, 1, ("", ",", "\n")),
+    (np.ones((8, 0)), 8, 0, 1, ("", ",", "\n")),
+    (_TABLE, -1, 6, 1, ("", ",", "\n")),
+    (_TABLE, 8, 6, 0, ("", ",", "\n")),
+    (_TABLE, 8, 6, -2, ("", ",", "\n")),
+    (_TABLE, 8, 6, 1, ("", "\u00b7", "\n")),
+    (_TABLE, 8, 6, 1, ("", "\0", "\n")),
 ], ids=[
-    "no-columns", "negative-count", "0-rows-per-job", "negative-rows-per-job", "non-ASCII-style",
-    "NUL-style",
+    "1-D", "float32", "big-endian", "int64", "strided", "Fortran", "no-columns",
+    "negative-count", "0-rows-per-job", "negative-rows-per-job", "non-ASCII-style", "NUL-style",
 ])
-def test_a_matrix_it_cannot_take_raises_before_any_worker_starts(count, width, rows_per_job, style):
+def test_a_matrix_it_cannot_take_raises_before_any_worker_starts(matrix, count, width, rows_per_job, style):
     with _workers(2) as seen, pytest.raises(ValueError):
-        with floattext.RowTexts(_table_rows, count, width, rows_per_job, style) as texts:
+        with floattext.RowTexts(lambda start, stop: matrix[start:stop], count, width, rows_per_job, style) as texts:
             list(texts)
     assert not seen.started
 
