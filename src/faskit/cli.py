@@ -302,6 +302,7 @@ def run(
     robust_flavor: str = "hc1",
     pairwise: bool = False,
     dropped_rows: int = 0,
+    in_place: bool = False,
 ) -> dict:
     """Estimate the requested FAS mode(s) and build the full report dict.
 
@@ -315,8 +316,13 @@ def run(
     ``report["specs"]`` is a :class:`SpecRows`, which yields the row dicts
     when iterated. The report serializes through :mod:`faskit.jsontext`;
     plain ``json.dumps`` needs ``list(report["specs"])`` in its place.
+
+    With ``in_place`` the dataset is partialled in its own arrays (see
+    :func:`~faskit.linalg.partial_out`), for a caller that holds the only
+    reference to them; the report still takes its intercept and control
+    names from ``dataset``.
     """
-    partialled = partial_out(dataset)
+    partialled = partial_out(dataset, in_place=in_place)
     results = fas_by_mode(partialled, _modes(mode), cutoff, robust_flavor)
 
     report = {
@@ -433,7 +439,7 @@ def simulate_report(
             draws.append(simulate(config, setup))
             if csv_path is not None and config is configs[0]:
                 write_csv(draws[-1], csv_path)
-            draws[-1] = partial_out(draws[-1])  # which drops the raw draw
+            draws[-1] = partial_out(draws[-1], in_place=True)  # no other reference holds it
         for results in _fas_by_draw(draws, modes, cutoff):
             for each, result in results.items():
                 endpoint_samples[each.value].append(result.interval)
@@ -755,7 +761,7 @@ def estimate(
     )
     report = run(
         dataset, mode=mode, cutoff=cutoff, robust_flavor=robust, pairwise=pairwise,
-        dropped_rows=dropped,
+        dropped_rows=dropped, in_place=True,
     )
     _emit(report, emit, _estimate_lines)
 

@@ -16,6 +16,7 @@ import numpy as np
 from .data import Dataset
 from .errors import InsufficientObservationsError, InvalidVarianceError
 from .fas import PopulationModel
+from .linalg import row_blocks
 
 
 class ErrorLaw(str, Enum):
@@ -92,9 +93,12 @@ def simulate(config: SimulationConfig, setup: tuple | None = None) -> Dataset:
     """Draw one dataset from the model.
 
     Z is multivariate Gaussian with covariance sigma_z (via its Cholesky
-    factor). U is built as Z' sigma_z^{-1} alpha + eps with eps orthogonal
-    to Z, so cov(Z, U) = alpha holds exactly in population; the variance of
-    eps is var_u - alpha' sigma_z^{-1} alpha, which must be positive.
+    factor), drawn a row block at a time from the one stream, with the bits
+    of one draw of all n rows. U is built as Z' sigma_z^{-1} alpha + eps
+    with eps orthogonal to Z, so cov(Z, U) = alpha holds exactly in
+    population; the variance of eps is var_u - alpha' sigma_z^{-1} alpha,
+    which must be positive. The draw holds y, x and Z and no other n-row
+    array.
 
     ``setup`` is ``_model_setup(config.model)``, for a caller that draws
     many seeds of one model; by default it is made here.
@@ -109,7 +113,10 @@ def simulate(config: SimulationConfig, setup: tuple | None = None) -> Dataset:
     n, k = config.n, model.k_z
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    Z = rng.standard_normal((n, k)) @ chol.T
+    # rng.standard_normal((n, k)) @ chol.T, bit for bit, a row block at a time
+    Z = np.empty((n, k))
+    for rows in row_blocks(n):
+        np.matmul(rng.standard_normal((rows.stop - rows.start, k)), chol.T, out=Z[rows])
 
     if config.error_law == ErrorLaw.GAUSSIAN:
         shock_u = rng.standard_normal(n)
@@ -121,20 +128,27 @@ def simulate(config: SimulationConfig, setup: tuple | None = None) -> Dataset:
         row_mean = Z.mean(axis=1)
         scale = np.sqrt((1.0 + row_mean**2) / (1.0 + mean_var))
 
-    # in place, with the bits of v = sqrt(var_v) (rho shock_u + sqrt(1 - rho^2) shock_v) scale,
-    # u = sqrt(eps_var) shock_u scale + Z eta, x = Z pi + v and y = x beta + Z gamma + u
+    # with the bits of v = sqrt(var_v) (rho shock_u + sqrt(1 - rho^2) shock_v) scale,
+    # u = sqrt(eps_var) shock_u scale + Z eta, x = Z pi + v and y = x beta + Z gamma + u,
+    # held in the shocks' buffers and formed a row block at a time: a floating-point
+    # sum's bits do not depend on the order of its two terms, nor a product's on
+    # the row blocks it is taken in (see row_blocks)
     rho = config.rho_uv
-    v = rho * shock_u
-    v += np.multiply(shock_v, np.sqrt(1.0 - rho**2), out=shock_v)
+    v = np.multiply(shock_v, np.sqrt(1.0 - rho**2), out=shock_v)
+    for rows in row_blocks(n):
+        v[rows] += rho * shock_u[rows]
     v *= np.sqrt(model.var_v)
     v *= scale
     u = np.multiply(shock_u, np.sqrt(eps_var), out=shock_u)
     u *= scale
-    u += Z @ eta
-    x = np.add(v, Z @ model.pi, out=v)
-    y = x * model.beta
-    y += Z @ model.gamma
-    y += u
+    x, y = v, u
+    for rows in row_blocks(n):
+        block = Z[rows]
+        u[rows] += block @ eta
+        x[rows] += block @ model.pi
+        fitted = x[rows] * model.beta
+        fitted += block @ model.gamma
+        y[rows] += fitted  # y overwrites u, row block by row block
 
     return Dataset(
         y=y,

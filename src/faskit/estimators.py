@@ -12,6 +12,7 @@ GMM J statistic.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
     RankDeficientError,
     WeakIdentificationError,
 )
-from .linalg import _check_flavor, partial_out, projection_basis
+from .linalg import _check_flavor, blocked_r, check_rank, partial_out, row_blocks
 from .specs import JustIdSpec, make_spec, spec_coefficients
 
 # 2SLS's relative zero, for x'P_Z x against x'x and for |residuals| against |y|.
@@ -131,38 +132,49 @@ class PairwiseTsls:
 
 
 def iv_columns(
-    W: np.ndarray, x: np.ndarray, y: np.ndarray, pi_hat: np.ndarray, beta_hat: np.ndarray,
-    ww: np.ndarray, wx: np.ndarray, n_absorbed: int = 0, robust_flavor: str = "hc1",
+    chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], pi_hat: np.ndarray,
+    beta_hat: np.ndarray, ww: np.ndarray, wx: np.ndarray, n_absorbed: int = 0,
+    robust_flavor: str = "hc1",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Robust ``se`` and ``f_stat`` of the just-identified IVs of y on x
-    whose instruments w are the rows of W, shape (b, n), given each one's
-    ``pi_hat``, ``beta_hat``, ``ww = w'w`` and ``wx = w'x``.
+    whose instruments w are the rows of a (b, n) matrix W, given each one's
+    ``pi_hat``, ``beta_hat``, ``ww = w'w`` and ``wx = w'x``. ``chunks``
+    yields ``(W[:, rows], x[rows], y[rows])`` for runs of rows that cover
+    the n rows once, so W need not be formed whole.
 
     W, x and y are partialled upstream, which absorbed ``n_absorbed``
     columns. ``se`` is the root of ``sum(w^2 u^2) / (w'x)^2``, ``u = y - x
     beta_hat``, and ``f_stat`` is ``pi_hat^2`` over ``sum(w^2 v^2) /
     (w'w)^2``, ``v = x - w pi_hat``, or +inf when that is zero; hc1 scales
-    both by ``n / (n - 1 - n_absorbed)``. Every sum runs along one row, so
-    a row's numbers do not depend on the other rows.
+    both by ``n / (n - 1 - n_absorbed)``. Every sum runs along one row, a
+    chunk at a time, so a row's numbers do not depend on the other rows,
+    and one chunk gives the bits of a single sum over all n.
 
     Raises ValueError for an unknown ``robust_flavor`` and
     InsufficientObservationsError when ``n <= 1 + n_absorbed``.
     """
     flavor = _check_flavor(robust_flavor)
-    n = W.shape[1]
-    if n <= 1 + n_absorbed:
-        raise InsufficientObservationsError(f"need n > p: n={n}, p=1, absorbed={n_absorbed}")
-    scale = n / (n - 1 - n_absorbed) if flavor == "hc1" else 1.0
-    buf = np.empty_like(W)  # one reused buffer, to hold working memory down
+    n, sum_pi, sum_beta = 0, 0.0, 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(W, -pi_hat[:, None], out=buf)
-        buf += x
-        buf *= W  # w * (x - w pi_hat)
-        var_pi = scale * np.square(buf, out=buf).sum(axis=1) / (ww * ww)
-        np.multiply.outer(-beta_hat, x, out=buf)
-        buf += y
-        buf *= W  # w * (y - x beta_hat)
-        var_beta = scale * np.square(buf, out=buf).sum(axis=1) / (wx * wx)
+        for W, x, y in chunks:
+            n += W.shape[1]
+            # a column of a CSV table is strided, which slows the broadcasts
+            # below by more than this copy of a chunk costs
+            x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+            buf = np.empty_like(W)  # one reused buffer, to hold working memory down
+            np.multiply(W, -pi_hat[:, None], out=buf)
+            buf += x
+            buf *= W  # w * (x - w pi_hat)
+            sum_pi = sum_pi + np.square(buf, out=buf).sum(axis=1)
+            np.multiply.outer(-beta_hat, x, out=buf)
+            buf += y
+            buf *= W  # w * (y - x beta_hat)
+            sum_beta = sum_beta + np.square(buf, out=buf).sum(axis=1)
+        if n <= 1 + n_absorbed:
+            raise InsufficientObservationsError(f"need n > p: n={n}, p=1, absorbed={n_absorbed}")
+        scale = n / (n - 1 - n_absorbed) if flavor == "hc1" else 1.0
+        var_pi = scale * sum_pi / (ww * ww)
+        var_beta = scale * sum_beta / (wx * wx)
         f_stat = np.where(var_pi > 0.0, pi_hat * pi_hat / var_pi, np.inf)
     return np.sqrt(var_beta), f_stat
 
@@ -176,74 +188,116 @@ def _solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _meat(Zm: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Robust meat ``sum_i e_i^2 z_i z_i'`` of residuals e, 8192 rows at a time."""
+    """Robust meat ``sum_i e_i^2 z_i z_i'`` of residuals e, a row block at a time."""
     meat = np.zeros((Zm.shape[1],) * 2)
-    for rows in (slice(i, i + 8192) for i in range(0, len(e), 8192)):
+    for rows in row_blocks(len(e)):
         scored = Zm[rows] * e[rows, None]
         meat += scored.T @ scored
     return meat
 
 
+def _forward_solve(B: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``B R^-1`` for an upper triangular R, one column at a time: each row
+    is solved by forward substitution, so the result spans col(B) to
+    rounding whatever R's condition number."""
+    out = np.empty_like(B)
+    for j in range(R.shape[0]):
+        out[:, j] = (B[:, j] - out[:, :j] @ R[:j, j]) / R[j, j]
+    return out
+
+
+def _check_rows(n: int, q: int, n_absorbed: int) -> None:
+    """Raise InsufficientObservationsError unless ``n > q + n_absorbed``: a
+    2SLS fit on q instruments checks this before anything else."""
+    if n <= q + n_absorbed:
+        raise InsufficientObservationsError(f"need n > p: n={n}, p={q}, absorbed={n_absorbed}")
+
+
 def _tsls_core(
     y: np.ndarray,
     x: np.ndarray,
-    Zm: np.ndarray,
+    instruments: Callable[[slice], np.ndarray],
+    q: int,
     n_absorbed: int,
     robust_flavor: str,
 ) -> TslsResult:
-    """2SLS of y on x with instrument matrix Zm, no intercept.
+    """2SLS of y on x with the q instruments ``Zm`` whose rows
+    ``instruments(s)`` gives for a slice s of rows, no intercept.
 
     Callers partial the intercept and controls out of y, x and Zm first.
-    Every number comes from one checked QR of the block, ``Zm = QR``:
-    ``xhat = QQ'x``, and ``beta``, ``se`` are the just-identified IV with
-    xhat as its instrument. The first stage is ``pi = R^-1 Q'x`` and, with
-    ``c = Zm'x``, ``weights = pi * c / x'xhat``. Because ``G pi = c`` for
-    the Gram ``G = Zm'Zm``, the robust Wald statistic ``pi'V^-1 pi / q``,
-    with ``V = s G^-1 M G^-1``, is ``c'M^-1 c / (s q)``; here ``M =
-    sum_i v_i^2 z_i z_i'`` is the meat of the first-stage residuals ``v = x
-    - xhat``, and s is ``n / (n - q - n_absorbed)`` for hc1, 1 for hc0. J
-    takes the same quadratic form in the meat of the 2SLS residuals, and is
-    0 when their norm is at most 1e-12 of y's: the moments then hold.
+    Too few rows, ``n <= q + n_absorbed``, raises before anything is
+    factored. The k side comes from one :func:`blocked_r` of ``[Zm | x |
+    y]``: the R of Zm, ``Q'x`` and ``Q'y`` for Zm's ``Q = Zm R^-1``, which
+    is never formed whole. The fitted treatment is ``xhat = Zm pi = Q
+    Q'x`` with first stage ``pi = R^-1 Q'x``, so ``x'xhat = xhat'xhat =
+    |Q'x|^2`` and ``xhat'y = (Q'x)'Q'y``; ``beta`` and ``se`` are the
+    just-identified IV
+    with xhat as its instrument, and with ``c = Zm'x``, ``weights = pi * c
+    / x'xhat``. Because ``G pi = c`` for the Gram ``G = Zm'Zm``, the robust
+    Wald statistic ``pi'V^-1 pi / q``, with ``V = s G^-1 M G^-1``, is
+    ``c'M^-1 c / (s q)``; here ``M = sum_i v_i^2 z_i z_i'`` is the meat of
+    the first-stage residuals ``v = x - xhat``, and s is ``n / (n - q -
+    n_absorbed)`` for hc1, 1 for hc0. J takes the same quadratic form in
+    the meat of the 2SLS residuals, and is 0 when their norm is at most
+    1e-12 of y's: the moments then hold. Neither form depends on the basis
+    of col(Zm), so both are taken in the rows of ``Zm R^-1``, where they
+    stay accurate when Zm's columns are close to collinear; in Zm itself
+    they lose about cond(Zm)^2 of their digits. One pass over
+    :func:`row_blocks` after the factor sums every n-row term, so no n-row
+    array is formed.
     """
     flavor = _check_flavor(robust_flavor)
-    n, q = Zm.shape
-    Q, R = projection_basis(Zm)  # full-rank check lives here
-    Qx = Q.T @ x
-    xhat = Q @ Qx
-    del Q  # n rows that nothing below reads
-    denom = float(x @ xhat)
-    if denom <= FIRST_STAGE_TOL * float(x @ x) or denom <= 0.0:
+    n = len(x)
+    _check_rows(n, q, n_absorbed)
+    R = blocked_r(lambda rows: np.column_stack([instruments(rows), x[rows], y[rows]]), n)
+    check_rank(R[:q, :q])
+    Qx, Qy = R[:q, q], R[:q, q + 1]
+    xx, yy = (float(R[:, j] @ R[:, j]) for j in (q, q + 1))  # x'x and y'y, as R'R = B'B
+    denom = float(Qx @ Qx)
+    if denom <= FIRST_STAGE_TOL * xx or denom <= 0.0:
         raise WeakIdentificationError(
             f"projected first stage x'P_Z x = {denom:.3e} is numerically zero"
         )
-    if n <= q + n_absorbed:
-        raise InsufficientObservationsError(f"need n > p: n={n}, p={q}, absorbed={n_absorbed}")
+    pi = np.linalg.solve(R[:q, :q], Qx)
     # 2SLS is the just-identified IV with the projected treatment as instrument
-    w = xhat[None, :]
-    ww, wx, wy = ((w * v).sum(axis=1) for v in (xhat, x, y))
-    beta = wy / wx
-    se = float(iv_columns(w, x, y, wx / ww, beta, ww, wx, n_absorbed, flavor)[0][0])
-    beta = float(beta[0])
-    resid = y - x * beta
+    beta = float(Qx @ Qy) / denom
 
-    c = Zm.T @ x
-    weights = np.linalg.solve(R, Qx) * c / denom
+    c, qx, qy = np.zeros(q), np.zeros(q), np.zeros(q)
+    first_meat, meat = np.zeros((q, q)), np.zeros((q, q))
+    scored_sum = resid_sum = 0.0  # sum (xhat u)^2 and sum u^2 of the 2SLS residuals u
+    for rows in row_blocks(n):
+        # contiguous copies of the block: a CSV table's columns are strided,
+        # which slows the products below by more than the copies cost
+        Zb, xb, yb = (np.ascontiguousarray(a) for a in (instruments(rows), x[rows], y[rows]))
+        Qb = _forward_solve(Zb, R[:q, :q])
+        xhat = Qb @ Qx
+        resid = yb - xb * beta
+        c += Zb.T @ xb
+        qx += Qb.T @ xb
+        qy += Qb.T @ yb
+        first_meat += _meat(Qb, xb - xhat)
+        meat += _meat(Qb, resid)
+        scored = xhat * resid
+        scored_sum += float(scored @ scored)
+        resid_sum += float(resid @ resid)
+
+    scale_iv = n / (n - 1 - n_absorbed) if flavor == "hc1" else 1.0
+    se = float(np.sqrt(scale_iv * scored_sum / (denom * denom)))
+    weights = pi * c / denom
     scale = n / (n - q - n_absorbed) if flavor == "hc1" else 1.0
-    first_stage_f = float(c @ _solve(_meat(Zm, x - xhat), c)) / (scale * q)
+    first_stage_f = float(qx @ _solve(first_meat, qx)) / (scale * q)
 
     j_dof = q - 1
     j_stat, j_pvalue = 0.0, None
     if j_dof:
         # residuals at rounding level are an exact fit: every moment holds,
         # and S is zero or noise that would make J arbitrary
-        if np.linalg.norm(resid) > FIRST_STAGE_TOL * np.linalg.norm(y):
+        if resid_sum > FIRST_STAGE_TOL**2 * yy:
             # two-step efficient GMM: weight from 2SLS residuals, re-minimize,
             # evaluate the criterion at the second-step estimate
-            moments_y = Zm.T @ y
-            S = _meat(Zm, resid)
-            beta_two = float(c @ _solve(S, moments_y)) / float(c @ _solve(S, c))
-            gap = moments_y - c * beta_two
-            j_stat = max(0.0, float(gap @ _solve(S, gap)))
+            beta_two = float(qx @ _solve(meat, qy)) / float(qx @ _solve(meat, qx))
+            gap = qy - qx * beta_two
+            j_stat = max(0.0, float(gap @ _solve(meat, gap)))
         j_pvalue = chi2_sf(j_stat, j_dof)
 
     return TslsResult(beta, se, first_stage_f, j_stat, j_pvalue, j_dof, weights)
@@ -282,8 +336,11 @@ def tsls(
         )
     part = partial_out(dataset)
     columns = [i - 1 for i in instrument_indices]
-    Zm = part.Z if columns == list(range(part.k_z)) else part.Z[:, columns]
-    return _tsls_core(part.y, part.x, Zm, part.n_absorbed, robust_flavor)
+    every = columns == list(range(part.k_z))
+    return _tsls_core(
+        part.y, part.x, lambda rows: part.Z[rows] if every else part.Z[rows, columns],
+        len(columns), part.n_absorbed, robust_flavor,
+    )
 
 
 def tsls_pairwise_report(
@@ -296,17 +353,20 @@ def tsls_pairwise_report(
     (Z_a, Z_b); when other instruments remain, the partialled variant
     instruments with both columns residualized on all of them. Either way
     they are the transformed instruments of specs ``(a | C)`` and ``(b |
-    C)``, C empty or the rest, from one R factor of the instruments.
+    C)``, C empty or the rest, from one :func:`blocked_r` of the
+    instruments.
     Disagreement between the two J p-values localizes which instruments a
     rejection comes from.
 
     Every fit runs on the dataset partialled of its intercept and controls.
     A partialled fit also counts its control instruments as absorbed: it
     needs ``n > 2 + |C| + n_absorbed``, and hc1 scales by ``n / (n - 2 -
-    |C| - n_absorbed)``. A fit that raises one of :data:`TSLS_FAILURES` (a
-    degenerate spec is rank-deficient) stays a row, with no result and its
-    failure code. Requires at least two instruments. Rows are ordered
-    pair-major with the raw variant first.
+    |C| - n_absorbed)``, and too few rows takes precedence over the other
+    failures. A fit that raises one of :data:`TSLS_FAILURES` (a degenerate
+    spec is rank-deficient) stays a row, with no result and its failure
+    code. Each fit forms its instruments ``Z A`` a row block at a time.
+    Requires at least two instruments. Rows are ordered pair-major with the
+    raw variant first.
     """
     if dataset.k_z < 2:
         raise DimensionMismatchError("pairwise report needs at least two instruments")
@@ -319,16 +379,19 @@ def tsls_pairwise_report(
         for variant, controls in [("raw", ())] + ([("partialled", rest)] if rest else []):
             fits.append(((a, b), variant, controls))
     pairs = [make_spec(k_z, i, controls) for pair, _, controls in fits for i in pair]
-    A, degenerate, _ = spec_coefficients(np.linalg.qr(Z, mode="r")[None], pairs)
+    A, degenerate, _ = spec_coefficients(blocked_r(lambda s: Z[s], part.n)[None], pairs)
     A, degenerate = A[0], degenerate[0]
     rows: list[PairwiseTsls] = []
     for i, (pair, variant, controls) in enumerate(fits):
         cols = slice(2 * i, 2 * i + 2)
         labels = tuple(spec.label for spec in pairs[cols])
+        absorbed = n_absorbed + len(controls)
         try:
+            _check_rows(part.n, 2, absorbed)
             if degenerate[cols].any():
                 raise RankDeficientError(f"{', '.join(labels)}: collinear with the controls")
-            result = _tsls_core(y, x, Z @ A[:, cols], n_absorbed + len(controls), robust_flavor)
+            instruments = lambda s, a=A[:, cols]: Z[s] @ a  # noqa: E731
+            result = _tsls_core(y, x, instruments, 2, absorbed, robust_flavor)
         except tuple(TSLS_FAILURES) as exc:
             rows.append(PairwiseTsls(pair, variant, labels, None, TSLS_FAILURES[type(exc)]))
         else:

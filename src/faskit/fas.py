@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DimensionMismatchError, SingularSigmaError, ZeroFirstStageError
 from .estimators import SpecTable, iv_columns
-from .linalg import partial_out
+from .linalg import blocked_r, partial_out
 from .specs import JustIdSpec, _check_count, as_spec_ids, spec_coefficients
 
 # Relative tolerance for "pi != 0" decisions, per spec and per component.
@@ -34,7 +34,9 @@ DEFAULT_CUTOFF = 10.0
 
 # Elements per block of transformed instruments W = Z A, and per block of
 # frontier delta rows: caps the working memory of the sweep and of the
-# identified-set kernel. A itself is solved for _SOLVE_SPECS specs at a time.
+# identified-set kernel. A block of W is _BLOCK_ELEMENTS // n specs of all n
+# rows, or past 2^15 rows one spec taken 2^15 rows at a time. A itself is
+# solved for _SOLVE_SPECS specs at a time.
 _BLOCK_ELEMENTS = 2**15
 
 # Specs per coefficient solve: enough that its per-call cost is small, few
@@ -244,9 +246,10 @@ def estimate_specs(
     The dataset is partialled of its intercept and controls first (a no-op
     on an already-partialled one), so by Frisch-Waugh-Lovell the estimates
     are those of the design that includes them. :func:`_spec_moments` on
-    one QR of the instruments gives the moments, degeneracy and relevance,
-    and :func:`iv_columns` the ``se`` and ``f_stat`` from ``Z A``, one
-    matrix-vector product per spec. A spec's bits depend on neither the
+    the R of a QR of the instruments, taken a row block at a time
+    (:func:`~faskit.linalg.blocked_r`), gives the moments, degeneracy and
+    relevance, and :func:`iv_columns` the ``se`` and ``f_stat`` from ``Z
+    A``, one matrix-vector product per spec and block of rows. A spec's bits depend on neither the
     other specs nor the other draws of a stack, so ``estimate_specs(data,
     [spec])`` is bit for bit its row of any sweep, or of a Monte Carlo
     chunk's. Too few observations takes precedence over the other failures
@@ -266,15 +269,23 @@ def estimate_specs(
 def _estimate_stack(draws: list[Dataset], ids: np.ndarray, robust_flavor: str) -> list[SpecTable]:
     """:func:`estimate_specs` of each of ``draws``, partialled datasets of
     one ``n > 1 + n_absorbed``, ``k_z`` and ``n_absorbed``, for the int64
-    spec ``ids``, at least one. Each draw is QR'd on its own; one
+    spec ``ids``, at least one. Each draw's R comes from its own
+    :func:`~faskit.linalg.blocked_r`, which for n up to 8193 is one QR; one
     :func:`_spec_moments` pass solves the k side of them all, and each
-    draw's ``se`` and ``f_stat`` then come from its own rows."""
+    draw's ``se`` and ``f_stat`` then come from its own rows, formed
+    ``_BLOCK_ELEMENTS`` values of ``Z A`` at a time."""
     k_z, n, n_absorbed, m = draws[0].k_z, draws[0].n, draws[0].n_absorbed, len(ids)
-    R = np.stack([np.linalg.qr(d.Z, mode="r") for d in draws])
+    R = np.stack([blocked_r(lambda rows, Z=d.Z: Z[rows], n) for d in draws])
     zx = np.stack([d.Z.T @ d.x for d in draws])
     zy = np.stack([d.Z.T @ d.y for d in draws])
     xx = np.array([float(d.x @ d.x) for d in draws])
     width = max(1, _BLOCK_ELEMENTS // n)
+    # past _BLOCK_ELEMENTS rows a block is one spec, whose W row is formed and
+    # summed that many rows at a time; up to there, all n rows at once
+    chunks = [slice(j, min(j + _BLOCK_ELEMENTS, n)) for j in range(0, n, _BLOCK_ELEMENTS)]
+    # every block of W is formed in this one buffer: a new one per block, freed
+    # at the top of the heap, was handed back to the system and faulted in anew
+    work = np.empty((width, chunks[0].stop, 1))
     blocks, solves = [[] for _ in draws], [[] for _ in draws]
     for A, degenerate, n_controls, ww, wx, wy, relevant in _spec_moments(R, zx, zy, xx, ids):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -282,10 +293,14 @@ def _estimate_stack(draws: list[Dataset], ids: np.ndarray, robust_flavor: str) -
         for i, d in enumerate(draws):
             solves[i].append((degenerate[i], n_controls, ~relevant[i]))
             for b in (slice(j, j + width) for j in range(0, A.shape[2], width)):
-                W = np.matmul(d.Z, A[i][:, b].T[:, :, None])[:, :, 0]
+                a = A[i][:, b].T[:, :, None]
+                W = (
+                    (np.matmul(d.Z[r], a, out=work[: len(a), : r.stop - r.start])[:, :, 0],
+                     d.x[r], d.y[r])
+                    for r in chunks
+                )
                 se, f_stat = iv_columns(
-                    W, d.x, d.y, pi_hat[i, b], beta_hat[i, b], ww[i, b], wx[i, b], n_absorbed,
-                    robust_flavor,
+                    W, pi_hat[i, b], beta_hat[i, b], ww[i, b], wx[i, b], n_absorbed, robust_flavor
                 )
                 blocks[i].append((beta_hat[i, b], se, pi_hat[i, b], psi_hat[i, b], f_stat))
     tables = []

@@ -554,7 +554,8 @@ def test_cli_reports_a_spec_without_residual_degrees_of_freedom(tmp_path):
 
 def test_cli_records_a_sample_too_small_for_any_spec(tmp_path):
     # 3 rows, an intercept and one control: n <= 1 + 2 absorbed leaves no
-    # spec a residual degree of freedom, and every fit is a recorded failure
+    # spec a residual degree of freedom, and every fit is a recorded failure,
+    # the 2SLS fits too: too few rows takes precedence over their rank
     path = _write(tmp_path, "".join(CSV.splitlines(keepends=True)[:4]))
     args = ["estimate", "--data", path, "--outcome", "y", "--treatment", "x",
             "--instruments", "z1,z2", "--controls", "w", "--pairwise"]
@@ -566,14 +567,14 @@ def test_cli_records_a_sample_too_small_for_any_spec(tmp_path):
         assert row["status"] == "insufficient-observations"
         assert row["beta_hat"] is None and row["f_stat"] == 0.0
     assert [section["interval"] for section in report["fas"].values()] == [None] * 3
-    assert list(report["tsls"]) == ["failure"]
-    assert [("failure" in row) for row in report["pairwise"]] == [True]
+    assert report["tsls"] == {"failure": "insufficient-observations"}
+    assert [row.get("failure") for row in report["pairwise"]] == ["insufficient-observations"]
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 0, res.output
-    assert "2SLS (all instruments): not computed" in res.output
+    assert "2SLS (all instruments): not computed (insufficient-observations)" in res.output
     for name in ("FAS_excl", "FAS_exo", "FAS"):
         assert f"{name}: (empty: no relevant specification)" in res.output
-    assert res.output.count("insufficient-observations") == 4
+    assert res.output.count("insufficient-observations") == 4 + 2  # the specs, 2SLS and the pair
 
 
 def test_cli_pairwise_partialled_rows_count_their_control_instruments(tmp_path):
@@ -864,3 +865,31 @@ def test_cli_oracle_refuses_a_one_point_grid(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert err == "error: frontier grid needs at least 2 points, got 1\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+def test_an_estimate_partialled_in_place_keeps_its_intercept_and_controls(tmp_path, intercept):
+    # the CLI partials the table it loaded in place; the report still reads
+    # the intercept flag and the control names from the loaded dataset, and
+    # its numbers are those of a run that partials a copy
+    data = _seeded_dataset(k=3)
+    rng = np.random.default_rng(151)
+    w = rng.standard_normal(data.n)
+    data = Dataset(
+        y=data.y + w, x=data.x - 0.5 * w, Z=data.Z + w[:, None], z_names=data.z_names,
+        controls=w[:, None], control_names=("w",),
+    )
+    path = str(tmp_path / "controlled.csv")
+    write_csv(data, path)
+    extra = ["--controls", "w", "--pairwise", "--emit", "json"] + ([] if intercept else ["--no-intercept"])
+    res = CliRunner().invoke(main, _estimate_args(path, extra, instruments="Z1,Z2,Z3"))
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["intercept"] is intercept
+    assert report["controls"] == ["w"]
+    loaded, _ = load_csv(path, "y", "x", ["Z1", "Z2", "Z3"], ["w"], intercept=intercept)
+    same = run(loaded, pairwise=True)
+    assert report["tsls"]["beta_2sls"] == pytest.approx(same["tsls"]["beta_2sls"], rel=1e-12)
+    assert report["tsls"]["j_stat"] == pytest.approx(same["tsls"]["j_stat"], rel=1e-12)
+    got = [row["beta_hat"] for row in report["specs"]]
+    assert got == pytest.approx([row["beta_hat"] for row in same["specs"]], rel=1e-12)

@@ -17,6 +17,7 @@ from faskit import (
 from faskit import estimators
 from faskit.errors import (
     DimensionMismatchError,
+    InsufficientObservationsError,
     RankDeficientError,
     WeakIdentificationError,
 )
@@ -417,3 +418,45 @@ def test_the_row_blocked_meat_equals_the_one_shot_sum():
     want = scored.T @ scored
     got = estimators._meat(Zm, e)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_too_few_rows_takes_precedence_over_the_instruments_rank():
+    # with an intercept, n = 3 rows and Z columns (1, 2, 3) and (2, 4, 6):
+    # the centred columns are collinear, but 2 instruments and the intercept
+    # leave no residual degree of freedom, which is checked first, as the
+    # spec table checks it for the controlled specs of the same data
+    Z = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    y, x = np.array([1.0, 3.0, 2.0]), np.array([0.5, 2.0, 1.0])
+    data = Dataset(y=y, x=x, Z=Z, z_names=("Z1", "Z2"))
+    with pytest.raises(InsufficientObservationsError):
+        tsls(data)
+    (row,) = tsls_pairwise_report(data)
+    assert (row.pair, row.variant, row.result, row.failure) == (
+        (1, 2), "raw", None, "insufficient-observations"
+    )
+    table = estimate_specs(data, enumerate_specs(2))
+    for spec, failure in zip(table.specs, table.failure):
+        if spec.control_subset:
+            assert failure == "insufficient-observations", spec.label
+    # one more row, and the rank decides
+    more = Dataset(
+        y=np.array([1.0, 3.0, 2.0, 5.0]), x=np.array([0.5, 2.0, 1.0, 2.5]),
+        Z=np.vstack([Z, [4.0, 8.0]]), z_names=("Z1", "Z2"),
+    )
+    with pytest.raises(RankDeficientError):
+        tsls(more)
+    assert tsls_pairwise_report(more)[0].failure == "rank-deficient"
+
+
+def test_a_partialled_pair_with_too_few_rows_is_insufficient_not_degenerate():
+    # Z3 = Z1 makes the pair (1, 3) partialled on Z2 degenerate, but with an
+    # intercept and n = 4 it has no residual degree of freedom (n <= 2 + 1 + 1)
+    rng = np.random.default_rng(223)
+    z1, z2 = rng.standard_normal((2, 4))
+    data = Dataset(
+        y=rng.standard_normal(4), x=z1 + z2, Z=np.column_stack([z1, z2, z1]),
+        z_names=("Z1", "Z2", "Z3"),
+    )
+    rows = {(r.pair, r.variant): r for r in tsls_pairwise_report(data)}
+    assert rows[((1, 3), "partialled")].failure == "insufficient-observations"
+    assert rows[((1, 3), "raw")].failure == "rank-deficient"

@@ -132,3 +132,53 @@ def test_a_control_collinear_with_the_intercept_is_rank_deficient(value, with_ot
     alone = Dataset(y=data.y, x=data.x, Z=data.Z, z_names=data.z_names, controls=controls,
                     control_names=data.control_names, intercept=False)
     assert partial_out(alone).n_absorbed == controls.shape[1]
+
+
+def _partial_cases():
+    rng = np.random.default_rng(47)
+    n = 2000
+    W = rng.standard_normal((n, 2)) * [1.0, 30.0]
+    Z = rng.standard_normal((n, 3)) + W @ rng.uniform(-1, 1, (2, 3))
+    x = Z @ np.array([1.0, 0.5, -0.3]) + W[:, 0] + rng.standard_normal(n)
+    y = x + W @ np.array([0.3, -0.02]) + rng.standard_normal(n)
+    names = ("Z1", "Z2", "Z3")
+    offset = W.copy()
+    offset[:, 0] += 1e6
+    return {
+        "intercept only": Dataset(y=y, x=x, Z=Z, z_names=names),
+        "controls": Dataset(y=y, x=x, Z=Z, z_names=names, controls=W, control_names=("w1", "w2")),
+        "control offset 1e6": Dataset(
+            y=y, x=x, Z=Z, z_names=names, controls=offset, control_names=("w1", "w2")
+        ),
+    }
+
+
+def _copied(data):
+    return Dataset(
+        y=data.y.copy(), x=data.x.copy(), Z=data.Z.copy(), z_names=data.z_names,
+        controls=data.controls.copy(), control_names=data.control_names, intercept=data.intercept,
+    )
+
+
+@pytest.mark.parametrize("case", list(_partial_cases()))
+def test_partial_out_leaves_its_input_untouched(case):
+    data = _partial_cases()[case]
+    before = _copied(data)
+    partial_out(data)
+    for name in ("y", "x", "Z", "controls"):
+        assert getattr(data, name).tobytes() == getattr(before, name).tobytes(), name
+
+
+@pytest.mark.parametrize("case", list(_partial_cases()))
+def test_in_place_partialling_has_the_bits_of_the_copy(case):
+    data = _partial_cases()[case]
+    copied = partial_out(data)
+    own = _copied(data)
+    in_place = partial_out(own, in_place=True)
+    for name in ("y", "x", "Z"):
+        assert getattr(in_place, name).tobytes() == getattr(copied, name).tobytes(), name
+        # the residuals overwrite the input's own arrays
+        assert np.shares_memory(getattr(in_place, name), getattr(own, name)), name
+    assert (in_place.n_absorbed, in_place.intercept, in_place.control_names) == (
+        copied.n_absorbed, False, ()
+    )

@@ -15,8 +15,8 @@ import pytest
 
 from conftest import example1_model, random_model
 from faskit import (
-    Frontier, SimulationConfig, floattext, load_csv, partial_out, simulate, tsls, tsls_pairwise_report,
-    write_csv,
+    Frontier, SimulationConfig, estimate_specs, floattext, load_csv, partial_out, simulate, tsls,
+    tsls_pairwise_report, write_csv,
 )
 from faskit.cli import oracle_report
 from faskit.jsontext import indented_chunks
@@ -67,16 +67,41 @@ def test_partial_out_allocates_no_more_than_its_outputs(draw_csv):
     assert part.n_absorbed == 1
 
 
+def test_partial_out_in_place_holds_no_new_copy(draw_csv):
+    data, _ = load_csv(draw_csv, "y", "x", ["Z1", "Z2", "Z3"])
+    part, peak, held = _traced(partial_out, data, True)
+    # 0.0004 blocks held and 0.083 at the peak, numpy's fixed-size ufunc
+    # buffers: the residuals overwrite the parsed table, against the 1.67
+    # blocks of outputs that the copying mode holds
+    assert part.Z.base is data.Z.base and np.shares_memory(part.y, data.y)
+    assert held <= 0.01
+    assert peak <= 0.15
+
+
 def test_2sls_and_the_pairwise_report_hold_no_copy_of_the_instruments(draw_csv):
     data, _ = load_csv(draw_csv, "y", "x", ["Z1", "Z2", "Z3"])
     part = partial_out(data)
-    # 2.0 blocks each, the QR's copy of its block and its Q; 4.0 and 3.0
-    # when 2SLS copied Z, kept Q to the end and formed n-row scores for
-    # each robust meat
+    # 0.41 and 0.33 blocks, a few row blocks' temporaries: each fit takes
+    # its R, Q'x and Q'y from a QR over 8192-row blocks and sums its meats
+    # in the same blocks; 2.0 each when a QR of the whole block copied it
+    # and formed its Q, and 4.0 and 3.0 when 2SLS also copied Z, kept Q to
+    # the end and formed n-row scores for each robust meat
     _, peak, _ = _traced(tsls, part)
-    assert peak <= 2.5
+    assert peak <= 0.5
     _, peak, _ = _traced(tsls_pairwise_report, part)
-    assert peak <= 2.5
+    assert peak <= 0.5
+
+
+def test_the_sweep_holds_no_copy_of_the_instruments(draw_csv):
+    data, _ = load_csv(draw_csv, "y", "x", ["Z1", "Z2", "Z3"])
+    part = partial_out(data)
+    table, peak, _ = _traced(estimate_specs, part, np.arange(1, 13))
+    # 0.33 blocks: one spec's W row and the robust variances' buffer,
+    # 2^15 rows at a time, beside the R of a QR over 8192-row blocks; 1.0
+    # when a QR of the whole instrument block copied it (the W row and its
+    # buffer then spanned all n rows, 0.67 blocks)
+    assert table.estimated.all()
+    assert peak <= 0.5
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
