@@ -36,10 +36,9 @@ import numpy as np
 
 from .data import Dataset, load_csv, write_csv
 from .dgp import ErrorLaw, SimulationConfig, _model_setup, derive_seed, simulate
-from .errors import FaskitError, ParseError
+from .errors import DimensionMismatchError, FaskitError, ParseError
 from .estimators import TSLS_FAILURES, tsls, tsls_pairwise_report
 from .fas import (
-    _BLOCK_ELEMENTS,
     DEFAULT_CUTOFF,
     FasResult,
     Frontier,
@@ -52,7 +51,7 @@ from .fas import (
     population_fas_by_mode,
 )
 from .jsontext import Rows, indented_chunks
-from .linalg import partial_out
+from .linalg import _BLOCK_ELEMENTS, partial_out
 from .specs import spec_fields
 
 SCHEMA_VERSION = 1
@@ -754,6 +753,8 @@ def estimate(
     """Estimate falsification adaptive sets from a CSV file."""
     _check_cutoff(cutoff)
     instrument_names = [s.strip() for s in instruments.split(",") if s.strip()]
+    if pairwise and len(instrument_names) < 2:
+        raise DimensionMismatchError("pairwise report needs at least two instruments")
     control_names = [s.strip() for s in controls.split(",") if s.strip()]
     dataset, dropped = load_csv(
         data_path, outcome, treatment, instrument_names,

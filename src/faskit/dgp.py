@@ -118,32 +118,34 @@ def simulate(config: SimulationConfig, setup: tuple | None = None) -> Dataset:
     for rows in row_blocks(n):
         np.matmul(rng.standard_normal((rows.stop - rows.start, k)), chol.T, out=Z[rows])
 
-    if config.error_law == ErrorLaw.GAUSSIAN:
-        shock_u = rng.standard_normal(n)
-        shock_v = rng.standard_normal(n)
-        scale = 1.0
-    else:
-        shock_u = (rng.standard_normal(n) ** 2 - 1.0) / np.sqrt(2.0)
-        shock_v = (rng.standard_normal(n) ** 2 - 1.0) / np.sqrt(2.0)
-        row_mean = Z.mean(axis=1)
-        scale = np.sqrt((1.0 + row_mean**2) / (1.0 + mean_var))
+    shock_u = rng.standard_normal(n)
+    shock_v = rng.standard_normal(n)
+    heteroskedastic = config.error_law == ErrorLaw.SCALED_CHI_SQUARE
+    if heteroskedastic:
+        for shock in (shock_u, shock_v):  # (shock^2 - 1) / sqrt(2), in the shock's buffer
+            np.square(shock, out=shock)
+            shock -= 1.0
+            shock /= np.sqrt(2.0)
 
     # with the bits of v = sqrt(var_v) (rho shock_u + sqrt(1 - rho^2) shock_v) scale,
     # u = sqrt(eps_var) shock_u scale + Z eta, x = Z pi + v and y = x beta + Z gamma + u,
     # held in the shocks' buffers and formed a row block at a time: a floating-point
-    # sum's bits do not depend on the order of its two terms, nor a product's on
-    # the row blocks it is taken in (see row_blocks)
+    # sum's bits do not depend on the order of its two terms, nor a product's or a
+    # row mean's on the row blocks it is taken in (see row_blocks)
     rho = config.rho_uv
     v = np.multiply(shock_v, np.sqrt(1.0 - rho**2), out=shock_v)
-    for rows in row_blocks(n):
-        v[rows] += rho * shock_u[rows]
-    v *= np.sqrt(model.var_v)
-    v *= scale
-    u = np.multiply(shock_u, np.sqrt(eps_var), out=shock_u)
-    u *= scale
+    u = shock_u
     x, y = v, u
     for rows in row_blocks(n):
         block = Z[rows]
+        v[rows] += rho * shock_u[rows]
+        v[rows] *= np.sqrt(model.var_v)
+        u[rows] *= np.sqrt(eps_var)
+        if heteroskedastic:
+            row_mean = block.mean(axis=1)
+            scale = np.sqrt((1.0 + row_mean**2) / (1.0 + mean_var))
+            v[rows] *= scale
+            u[rows] *= scale
         u[rows] += block @ eta
         x[rows] += block @ model.pi
         fitted = x[rows] * model.beta

@@ -2,8 +2,8 @@
 and the overidentification test.
 
 :func:`faskit.fas.estimate_specs` estimates specs, one or many, as one
-:class:`SpecTable`, and :func:`iv_columns` adds the robust standard errors
-and first-stage F of a block of them from the n rows. 2SLS over any
+:class:`SpecTable`, and :func:`iv_columns` adds their robust standard
+errors and first-stage F from the n rows. 2SLS over any
 instrument subset is reported together with the weights that write it as a
 weighted sum of the just-identified estimates, and with a two-step efficient
 GMM J statistic.
@@ -12,7 +12,6 @@ GMM J statistic.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,9 @@ from .errors import (
     RankDeficientError,
     WeakIdentificationError,
 )
-from .linalg import _check_flavor, blocked_r, check_rank, partial_out, row_blocks
+from .linalg import (
+    _BLOCK_ELEMENTS, BLOCK_ROWS, _check_flavor, blocked_r, check_rank, partial_out, row_blocks,
+)
 from .specs import JustIdSpec, make_spec, spec_coefficients
 
 # 2SLS's relative zero, for x'P_Z x against x'x and for |residuals| against |y|.
@@ -132,46 +133,56 @@ class PairwiseTsls:
 
 
 def iv_columns(
-    chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]], pi_hat: np.ndarray,
+    Z: np.ndarray, A: np.ndarray, x: np.ndarray, y: np.ndarray, pi_hat: np.ndarray,
     beta_hat: np.ndarray, ww: np.ndarray, wx: np.ndarray, n_absorbed: int = 0,
     robust_flavor: str = "hc1",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Robust ``se`` and ``f_stat`` of the just-identified IVs of y on x
-    whose instruments w are the rows of a (b, n) matrix W, given each one's
-    ``pi_hat``, ``beta_hat``, ``ww = w'w`` and ``wx = w'x``. ``chunks``
-    yields ``(W[:, rows], x[rows], y[rows])`` for runs of rows that cover
-    the n rows once, so W need not be formed whole.
+    whose instruments w are the m columns of ``Z A``, given each one's
+    ``pi_hat``, ``beta_hat``, ``ww = w'w`` and ``wx = w'x``.
 
-    W, x and y are partialled upstream, which absorbed ``n_absorbed``
+    Z, x and y are partialled upstream, which absorbed ``n_absorbed``
     columns. ``se`` is the root of ``sum(w^2 u^2) / (w'x)^2``, ``u = y - x
     beta_hat``, and ``f_stat`` is ``pi_hat^2`` over ``sum(w^2 v^2) /
     (w'w)^2``, ``v = x - w pi_hat``, or +inf when that is zero; hc1 scales
-    both by ``n / (n - 1 - n_absorbed)``. Every sum runs along one row, a
-    chunk at a time, so a row's numbers do not depend on the other rows,
-    and one chunk gives the bits of a single sum over all n.
+    both by ``n / (n - 1 - n_absorbed)``. ``Z A`` is formed a block of
+    :func:`~faskit.linalg.row_blocks` and of specs at a time (at most
+    ``_BLOCK_ELEMENTS`` values), each spec's column by its own
+    matrix-vector product, and summed along each column, so a spec's
+    numbers do not depend on the other specs.
 
     Raises ValueError for an unknown ``robust_flavor`` and
     InsufficientObservationsError when ``n <= 1 + n_absorbed``.
     """
     flavor = _check_flavor(robust_flavor)
-    n, sum_pi, sum_beta = 0, 0.0, 0.0
+    n, m = len(x), A.shape[1]
+    if n <= 1 + n_absorbed:
+        raise InsufficientObservationsError(f"need n > p: n={n}, p=1, absorbed={n_absorbed}")
+    longest = min(n, BLOCK_ROWS + 1)  # rows of the longest of row_blocks(n)
+    width = max(1, min(m, _BLOCK_ELEMENTS // longest))
+    # both buffers in one allocation for all blocks: more, freed at the top
+    # of the heap, were handed back to the system and faulted in anew
+    W, buf = np.empty((2, width, longest, 1))
+    buf = buf[..., 0]
+    sum_pi, sum_beta = np.zeros(m), np.zeros(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for W, x, y in chunks:
-            n += W.shape[1]
+        for rows in row_blocks(n):
+            size = rows.stop - rows.start
             # a column of a CSV table is strided, which slows the broadcasts
-            # below by more than this copy of a chunk costs
-            x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-            buf = np.empty_like(W)  # one reused buffer, to hold working memory down
-            np.multiply(W, -pi_hat[:, None], out=buf)
-            buf += x
-            buf *= W  # w * (x - w pi_hat)
-            sum_pi = sum_pi + np.square(buf, out=buf).sum(axis=1)
-            np.multiply.outer(-beta_hat, x, out=buf)
-            buf += y
-            buf *= W  # w * (y - x beta_hat)
-            sum_beta = sum_beta + np.square(buf, out=buf).sum(axis=1)
-        if n <= 1 + n_absorbed:
-            raise InsufficientObservationsError(f"need n > p: n={n}, p=1, absorbed={n_absorbed}")
+            # below by more than this copy of a block costs
+            x_b, y_b = np.ascontiguousarray(x[rows]), np.ascontiguousarray(y[rows])
+            for specs in (slice(j, j + width) for j in range(0, m, width)):
+                a = A[:, specs].T[:, :, None]
+                w = np.matmul(Z[rows], a, out=W[: len(a), :size])[:, :, 0]
+                scored = buf[: len(a), :size]
+                np.multiply(w, -pi_hat[specs, None], out=scored)
+                scored += x_b
+                scored *= w  # w * (x - w pi_hat)
+                sum_pi[specs] += np.square(scored, out=scored).sum(axis=1)
+                np.multiply.outer(-beta_hat[specs], x_b, out=scored)
+                scored += y_b
+                scored *= w  # w * (y - x beta_hat)
+                sum_beta[specs] += np.square(scored, out=scored).sum(axis=1)
         scale = n / (n - 1 - n_absorbed) if flavor == "hc1" else 1.0
         var_pi = scale * sum_pi / (ww * ww)
         var_beta = scale * sum_beta / (wx * wx)
@@ -188,12 +199,9 @@ def _solve(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _meat(Zm: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Robust meat ``sum_i e_i^2 z_i z_i'`` of residuals e, a row block at a time."""
-    meat = np.zeros((Zm.shape[1],) * 2)
-    for rows in row_blocks(len(e)):
-        scored = Zm[rows] * e[rows, None]
-        meat += scored.T @ scored
-    return meat
+    """Robust meat ``sum_i e_i^2 z_i z_i'`` of residuals e over the rows of Zm."""
+    scored = Zm * e[:, None]
+    return scored.T @ scored
 
 
 def _forward_solve(B: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -214,42 +222,43 @@ def _check_rows(n: int, q: int, n_absorbed: int) -> None:
 
 
 def _tsls_core(
-    y: np.ndarray,
+    R0: np.ndarray,
+    Z: np.ndarray,
     x: np.ndarray,
-    instruments: Callable[[slice], np.ndarray],
-    q: int,
+    y: np.ndarray,
+    A: np.ndarray,
     n_absorbed: int,
     robust_flavor: str,
 ) -> TslsResult:
-    """2SLS of y on x with the q instruments ``Zm`` whose rows
-    ``instruments(s)`` gives for a slice s of rows, no intercept.
+    """2SLS of y on x with the q instruments ``Zm = Z A``, no intercept.
 
-    Callers partial the intercept and controls out of y, x and Zm first.
-    Too few rows, ``n <= q + n_absorbed``, raises before anything is
-    factored. The k side comes from one :func:`blocked_r` of ``[Zm | x |
-    y]``: the R of Zm, ``Q'x`` and ``Q'y`` for Zm's ``Q = Zm R^-1``, which
-    is never formed whole. The fitted treatment is ``xhat = Zm pi = Q
-    Q'x`` with first stage ``pi = R^-1 Q'x``, so ``x'xhat = xhat'xhat =
-    |Q'x|^2`` and ``xhat'y = (Q'x)'Q'y``; ``beta`` and ``se`` are the
-    just-identified IV
-    with xhat as its instrument, and with ``c = Zm'x``, ``weights = pi * c
-    / x'xhat``. Because ``G pi = c`` for the Gram ``G = Zm'Zm``, the robust
-    Wald statistic ``pi'V^-1 pi / q``, with ``V = s G^-1 M G^-1``, is
-    ``c'M^-1 c / (s q)``; here ``M = sum_i v_i^2 z_i z_i'`` is the meat of
-    the first-stage residuals ``v = x - xhat``, and s is ``n / (n - q -
-    n_absorbed)`` for hc1, 1 for hc0. J takes the same quadratic form in
-    the meat of the 2SLS residuals, and is 0 when their norm is at most
-    1e-12 of y's: the moments then hold. Neither form depends on the basis
-    of col(Zm), so both are taken in the rows of ``Zm R^-1``, where they
-    stay accurate when Zm's columns are close to collinear; in Zm itself
-    they lose about cond(Zm)^2 of their digits. One pass over
-    :func:`row_blocks` after the factor sums every n-row term, so no n-row
-    array is formed.
+    Callers partial the intercept and controls out of y, x and Z, check
+    :func:`_check_rows` and pass ``R0``, the :func:`blocked_r` of ``[Z | x |
+    y]``. The fit's factor comes from the k side: with ``T = blockdiag(A,
+    I_2)``, ``(R0 T)'(R0 T)`` is the Gram of ``[Zm | x | y]``, so the R of a
+    QR of ``R0 T`` is theirs, and at ``A = I`` it is R0 bit for bit. It
+    holds the R of Zm, ``Q'x`` and ``Q'y`` for Zm's ``Q = Zm R^-1``, which
+    is never formed whole. The fitted treatment is ``xhat = Zm pi = Q Q'x``
+    with first stage ``pi = R^-1 Q'x``, so ``x'xhat = xhat'xhat = |Q'x|^2``
+    and ``xhat'y = (Q'x)'Q'y``; ``beta`` and ``se`` are the just-identified
+    IV with xhat as its instrument, and with ``c = Zm'x = R'Q'x``,
+    ``weights = pi * c / x'xhat``. Because ``G pi = c`` for the Gram ``G =
+    Zm'Zm``, the robust Wald statistic ``pi'V^-1 pi / q``, with ``V = s
+    G^-1 M G^-1``, is ``c'M^-1 c / (s q)``; here ``M = sum_i v_i^2 z_i
+    z_i'`` is the meat of the first-stage residuals ``v = x - xhat``, and s
+    is ``n / (n - q - n_absorbed)`` for hc1, 1 for hc0. J takes the same
+    quadratic form in the meat of the 2SLS residuals, and is 0 when their
+    norm is at most 1e-12 of y's: the moments then hold. Neither form
+    depends on the basis of col(Zm), so both are taken in the rows of ``Zm
+    R^-1``, where they stay accurate when Zm's columns are close to
+    collinear; in Zm itself they lose about cond(Zm)^2 of their digits. One
+    pass over :func:`row_blocks`, which forms each block of Zm once, sums
+    every n-row term, so no n-row array is formed.
     """
     flavor = _check_flavor(robust_flavor)
-    n = len(x)
-    _check_rows(n, q, n_absorbed)
-    R = blocked_r(lambda rows: np.column_stack([instruments(rows), x[rows], y[rows]]), n)
+    n, (k, q) = len(x), A.shape
+    # the QR of R0 T, whose last two columns are R0's
+    R = np.linalg.qr(np.column_stack([R0[:, :k] @ A, R0[:, k:]]), mode="r")
     check_rank(R[:q, :q])
     Qx, Qy = R[:q, q], R[:q, q + 1]
     xx, yy = (float(R[:, j] @ R[:, j]) for j in (q, q + 1))  # x'x and y'y, as R'R = B'B
@@ -262,17 +271,16 @@ def _tsls_core(
     # 2SLS is the just-identified IV with the projected treatment as instrument
     beta = float(Qx @ Qy) / denom
 
-    c, qx, qy = np.zeros(q), np.zeros(q), np.zeros(q)
+    qx, qy = np.zeros(q), np.zeros(q)
     first_meat, meat = np.zeros((q, q)), np.zeros((q, q))
     scored_sum = resid_sum = 0.0  # sum (xhat u)^2 and sum u^2 of the 2SLS residuals u
     for rows in row_blocks(n):
-        # contiguous copies of the block: a CSV table's columns are strided,
+        # contiguous copies of x and y: a CSV table's columns are strided,
         # which slows the products below by more than the copies cost
-        Zb, xb, yb = (np.ascontiguousarray(a) for a in (instruments(rows), x[rows], y[rows]))
-        Qb = _forward_solve(Zb, R[:q, :q])
+        xb, yb = np.ascontiguousarray(x[rows]), np.ascontiguousarray(y[rows])
+        Qb = _forward_solve(Z[rows] @ A, R[:q, :q])
         xhat = Qb @ Qx
         resid = yb - xb * beta
-        c += Zb.T @ xb
         qx += Qb.T @ xb
         qy += Qb.T @ yb
         first_meat += _meat(Qb, xb - xhat)
@@ -283,7 +291,7 @@ def _tsls_core(
 
     scale_iv = n / (n - 1 - n_absorbed) if flavor == "hc1" else 1.0
     se = float(np.sqrt(scale_iv * scored_sum / (denom * denom)))
-    weights = pi * c / denom
+    weights = pi * (R[:q, :q].T @ Qx) / denom
     scale = n / (n - q - n_absorbed) if flavor == "hc1" else 1.0
     first_stage_f = float(qx @ _solve(first_meat, qx)) / (scale * q)
 
@@ -301,6 +309,11 @@ def _tsls_core(
         j_pvalue = chi2_sf(j_stat, j_dof)
 
     return TslsResult(beta, se, first_stage_f, j_stat, j_pvalue, j_dof, weights)
+
+
+def _factor(part: Dataset) -> np.ndarray:
+    """The :func:`blocked_r` of ``[Z | x | y]`` of a partialled dataset."""
+    return blocked_r(lambda s: np.column_stack([part.Z[s], part.x[s], part.y[s]]), part.n)
 
 
 def tsls(
@@ -335,12 +348,9 @@ def tsls(
             f"instrument indices out of range 1..{dataset.k_z}: {bad}"
         )
     part = partial_out(dataset)
-    columns = [i - 1 for i in instrument_indices]
-    every = columns == list(range(part.k_z))
-    return _tsls_core(
-        part.y, part.x, lambda rows: part.Z[rows] if every else part.Z[rows, columns],
-        len(columns), part.n_absorbed, robust_flavor,
-    )
+    _check_rows(part.n, len(instrument_indices), part.n_absorbed)
+    A = np.eye(part.k_z)[:, [i - 1 for i in instrument_indices]]
+    return _tsls_core(_factor(part), part.Z, part.x, part.y, A, part.n_absorbed, robust_flavor)
 
 
 def tsls_pairwise_report(
@@ -353,10 +363,8 @@ def tsls_pairwise_report(
     (Z_a, Z_b); when other instruments remain, the partialled variant
     instruments with both columns residualized on all of them. Either way
     they are the transformed instruments of specs ``(a | C)`` and ``(b |
-    C)``, C empty or the rest, from one :func:`blocked_r` of the
-    instruments.
-    Disagreement between the two J p-values localizes which instruments a
-    rejection comes from.
+    C)``, C empty or the rest. Disagreement between the two J p-values
+    localizes which instruments a rejection comes from.
 
     Every fit runs on the dataset partialled of its intercept and controls.
     A partialled fit also counts its control instruments as absorbed: it
@@ -364,9 +372,12 @@ def tsls_pairwise_report(
     |C| - n_absorbed)``, and too few rows takes precedence over the other
     failures. A fit that raises one of :data:`TSLS_FAILURES` (a degenerate
     spec is rank-deficient) stays a row, with no result and its failure
-    code. Each fit forms its instruments ``Z A`` a row block at a time.
-    Requires at least two instruments. Rows are ordered pair-major with the
-    raw variant first.
+    code. The report takes one :func:`blocked_r` of ``[Z | x | y]``: the
+    specs' coefficients A read its R of Z, and each fit takes its own
+    factor from it (see :func:`_tsls_core`) and then makes one pass over
+    the rows, in which it forms its instruments ``Z A`` once. Requires at
+    least two instruments. Rows are ordered pair-major with the raw variant
+    first.
     """
     if dataset.k_z < 2:
         raise DimensionMismatchError("pairwise report needs at least two instruments")
@@ -379,8 +390,8 @@ def tsls_pairwise_report(
         for variant, controls in [("raw", ())] + ([("partialled", rest)] if rest else []):
             fits.append(((a, b), variant, controls))
     pairs = [make_spec(k_z, i, controls) for pair, _, controls in fits for i in pair]
-    A, degenerate, _ = spec_coefficients(blocked_r(lambda s: Z[s], part.n)[None], pairs)
-    A, degenerate = A[0], degenerate[0]
+    R0 = _factor(part)
+    (A,), (degenerate,), _ = spec_coefficients(R0[None, :k_z, :k_z], pairs)
     rows: list[PairwiseTsls] = []
     for i, (pair, variant, controls) in enumerate(fits):
         cols = slice(2 * i, 2 * i + 2)
@@ -390,8 +401,7 @@ def tsls_pairwise_report(
             _check_rows(part.n, 2, absorbed)
             if degenerate[cols].any():
                 raise RankDeficientError(f"{', '.join(labels)}: collinear with the controls")
-            instruments = lambda s, a=A[:, cols]: Z[s] @ a  # noqa: E731
-            result = _tsls_core(y, x, instruments, 2, absorbed, robust_flavor)
+            result = _tsls_core(R0, Z, x, y, A[:, cols], absorbed, robust_flavor)
         except tuple(TSLS_FAILURES) as exc:
             rows.append(PairwiseTsls(pair, variant, labels, None, TSLS_FAILURES[type(exc)]))
         else:

@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DimensionMismatchError, SingularSigmaError, ZeroFirstStageError
 from .estimators import SpecTable, iv_columns
-from .linalg import blocked_r, partial_out
+from .linalg import _BLOCK_ELEMENTS, blocked_r, partial_out
 from .specs import JustIdSpec, _check_count, as_spec_ids, spec_coefficients
 
 # Relative tolerance for "pi != 0" decisions, per spec and per component.
@@ -31,13 +31,6 @@ POPULATION_RELEVANCE_TOL = 1e-12
 _EMPTY_SLACK = 1e-10
 
 DEFAULT_CUTOFF = 10.0
-
-# Elements per block of transformed instruments W = Z A, and per block of
-# frontier delta rows: caps the working memory of the sweep and of the
-# identified-set kernel. A block of W is _BLOCK_ELEMENTS // n specs of all n
-# rows, or past 2^15 rows one spec taken 2^15 rows at a time. A itself is
-# solved for _SOLVE_SPECS specs at a time.
-_BLOCK_ELEMENTS = 2**15
 
 # Specs per coefficient solve: enough that its per-call cost is small, few
 # enough that A and the solve's index arrays stay near a block's size.
@@ -249,8 +242,9 @@ def estimate_specs(
     the R of a QR of the instruments, taken a row block at a time
     (:func:`~faskit.linalg.blocked_r`), gives the moments, degeneracy and
     relevance, and :func:`iv_columns` the ``se`` and ``f_stat`` from ``Z
-    A``, one matrix-vector product per spec and block of rows. A spec's bits depend on neither the
-    other specs nor the other draws of a stack, so ``estimate_specs(data,
+    A``, one matrix-vector product per spec and block of rows. A spec's
+    bits depend on neither the other specs nor the other draws of a stack,
+    so ``estimate_specs(data,
     [spec])`` is bit for bit its row of any sweep, or of a Monte Carlo
     chunk's. Too few observations takes precedence over the other failures
     (see :class:`SpecTable`); with ``n <= 1 + n_absorbed`` every row has
@@ -270,39 +264,26 @@ def _estimate_stack(draws: list[Dataset], ids: np.ndarray, robust_flavor: str) -
     """:func:`estimate_specs` of each of ``draws``, partialled datasets of
     one ``n > 1 + n_absorbed``, ``k_z`` and ``n_absorbed``, for the int64
     spec ``ids``, at least one. Each draw's R comes from its own
-    :func:`~faskit.linalg.blocked_r`, which for n up to 8193 is one QR; one
-    :func:`_spec_moments` pass solves the k side of them all, and each
-    draw's ``se`` and ``f_stat`` then come from its own rows, formed
-    ``_BLOCK_ELEMENTS`` values of ``Z A`` at a time."""
+    :func:`~faskit.linalg.blocked_r`, which for n up to 8193 is one QR,
+    beside its cross moments; one :func:`_spec_moments` pass solves the k
+    side of them all, and :func:`iv_columns` takes each draw's ``se`` and
+    ``f_stat`` from its own rows."""
     k_z, n, n_absorbed, m = draws[0].k_z, draws[0].n, draws[0].n_absorbed, len(ids)
     R = np.stack([blocked_r(lambda rows, Z=d.Z: Z[rows], n) for d in draws])
     zx = np.stack([d.Z.T @ d.x for d in draws])
     zy = np.stack([d.Z.T @ d.y for d in draws])
     xx = np.array([float(d.x @ d.x) for d in draws])
-    width = max(1, _BLOCK_ELEMENTS // n)
-    # past _BLOCK_ELEMENTS rows a block is one spec, whose W row is formed and
-    # summed that many rows at a time; up to there, all n rows at once
-    chunks = [slice(j, min(j + _BLOCK_ELEMENTS, n)) for j in range(0, n, _BLOCK_ELEMENTS)]
-    # every block of W is formed in this one buffer: a new one per block, freed
-    # at the top of the heap, was handed back to the system and faulted in anew
-    work = np.empty((width, chunks[0].stop, 1))
     blocks, solves = [[] for _ in draws], [[] for _ in draws]
     for A, degenerate, n_controls, ww, wx, wy, relevant in _spec_moments(R, zx, zy, xx, ids):
         with np.errstate(divide="ignore", invalid="ignore"):
             beta_hat, pi_hat, psi_hat = wy / wx, wx / ww, wy / ww
         for i, d in enumerate(draws):
             solves[i].append((degenerate[i], n_controls, ~relevant[i]))
-            for b in (slice(j, j + width) for j in range(0, A.shape[2], width)):
-                a = A[i][:, b].T[:, :, None]
-                W = (
-                    (np.matmul(d.Z[r], a, out=work[: len(a), : r.stop - r.start])[:, :, 0],
-                     d.x[r], d.y[r])
-                    for r in chunks
-                )
-                se, f_stat = iv_columns(
-                    W, pi_hat[i, b], beta_hat[i, b], ww[i, b], wx[i, b], n_absorbed, robust_flavor
-                )
-                blocks[i].append((beta_hat[i, b], se, pi_hat[i, b], psi_hat[i, b], f_stat))
+            se, f_stat = iv_columns(
+                d.Z, A[i], d.x, d.y, pi_hat[i], beta_hat[i], ww[i], wx[i], n_absorbed,
+                robust_flavor,
+            )
+            blocks[i].append((beta_hat[i], se, pi_hat[i], psi_hat[i], f_stat))
     tables = []
     for draw_blocks, draw_solves in zip(blocks, solves):
         *values, f_stat = (np.concatenate(c) for c in zip(*draw_blocks))

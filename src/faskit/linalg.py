@@ -5,10 +5,11 @@ Partialling (:func:`partial_out`), which runs before every estimator,
 removes the intercept by centring and the controls by a QR of the centred
 controls; it can overwrite its dataset's arrays instead of copying them.
 The spec sweep and 2SLS take their triangular factors from
-:func:`blocked_r`, a QR taken :data:`BLOCK_ROWS` rows at a time, so no
-caller forms an n-row ``Q`` or a copy of its block. Rank decisions, here
-and in the spec engine, use a relative singular value tolerance of 1e-10,
-so they are deterministic for a given input.
+:func:`blocked_r`, a QR taken :data:`BLOCK_ROWS` rows at a time, so
+neither forms an n-row ``Q`` or a copy of its block; the one n-row ``Q``
+is the controls', from :func:`projection_basis`. Rank decisions, here and
+in the spec engine, use a relative singular value tolerance of 1e-10, so
+they are deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ RANK_TOL = 1e-10
 # Rows per block of a pass over the sample: its temporaries stay a few
 # blocks of this many rows, whatever n is.
 BLOCK_ROWS = 8192
+
+# Elements per block of the specs' instruments ``Z A`` in the sweep's robust
+# variances, and per block of frontier delta rows: caps the working memory
+# of the sweep and of the identified-set kernel.
+_BLOCK_ELEMENTS = 2**15
 
 _FLAVORS = ("hc0", "hc1")
 

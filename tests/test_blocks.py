@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from faskit import (
-    Dataset, PopulationModel, SimulationConfig, enumerate_specs, estimate_specs, simulate, tsls,
-    tsls_pairwise_report,
+    Dataset, Mode, PopulationModel, SimulationConfig, enumerate_specs, estimate_specs, estimators,
+    simulate, specs_for_mode, tsls, tsls_pairwise_report,
 )
-from faskit.dgp import _model_setup
+from faskit.dgp import ErrorLaw, _model_setup
 from faskit.errors import RankDeficientError, WeakIdentificationError
 from faskit.linalg import BLOCK_ROWS, blocked_r, row_blocks
 
@@ -180,6 +180,51 @@ def test_estimate_specs_matches_lstsq_residualized_instruments(n, near):
         assert _close(got, [beta, se, pi, wy / ww, f_stat], rtol), spec.label
 
 
+def _rows(table):
+    return np.column_stack([table.beta_hat, table.se, table.pi_hat, table.psi_hat, table.f_stat])
+
+
+@pytest.mark.parametrize("layout", ["arrays", "table"])
+def test_a_spec_is_bit_for_bit_its_row_of_every_family_across_row_blocks(layout):
+    # two row blocks, and blocks of 3 specs in the robust variances, at a k
+    # where one product over a block of specs rounds otherwise than each
+    # spec's own; on arrays of their own and on column views of one table,
+    # the layout load_csv gives
+    n, k = 2 * BLOCK_ROWS + 1, 6
+    rng = np.random.default_rng(41)
+    table = rng.standard_normal((n, k + 2)) + rng.standard_normal((n, 1))
+    table[:, 1] += table[:, 2:] @ rng.uniform(0.5, 1.0, k)
+    table[:, 0] += 0.7 * table[:, 1] + table[:, 2:] @ rng.uniform(-0.3, 0.3, k)
+    columns = [table[:, 0], table[:, 1], table[:, 2:]]
+    if layout == "arrays":
+        columns = [column.copy() for column in columns]
+    data = Dataset(*columns, z_names=[f"Z{i}" for i in range(1, k + 1)], intercept=False)
+    assert data.Z.flags.c_contiguous == (layout == "arrays")
+    lattice = estimate_specs(data, enumerate_specs(k))
+    assert lattice.estimated.all()
+    rows = _rows(lattice)
+    position = {spec.spec_id: pos for pos, spec in enumerate(lattice.specs)}
+    for mode in Mode:
+        family = estimate_specs(data, specs_for_mode(mode, k))
+        view = [position[spec.spec_id] for spec in family.specs]
+        assert _rows(family).tobytes() == rows[view].tobytes(), mode
+    for spec, row in zip(lattice.specs, rows):
+        assert _rows(estimate_specs(data, [spec]))[0].tobytes() == row.tobytes(), spec.label
+
+
+def test_a_pairwise_report_and_tsls_each_factor_the_sample_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        estimators, "blocked_r", lambda rows, n: (calls.append(n), blocked_r(rows, n))[1]
+    )
+    data = _sample(BLOCK_ROWS + 1, near=False)
+    # one R of [Z | x | y] for the report's coefficients and all six fits
+    assert [row.failure for row in tsls_pairwise_report(data)] == [None] * 6
+    assert len(calls) == 1
+    tsls(data)
+    assert len(calls) == 2
+
+
 def test_blocked_fits_keep_their_failure_codes():
     n = 20_000
     rng = np.random.default_rng(227)
@@ -213,17 +258,24 @@ def test_blocked_fits_keep_their_failure_codes():
 
 
 def _whole_draw(config):
-    """:func:`simulate`'s y, x and Z for a Gaussian law, each formed over
-    all n rows at once in the order its formula reads."""
+    """:func:`simulate`'s y, x and Z, each formed over all n rows at once in
+    the order its formula reads."""
     model, n = config.model, config.n
-    eta, eps_var, chol, _ = _model_setup(model)
+    eta, eps_var, chol, mean_var = _model_setup(model)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     Z = rng.standard_normal((n, model.k_z)) @ chol.T
-    shock_u, shock_v = rng.standard_normal(n), rng.standard_normal(n)
+    if config.error_law == ErrorLaw.GAUSSIAN:
+        shock_u, shock_v = rng.standard_normal(n), rng.standard_normal(n)
+        scale = 1.0
+    else:
+        shock_u = (rng.standard_normal(n) ** 2 - 1.0) / np.sqrt(2.0)
+        shock_v = (rng.standard_normal(n) ** 2 - 1.0) / np.sqrt(2.0)
+        scale = np.sqrt((1.0 + Z.mean(axis=1) ** 2) / (1.0 + mean_var))
     rho = config.rho_uv
     v = rho * shock_u + shock_v * np.sqrt(1.0 - rho**2)
     v *= np.sqrt(model.var_v)
-    u = shock_u * np.sqrt(eps_var) + Z @ eta
+    v *= scale
+    u = shock_u * np.sqrt(eps_var) * scale + Z @ eta
     x = v + Z @ model.pi
     y = x * model.beta + Z @ model.gamma + u
     return y, x, Z
@@ -239,7 +291,8 @@ def test_a_row_blocked_draw_is_the_whole_draw_bit_for_bit(n, k):
         beta=0.8, gamma=rng.uniform(-0.5, 0.5, k), alpha=np.zeros(k), pi=rng.uniform(0.3, 1.0, k),
         sigma_z=A @ A.T + k * np.eye(k),
     )
-    config = SimulationConfig(model, n, 31)
-    data = simulate(config)
-    for got, want in zip((data.y, data.x, data.Z), _whole_draw(config)):
-        assert got.tobytes() == want.tobytes()
+    for law in ErrorLaw:
+        config = SimulationConfig(model, n, 31, law)
+        data = simulate(config)
+        for got, want in zip((data.y, data.x, data.Z), _whole_draw(config)):
+            assert got.tobytes() == want.tobytes(), law

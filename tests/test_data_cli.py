@@ -867,6 +867,18 @@ def test_cli_oracle_refuses_a_one_point_grid(tmp_path, monkeypatch, capsys):
     assert out == ""
 
 
+def test_cli_pairwise_refuses_one_instrument_before_reading_the_data(tmp_path, monkeypatch, capsys):
+    # the data path does not exist: the instrument count is checked first
+    missing = str(tmp_path / "missing.csv")
+    monkeypatch.setattr(sys, "argv", ["faskit", *_estimate_args(missing, ["--pairwise"], "Z1")])
+    with pytest.raises(SystemExit) as exit_info:
+        entry()
+    assert exit_info.value.code == 1
+    out, err = capsys.readouterr()
+    assert err == "error: pairwise report needs at least two instruments\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("intercept", [True, False])
 def test_an_estimate_partialled_in_place_keeps_its_intercept_and_controls(tmp_path, intercept):
     # the CLI partials the table it loaded in place; the report still reads

@@ -409,17 +409,6 @@ def test_pairwise_j_pvalues_look_uniform_under_the_null():
     assert 0.35 <= float(np.median(pvals)) <= 0.65
 
 
-def test_the_row_blocked_meat_equals_the_one_shot_sum():
-    rng = np.random.default_rng(211)
-    n = 3 * 8192 + 17  # three whole blocks and a part
-    Zm = rng.standard_normal((n, 3)) + [0.0, 5.0, -2.0]
-    e = rng.standard_normal(n) * (1.0 + Zm[:, 0] ** 2)
-    scored = Zm * e[:, None]
-    want = scored.T @ scored
-    got = estimators._meat(Zm, e)
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-
-
 def test_too_few_rows_takes_precedence_over_the_instruments_rank():
     # with an intercept, n = 3 rows and Z columns (1, 2, 3) and (2, 4, 6):
     # the centred columns are collinear, but 2 instruments and the intercept

@@ -19,6 +19,7 @@ from faskit import (
     tsls_pairwise_report, write_csv,
 )
 from faskit.cli import oracle_report
+from faskit.dgp import ErrorLaw
 from faskit.jsontext import indented_chunks
 
 N, K = 100_000, 3
@@ -81,11 +82,12 @@ def test_partial_out_in_place_holds_no_new_copy(draw_csv):
 def test_2sls_and_the_pairwise_report_hold_no_copy_of_the_instruments(draw_csv):
     data, _ = load_csv(draw_csv, "y", "x", ["Z1", "Z2", "Z3"])
     part = partial_out(data)
-    # 0.41 and 0.33 blocks, a few row blocks' temporaries: each fit takes
-    # its R, Q'x and Q'y from a QR over 8192-row blocks and sums its meats
-    # in the same blocks; 2.0 each when a QR of the whole block copied it
-    # and formed its Q, and 4.0 and 3.0 when 2SLS also copied Z, kept Q to
-    # the end and formed n-row scores for each robust meat
+    # 0.41 blocks each, a few row blocks' temporaries: each report takes
+    # one R of [Z | x | y] from a QR over 8192-row blocks, and each fit sums
+    # its meats in the same blocks; 0.41 and 0.33 when each pairwise fit
+    # made its own QR of [Z A | x | y], 2.0 each when a QR of the whole
+    # block copied it and formed its Q, and 4.0 and 3.0 when 2SLS also
+    # copied Z, kept Q to the end and formed n-row scores for each meat
     _, peak, _ = _traced(tsls, part)
     assert peak <= 0.5
     _, peak, _ = _traced(tsls_pairwise_report, part)
@@ -96,12 +98,24 @@ def test_the_sweep_holds_no_copy_of_the_instruments(draw_csv):
     data, _ = load_csv(draw_csv, "y", "x", ["Z1", "Z2", "Z3"])
     part = partial_out(data)
     table, peak, _ = _traced(estimate_specs, part, np.arange(1, 13))
-    # 0.33 blocks: one spec's W row and the robust variances' buffer,
-    # 2^15 rows at a time, beside the R of a QR over 8192-row blocks; 1.0
-    # when a QR of the whole instrument block copied it (the W row and its
-    # buffer then spanned all n rows, 0.67 blocks)
+    # 0.20 blocks: the robust variances' two buffers of 3 specs by 8193
+    # rows, beside the R of a QR over 8192-row blocks; 0.33 when they held
+    # one spec of 2^15 rows, and 1.0 when a QR of the whole instrument block
+    # copied it (the buffers then spanned all n rows, 0.67 blocks)
     assert table.estimated.all()
     assert peak <= 0.5
+
+
+@pytest.mark.parametrize("law", list(ErrorLaw), ids=lambda law: law.value)
+def test_a_draw_holds_its_outputs_and_a_few_row_blocks(law):
+    data, peak, held = _traced(simulate, SimulationConfig(example1_model(), N, 5, law))
+    outputs = (K + 2) / K  # y, x and Z
+    # 1.72 blocks at the peak under the Gaussian law and 1.81 under the
+    # scaled chi-square one: the outputs and temporaries of a few 8192-row
+    # blocks; 2.67 under the latter when each shock, the row means and the
+    # scale were formed over all n rows
+    assert held <= outputs + 0.01
+    assert peak <= outputs + 0.25
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
