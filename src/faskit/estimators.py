@@ -391,7 +391,7 @@ def tsls_pairwise_report(
             fits.append(((a, b), variant, controls))
     pairs = [make_spec(k_z, i, controls) for pair, _, controls in fits for i in pair]
     R0 = _factor(part)
-    (A,), (degenerate,), _ = spec_coefficients(R0[None, :k_z, :k_z], pairs)
+    (A,), (degenerate,), _ = spec_coefficients(R0[None, :, :k_z], pairs)
     rows: list[PairwiseTsls] = []
     for i, (pair, variant, controls) in enumerate(fits):
         cols = slice(2 * i, 2 * i + 2)

@@ -19,9 +19,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatchError, SingularSigmaError, ZeroFirstStageError
-from .estimators import SpecTable, iv_columns
-from .linalg import _BLOCK_ELEMENTS, blocked_r, partial_out
-from .specs import JustIdSpec, _check_count, as_spec_ids, spec_coefficients
+from .estimators import SpecTable, _factor, iv_columns
+from .linalg import _BLOCK_ELEMENTS, partial_out
+from .specs import _SOLVE_SPECS, JustIdSpec, _check_count, _subset_solve, as_spec_ids
 
 # Relative tolerance for "pi != 0" decisions, per spec and per component.
 POPULATION_RELEVANCE_TOL = 1e-12
@@ -31,10 +31,6 @@ POPULATION_RELEVANCE_TOL = 1e-12
 _EMPTY_SLACK = 1e-10
 
 DEFAULT_CUTOFF = 10.0
-
-# Specs per coefficient solve: enough that its per-call cost is small, few
-# enough that A and the solve's index arrays stay near a block's size.
-_SOLVE_SPECS = 2**10
 
 
 class Mode(str, Enum):
@@ -193,36 +189,20 @@ def _mode_views(modes: list[Mode], k_z: int) -> tuple[np.ndarray, dict[Mode, np.
     return union, {m: np.searchsorted(union, ids) for m, ids in families.items()}
 
 
-def _spec_moments(R: np.ndarray, zx: np.ndarray, zy: np.ndarray, xx: np.ndarray, ids: np.ndarray):
+def _spec_moments(R0: np.ndarray, ids: np.ndarray):
     """The per-spec engine of the sample sweep and the population oracle.
 
-    ``R`` is a stack of d triangular factors of instrument Grams, ``G =
-    R'R``, and ``zx``, ``zy`` and ``xx`` the stacks of cross moments: for
-    samples, the R of a QR of the partialled Z, ``Z'x``, ``Z'y`` and
-    ``x'x``; for a population, a stack of one of ``chol(sigma_z)'``,
-    ``cov(Z, x)``, ``cov(Z, y)`` and ``var(x)``. Spec (l, C) instruments
-    with ``w = Z a``, the residual of Z_l on Z_C. Per chunk of
-    ``_SOLVE_SPECS // d`` ids (at least one) this yields
-    :func:`spec_coefficients`' ``(A, degenerate, |C|)``, then ``w'w = |R
-    a|^2``, ``w'x = a'zx``, ``w'y = a'zy`` and the relevance mask ``|w'x| >
-    1e-12 * sqrt(w'w * xx)``, that is ``|corr(w, x)| > 1e-12``, one row per
-    draw. Each sum runs over the k coefficients in one fixed order, one
-    (draw, spec) per array element, so a spec's bits depend on neither the
-    other specs nor the other draws in the stack: ``np.matmul`` takes
-    another path for a stack of one, and ``np.sum`` changes its order at 8
-    terms.
+    ``R0`` is a stack of d triangular factors of ``[Z | x | y]``: each
+    sample draw's :func:`~faskit.estimators._factor`, or the one of a
+    population (see :func:`_population_table`). Per chunk of
+    ``_SOLVE_SPECS // d`` ids (at least one), this yields the chunk of
+    :func:`~faskit.specs._subset_solve` and its relevance mask ``|w'x| >
+    1e-12 * sqrt(w'w * x'x)``, that is ``|corr(w, x)| > 1e-12``, with ``w'x
+    = pi * w'w`` and ``x'x = |R0[:, x]|^2``.
     """
-    k = R.shape[2]
-    step = max(1, _SOLVE_SPECS // len(R))
-    for first in range(0, len(ids), step):
-        A, degenerate, n_controls = spec_coefficients(R, ids[first : first + step])
-        # the builtin sum() adds whole arrays, one term at a time, in order
-        wx, wy = (sum(z[:, j, None] * A[:, j] for j in range(k)) for z in (zx, zy))
-        ww = sum(
-            sum(R[:, i, j, None] * A[:, j] for j in range(k)) ** 2 for i in range(R.shape[1])
-        )
-        relevant = np.abs(wx) > POPULATION_RELEVANCE_TOL * np.sqrt(ww * xx[:, None])
-        yield A, degenerate, n_controls, ww, wx, wy, relevant
+    xx = np.sum(R0[:, :, -2] ** 2, axis=1)[:, None]
+    for *chunk, pi, psi, ww in _subset_solve(R0, ids, max(1, _SOLVE_SPECS // len(R0))):
+        yield *chunk, pi, psi, ww, np.abs(pi * ww) > POPULATION_RELEVANCE_TOL * np.sqrt(ww * xx)
 
 
 def estimate_specs(
@@ -239,16 +219,14 @@ def estimate_specs(
     The dataset is partialled of its intercept and controls first (a no-op
     on an already-partialled one), so by Frisch-Waugh-Lovell the estimates
     are those of the design that includes them. :func:`_spec_moments` on
-    the R of a QR of the instruments, taken a row block at a time
-    (:func:`~faskit.linalg.blocked_r`), gives the moments, degeneracy and
-    relevance, and :func:`iv_columns` the ``se`` and ``f_stat`` from ``Z
-    A``, one matrix-vector product per spec and block of rows. A spec's
-    bits depend on neither the other specs nor the other draws of a stack,
-    so ``estimate_specs(data,
-    [spec])`` is bit for bit its row of any sweep, or of a Monte Carlo
-    chunk's. Too few observations takes precedence over the other failures
-    (see :class:`SpecTable`); with ``n <= 1 + n_absorbed`` every row has
-    it, and nothing is solved.
+    the one R of ``[Z | x | y]``, a QR taken a row block at a time, gives
+    the moments, degeneracy and relevance from one QR per instrument
+    subset, and :func:`iv_columns` the ``se`` and ``f_stat`` from ``Z A``.
+    A spec's bits depend on neither the other specs nor the other draws of
+    a stack, so ``estimate_specs(data, [spec])`` is bit for bit its row of
+    any sweep, or of a Monte Carlo chunk's. Too few observations takes
+    precedence over the other failures (see :class:`SpecTable`); with ``n
+    <= 1 + n_absorbed`` every row has it, and nothing is solved.
     """
     dataset = partial_out(dataset)
     ids = as_spec_ids(specs, dataset.k_z)
@@ -263,40 +241,36 @@ def estimate_specs(
 def _estimate_stack(draws: list[Dataset], ids: np.ndarray, robust_flavor: str) -> list[SpecTable]:
     """:func:`estimate_specs` of each of ``draws``, partialled datasets of
     one ``n > 1 + n_absorbed``, ``k_z`` and ``n_absorbed``, for the int64
-    spec ``ids``, at least one. Each draw's R comes from its own
-    :func:`~faskit.linalg.blocked_r`, which for n up to 8193 is one QR,
-    beside its cross moments; one :func:`_spec_moments` pass solves the k
-    side of them all, and :func:`iv_columns` takes each draw's ``se`` and
-    ``f_stat`` from its own rows."""
+    spec ``ids``, at least one. Each draw's own
+    :func:`~faskit.estimators._factor`, the R of ``[Z | x | y]``, holds all
+    that one :func:`_spec_moments` pass over them needs, and
+    :func:`iv_columns` takes each draw's ``se`` and ``f_stat`` from its
+    own rows."""
     k_z, n, n_absorbed, m = draws[0].k_z, draws[0].n, draws[0].n_absorbed, len(ids)
-    R = np.stack([blocked_r(lambda rows, Z=d.Z: Z[rows], n) for d in draws])
-    zx = np.stack([d.Z.T @ d.x for d in draws])
-    zy = np.stack([d.Z.T @ d.y for d in draws])
-    xx = np.array([float(d.x @ d.x) for d in draws])
-    blocks, solves = [[] for _ in draws], [[] for _ in draws]
-    for A, degenerate, n_controls, ww, wx, wy, relevant in _spec_moments(R, zx, zy, xx, ids):
+    R0 = np.stack([_factor(d) for d in draws])
+    columns = [np.empty((5, m)) for _ in draws]
+    degenerate, zero = np.empty((2, len(draws), m), dtype=bool)
+    n_controls = np.empty(m, dtype=np.int64)
+    for at, A, dead, spec_controls, pi, psi, ww, relevant in _spec_moments(R0, ids):
+        degenerate[:, at], zero[:, at], n_controls[at] = dead, ~relevant, spec_controls
         with np.errstate(divide="ignore", invalid="ignore"):
-            beta_hat, pi_hat, psi_hat = wy / wx, wx / ww, wy / ww
+            beta_hat = psi / pi
         for i, d in enumerate(draws):
-            solves[i].append((degenerate[i], n_controls, ~relevant[i]))
             se, f_stat = iv_columns(
-                d.Z, A[i], d.x, d.y, pi_hat[i], beta_hat[i], ww[i], wx[i], n_absorbed,
+                d.Z, A[i], d.x, d.y, pi[i], beta_hat[i], ww[i], pi[i] * ww[i], n_absorbed,
                 robust_flavor,
             )
-            blocks[i].append((beta_hat[i], se, pi_hat[i], psi_hat[i], f_stat))
+            columns[i][:, at] = beta_hat[i], se, pi[i], psi[i], f_stat
     tables = []
-    for draw_blocks, draw_solves in zip(blocks, solves):
-        *values, f_stat = (np.concatenate(c) for c in zip(*draw_blocks))
-        degenerate, n_controls, zero = (np.concatenate(c) for c in zip(*draw_solves))
+    for values, draw_degenerate, draw_zero in zip(columns, degenerate, zero):
         failure = np.full(m, None, dtype=object)
-        failure[zero] = "zero-first-stage"
-        failure[degenerate] = "degenerate"
+        failure[draw_zero] = "zero-first-stage"
+        failure[draw_degenerate] = "degenerate"
         failure[n <= 1 + n_controls + n_absorbed] = "insufficient-observations"
         failed = np.not_equal(failure, None)
-        for column in values:
-            column[failed] = np.nan
-        f_stat[failed] = 0.0
-        tables.append(SpecTable(k_z, ids, *values, f_stat, failure))
+        values[:, failed] = np.nan
+        values[4, failed] = 0.0
+        tables.append(SpecTable(k_z, ids, *values, failure))
     return tables
 
 
@@ -398,19 +372,26 @@ def population_spec_moments(
 
 
 def _population_table(model: PopulationModel, specs: list[JustIdSpec] | np.ndarray) -> SpecTable:
-    """The specs' population moments as a table; see :func:`population_fas_by_mode`."""
+    """The specs' population moments as a table; see :func:`population_fas_by_mode`.
+
+    :func:`_spec_moments` runs on a population ``R0``: the Z block is ``R_z
+    = chol(sigma_z)'``, atop the x and y columns are ``R_z⁻ᵀcov(Z, x) = R_z
+    pi`` and ``R_z⁻ᵀcov(Z, y) = R_z(pi beta + gamma) + R_z⁻ᵀalpha``, and
+    x's diagonal is ``sqrt(var_v)``, so ``|R0[:, x]|^2 = var(x)``. The
+    lower entries of y's column, which nothing reads, stay 0."""
     model.validate()
-    ids = as_spec_ids(specs, model.k_z)
-    R = np.linalg.cholesky(model.sigma_z).T
-    cov_zx = model.sigma_z @ model.pi
-    cov_zy = model.sigma_z @ (model.pi * model.beta + model.gamma) + model.alpha
-    var_x = float(model.pi @ cov_zx) + model.var_v
-    # the join of no chunk is the moments of no spec
-    moments = [[np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)]]
-    stack = (R[None], cov_zx[None], cov_zy[None], np.array([var_x]))
-    for *_, ww, wx, wy, relevant in _spec_moments(*stack, ids):
-        moments.append([wx[0] / ww[0], wy[0] / ww[0], relevant[0]])
-    pi_t, psi_t, relevant = (np.concatenate(c) for c in zip(*moments))
+    ids, k = as_spec_ids(specs, model.k_z), model.k_z
+    R_z = np.linalg.cholesky(model.sigma_z).T
+    R0 = np.zeros((1, k + 2, k + 2))
+    R0[0, :k, :k] = R_z
+    R0[0, :k, k] = R_z @ model.pi
+    R0[0, :k, k + 1] = R_z @ (model.pi * model.beta + model.gamma)
+    R0[0, :k, k + 1] += np.linalg.solve(R_z.T, model.alpha)
+    R0[0, k, k] = np.sqrt(model.var_v)
+    pi_t, psi_t = np.empty((2, len(ids)))
+    relevant = np.empty(len(ids), dtype=bool)
+    for at, _, _, _, pi, psi, _, spec_relevant in _spec_moments(R0, ids):
+        pi_t[at], psi_t[at], relevant[at] = pi[0], psi[0], spec_relevant[0]
     ratio = np.divide(psi_t, pi_t, out=np.full_like(psi_t, np.nan), where=relevant)
     return SpecTable(
         model.k_z, ids, ratio, np.full_like(psi_t, np.nan), pi_t, psi_t,

@@ -4,8 +4,10 @@ With k_z instruments, each specification keeps one instrument l as the
 identifying moment, moves a subset C of the others into the controls, and
 drops the rest. There are k_z * 2^(k_z - 1) of them. The transformed
 instrument for (l, C) is the residual of Z_l after linear projection on the
-controls in C, so its estimand is a ratio of two simple regressions.
-:func:`spec_coefficients` writes it as ``Z a``, one vector ``a`` per spec.
+controls in C, so its estimand is a ratio of two simple regressions. By
+Frisch-Waugh-Lovell, every spec of a subset ``S = C ∪ {l}`` reads its
+moments off one small QR of that subset's columns (:func:`_subset_solve`);
+:func:`spec_coefficients` writes its instrument as ``Z a``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ MAX_INSTRUMENTS = 20
 # treated as collinear with its controls.
 DEGENERACY_TOL = 1e-12
 
-# A subset's Gram block G_SS is inverted in a batch only when tr(G_SS)·tr(G_SS⁻¹),
-# an upper bound on cond(G_SS), is at most this: its coefficients then carry
-# relative errors near 1e5·eps, well inside 1e-10, and sit far from both
-# degeneracy tolerances.
-_BATCH_COND = 1e5
+# Specs per chunk of the coefficient solve: enough that its per-call cost is
+# small, few enough that its stacks stay near a block's size.
+_SOLVE_SPECS = 2**10
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,42 +225,84 @@ def _popcount(values: np.ndarray, k: int) -> np.ndarray:
     return count
 
 
-def _inverse_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a stack of Gram blocks, and which of them pass the guard:
-    positive pivots and diagonal, and ``tr(G)·tr(G⁻¹) <= _BATCH_COND``.
+def _subset_solve(R0: np.ndarray, ids: np.ndarray, step: int):
+    """The k side of the specs ``ids``, from one QR per instrument subset.
 
-    Goodnight's sweep operator on every pivot in turn, in elementwise array
-    arithmetic: a block's inverse does not depend on the others in its
-    stack, and no LAPACK call is made, whose first use in a process costs
-    about 0.3 MiB of peak RSS. A block that is not numerically positive
-    definite fails the guard."""
-    H = blocks.copy()
-    pivots_positive = np.ones(len(H), dtype=bool)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(H.shape[1]):
-            pivot = H[:, j, j].copy()
-            pivots_positive &= pivot > 0.0
-            row = H[:, j, :] / pivot[:, None]
-            col = H[:, :, j] / pivot[:, None]
-            H -= H[:, :, j, None] * row[:, None, :]
-            H[:, j, :] = row
-            np.negative(col, out=H[:, :, j])
-            H[:, j, j] = 1.0 / pivot
-        diag = np.diagonal(H, axis1=1, axis2=2)
-        bound = np.trace(blocks, axis1=1, axis2=2) * diag.sum(axis=1)
-        passed = pivots_positive & np.all(diag > 0.0, axis=1) & (bound <= _BATCH_COND)
-    return H, passed
+    ``R0`` is a stack ``(d, r, k_z + 2)`` of triangular factors of ``[Z |
+    x | y]``, one per draw, padded here with zero rows to ``r >= k_z + 2``.
+    For the subset ``S = C ∪ {l}``, let ``T``, ``t_x`` and ``t_y`` be the
+    leading block and last two columns of the R of ``R0[:, S ∪ {x, y}]``.
+    Entry l of ``T⁻¹t_x`` and ``T⁻¹t_y``, the coefficients of x and y on
+    ``Z_S``, is spec (l, C)'s ``pi`` and ``psi``; its ``w'w`` is ``1/|row l
+    of T⁻¹|²`` and its ``a_S`` is column l of ``T⁻¹T⁻ᵀ`` times ``w'w``. One
+    stacked QR and one solve against ``[I | t_x | t_y]`` per subset size
+    give them all.
 
+    A spec is degenerate when ``Z_C``'s singular value ratio is at most
+    ``RANK_TOL``, or when ``w'w <= 1e-12 |Z_l|²``; then its ``a`` is
+    ``e_l`` and its moments NaN. The ratio is computed only where ``|T|_F
+    |T⁻¹|_F``, a bound on ``cond(Z_S) >= cond(Z_C)``, reaches
+    ``1/RANK_TOL``, and a zero pivot of ``T`` makes its specs degenerate.
 
-def _lstsq_coefficients(R: np.ndarray, ell: int, C: list[int]) -> tuple[np.ndarray, bool]:
-    """One spec's ``a`` and degeneracy from least squares on ``R``."""
-    # resid_ss holds |R a|^2, or nothing when that is zero or Z_C is rank
-    # deficient, so both of those cases come out degenerate
-    phi, resid_ss, _, _ = np.linalg.lstsq(R[:, C], R[:, ell], rcond=RANK_TOL)
-    a = np.zeros(R.shape[1])
-    a[ell] = 1.0
-    a[C] = -phi
-    return a, bool(resid_ss.sum() <= DEGENERACY_TOL * np.sum(R * R, axis=0)[ell])
+    Yields, per chunk of at most ``step`` specs in the order of their
+    subsets, their positions in ``ids``, then ``A (d, k_z, len)``, the
+    degenerate mask, ``|C|``, ``pi``, ``psi`` and ``w'w``. A stack gives
+    each of its matrices the bits of its own call, so a spec's numbers
+    depend on neither the other specs nor the other draws.
+    """
+    d, k = len(R0), R0.shape[2] - 2
+    if R0.shape[1] < k + 2:
+        R0 = np.concatenate([R0, np.zeros((d, k + 2 - R0.shape[1], k + 2))], axis=1)
+    squares = np.sum(R0 * R0, axis=1)
+    columns = R0.swapaxes(1, 2)
+    ell, controls = _controls(ids - 1, k)
+    subset = controls | (1 << ell)
+    order = np.argsort((_popcount(subset, k) << k) | subset, kind="stable")
+    for first in range(0, len(ids), step):
+        at = order[first : first + step]
+        ell, controls = _controls(ids[at] - 1, k)
+        subset = controls | (1 << ell)
+        size, position = _popcount(subset, k), _popcount(controls & ((1 << ell) - 1), k)
+        # the chunk's subsets, and the number of each spec's subset among them
+        new = np.diff(subset, prepend=-1) != 0
+        subsets, group = subset[new] | (3 << k), np.cumsum(new) - 1
+        A = np.zeros((d, k, len(at)))
+        pi, psi, ww = np.empty((3, d, len(at)))
+        degenerate = np.empty((d, len(at)), dtype=bool)
+        cuts = (np.flatnonzero(np.diff(size)) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(at)]):
+            s, cols = int(size[lo]), slice(lo, hi)
+            which = group[cols] - group[lo]
+            subs = subsets[group[lo] : group[hi - 1] + 1]
+            members = np.nonzero((subs[:, None] >> np.arange(k + 2)) & 1)[1].reshape(-1, s + 2)
+            T = np.linalg.qr(columns[:, members].swapaxes(2, 3), "r")
+            T_S = T[..., :s, :s]
+            singular = np.any(np.diagonal(T_S, axis1=2, axis2=3) == 0.0, axis=2)
+            T_S[singular] = np.eye(s)
+            rhs = T[..., :s, :].copy()
+            rhs[..., :s] = np.eye(s)
+            X = np.linalg.solve(T_S, rhs)
+            U, p = X[..., :s], position[cols]
+            row = U[:, which, p]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                bound = np.sum(T_S**2, axis=(2, 3)) * np.sum(U**2, axis=(2, 3))
+                ww_s = 1.0 / np.sum(row * row, axis=2)
+                a = np.sum(U[:, which] * row[:, :, None, :], axis=3) * ww_s[..., None]
+                dead = singular[:, which] | ~(ww_s > DEGENERACY_TOL * squares[:, ell[cols]])
+            # Z_C's own singular values, where the bound leaves a deficiency open
+            draw, spec = np.nonzero(~(bound < RANK_TOL**-2)[:, which])
+            if s > 1 and len(spec):
+                keep = np.arange(s - 1) + (np.arange(s - 1) >= p[spec, None])
+                T_C = np.take_along_axis(T_S[draw, which[spec]], keep[:, None, :], axis=2)
+                sv = np.linalg.svd(T_C, compute_uv=False)
+                dead[draw, spec] |= ~(sv[:, -1] > RANK_TOL * sv[:, 0])
+            a[dead] = 0.0
+            a[:, np.arange(hi - lo), p] = 1.0
+            A[:, members[which, :s], np.arange(lo, hi)[:, None]] = a
+            degenerate[:, cols], ww[:, cols] = dead, ww_s
+            pi[:, cols], psi[:, cols] = np.moveaxis(X[:, which, p, s:], 2, 0)
+        pi[degenerate] = psi[degenerate] = ww[degenerate] = np.nan
+        yield at, A, degenerate, size - 1, pi, psi, ww
 
 
 def spec_coefficients(
@@ -275,45 +317,19 @@ def spec_coefficients(
     ``a_C = -phi``, phi being the least squares coefficients of ``R[i][:,
     l]`` on ``R[i][:, C]``, which are those of Z_l on Z_C. Returns ``A``
     ``(d, k_z, m)``, the degenerate mask ``(d, m)`` and each spec's control
-    count ``|C|``.
+    count ``|C|``, from :func:`_subset_solve` with zero x and y columns.
 
     ``specs`` is a list of :class:`JustIdSpec` or an array of their ids,
     read through :func:`as_spec_ids` with ``k_z`` the column count of
     ``R``, so a spec of another instrument count raises
-    :class:`~faskit.errors.DimensionMismatchError`. Each spec's subset ``S
-    = C ∪ {l}`` is read from its id. By the
-    partitioned inverse, ``a_S = H[:, l] / H[l, l]`` with ``H = (G_SS)⁻¹``,
-    so each (draw, spec) takes the inverse of its own block ``G_SS``, in
-    one stack per subset size; each Gram is its own 2-D product, as a
-    stacked matmul may round differently. A spec whose inverse fails the
-    guard of :func:`_inverse_blocks`, which bounds ``cond(G_SS)`` by 1e5,
-    is solved with least squares instead. Only such a spec can be
-    degenerate: when Z_C is rank deficient at the 1e-10 relative singular
-    value tolerance, or when ``|R a|^2 <= 1e-12 * |R_l|^2``. The path is
-    chosen per block, and a block's inverse does not depend on the others
-    in its stack, so a spec's ``a`` depends on neither the other specs nor
-    the other draws in the stack.
+    :class:`~faskit.errors.DimensionMismatchError`.
     """
-    d, k = len(R), R.shape[2]
-    ell, controls = _controls(as_spec_ids(specs, k) - 1, k)
-    subset = controls | (1 << ell)
-    position = _popcount(subset & ((1 << ell) - 1), k)
-    size = _popcount(subset, k)
-    G = np.stack([r.T @ r for r in R])
-    A = np.zeros((d, k, len(subset)))
-    batched = np.zeros((d, len(subset)), dtype=bool)
-    for s in np.flatnonzero(np.bincount(size)):
-        cols = np.flatnonzero(size == s)
-        members = np.nonzero((subset[cols, None] >> np.arange(k)) & 1)[1].reshape(-1, s)
-        blocks = G[:, members[:, :, None], members[:, None, :]].reshape(-1, s, s)
-        H, passed = _inverse_blocks(blocks)
-        at = np.flatnonzero(passed)
-        draw, keep = np.divmod(at, len(cols))
-        cols, pos = cols[keep], position[cols[keep]]
-        A[draw[:, None], members[keep], cols[:, None]] = H[at, :, pos] / H[at, pos, pos][:, None]
-        batched[draw, cols] = True
-    degenerate = np.zeros((d, len(subset)), dtype=bool)
-    for draw, col in zip(*np.nonzero(~batched)):
-        C = [i for i in range(k) if subset[col] >> i & 1 and i != ell[col]]
-        A[draw, :, col], degenerate[draw, col] = _lstsq_coefficients(R[draw], int(ell[col]), C)
-    return A, degenerate, size - 1
+    d, r, k = R.shape
+    ids = as_spec_ids(specs, k)
+    R0 = np.concatenate([R, np.zeros((d, r, 2))], axis=2)
+    A = np.zeros((d, k, len(ids)))
+    degenerate = np.zeros((d, len(ids)), dtype=bool)
+    n_controls = np.zeros(len(ids), dtype=np.int64)
+    for at, A_at, dead, n_at, *_ in _subset_solve(R0, ids, max(1, _SOLVE_SPECS // d)):
+        A[..., at], degenerate[:, at], n_controls[at] = A_at, dead, n_at
+    return A, degenerate, n_controls

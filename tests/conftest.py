@@ -1,6 +1,8 @@
 """Shared builders for population models, the transformed instrument
-columns of a spec list, and a plain OLS reference, used across the test
-modules."""
+columns of a spec list, a plain OLS reference and exact rational solves,
+used across the test modules."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,6 +31,16 @@ def example2_model(
         alpha=np.array([0.0, alpha2]),
         pi=np.array([pi1, pi2], dtype=np.float64),
         sigma_z=np.array([[1.0, rho], [rho, 1.0]]),
+    )
+
+
+def near_collinear_model() -> PopulationModel:
+    """cond(sigma_z) is about 2e9, as Z1 and Z3 correlate at 1 - 1e-9, yet
+    sigma_z passes validate()."""
+    sigma = np.array([[1.0, 0.2, 1.0 - 1e-9], [0.2, 1.0, 0.2], [1.0 - 1e-9, 0.2, 1.0]])
+    return PopulationModel(
+        beta=1.0, gamma=np.zeros(3), alpha=np.zeros(3), pi=np.array([0.5, 0.4, 0.3]),
+        sigma_z=sigma,
     )
 
 
@@ -90,3 +102,30 @@ def ols_reference(
     if robust_flavor == "hc1":
         cov = cov * n / (n - p - n_absorbed)
     return coef, cov
+
+
+def exact_gram(columns) -> list[list[Fraction]]:
+    """The Gram matrix of float columns, in exact rationals: each column is
+    written as integers over one power of two, so every sum is exact."""
+    scaled = []
+    for column in columns:
+        pairs = [float(v).as_integer_ratio() for v in column]
+        den = max(d for _, d in pairs)
+        scaled.append(([n * (den // d) for n, d in pairs], den))
+    return [
+        [Fraction(sum(a * b for a, b in zip(u, v)), du * dv) for v, dv in scaled]
+        for u, du in scaled
+    ]
+
+
+def exact_solve(G, b) -> list[Fraction]:
+    """``G^-1 b`` for a nonsingular rational G, by Gauss-Jordan elimination."""
+    rows = [list(G[i]) + [b[i]] for i in range(len(b))]
+    for c in range(len(b)):
+        pivot = next(r for r in range(c, len(b)) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(len(b)):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][-1] / rows[i][i] for i in range(len(b))]

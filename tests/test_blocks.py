@@ -9,13 +9,15 @@ about 7e5.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import exact_gram, exact_solve, near_collinear_model
 
 from faskit import (
     Dataset, Mode, PopulationModel, SimulationConfig, enumerate_specs, estimate_specs, estimators,
-    simulate, specs_for_mode, tsls, tsls_pairwise_report,
+    population_spec_moments, simulate, specs_for_mode, tsls, tsls_pairwise_report,
 )
 from faskit.dgp import ErrorLaw, _model_setup
 from faskit.errors import RankDeficientError, WeakIdentificationError
@@ -174,8 +176,10 @@ def test_estimate_specs_matches_lstsq_residualized_instruments(n, near):
         scale = n / (n - 1)
         se = np.sqrt(scale * np.sum((w * (data.y - data.x * beta)) ** 2)) / abs(wx)
         f_stat = pi**2 / (scale * np.sum((w * (data.x - w * pi)) ** 2) / ww**2)
-        # the engine's w'w is |R a|^2, which cancels all but (|w| / |Z_l|)^2
-        # of |R_l|^2, and with it that share of the digits
+        # this reference's w is the residual of an lstsq fit of Z_l, whose
+        # moments lose up to (|Z_l| / |w|)^2 of eps: about 1e-7 on the fully
+        # controlled near-collinear specs, where the engine is within 1e-9 of
+        # an exact solve (test_spec_moments_match_an_exact_solve_near_collinearity)
         rtol = max(TOL, 1e-15 * (np.linalg.norm(Z_l) / np.linalg.norm(w)) ** 2)
         assert _close(got, [beta, se, pi, wy / ww, f_stat], rtol), spec.label
 
@@ -212,6 +216,43 @@ def test_a_spec_is_bit_for_bit_its_row_of_every_family_across_row_blocks(layout)
         assert _rows(estimate_specs(data, [spec]))[0].tobytes() == row.tobytes(), spec.label
 
 
+def _exact_moments(G, specs, x, y):
+    """Each spec's pi and psi from the exact rational Gram ``G`` of ``[Z | x
+    | y]`` (x and y its columns at ``x`` and ``y``): entry l of the
+    coefficients of x and y on Z_S, S = C ∪ {l}, by Frisch-Waugh-Lovell."""
+    moments = []
+    for spec in specs:
+        S = sorted([spec.instrument_index - 1, *(c - 1 for c in spec.control_subset)])
+        G_S, at = [[G[i][j] for j in S] for i in S], S.index(spec.instrument_index - 1)
+        moments.append([float(exact_solve(G_S, [G[i][t] for i in S])[at]) for t in (x, y)])
+    return np.array(moments)
+
+
+@pytest.mark.parametrize("source", ["sample", "population"])
+def test_spec_moments_match_an_exact_solve_near_collinearity(source):
+    # the near-collinear sample (cond about 7e5) and a population of cond
+    # about 2e9: the fully controlled specs keep a small share of their
+    # instrument, which a Gram-based w'w = |R a|^2 cancels away
+    specs = enumerate_specs(3)
+    if source == "sample":
+        data = _sample(BLOCK_ROWS + 1, near=True)
+        G = exact_gram([*data.Z.T, data.x, data.y])
+        table = estimate_specs(data, specs)
+        got = np.column_stack([table.pi_hat, table.psi_hat])
+    else:
+        model = near_collinear_model()
+        sigma = [[Fraction(v) for v in row] for row in model.sigma_z.tolist()]
+        coef_x = [Fraction(v) for v in model.pi.tolist()]
+        gamma = model.gamma.tolist()
+        coef_y = [Fraction(model.beta) * p + Fraction(g) for p, g in zip(coef_x, gamma)]
+        cov = [[sum(r[j] * c[j] for j in range(3)) for r in sigma] for c in (coef_x, coef_y)]
+        cov[1] = [v + Fraction(a) for v, a in zip(cov[1], model.alpha.tolist())]
+        G = [row + [cov[0][i], cov[1][i]] for i, row in enumerate(sigma)]
+        got = np.column_stack(population_spec_moments(model, specs))
+    want = _exact_moments(G, specs, 3, 4)
+    assert np.all(np.abs(got - want) <= 1e-8 * np.abs(want))
+
+
 def test_a_pairwise_report_and_tsls_each_factor_the_sample_once(monkeypatch):
     calls = []
     monkeypatch.setattr(
@@ -223,6 +264,9 @@ def test_a_pairwise_report_and_tsls_each_factor_the_sample_once(monkeypatch):
     assert len(calls) == 1
     tsls(data)
     assert len(calls) == 2
+    # the sweep's one R of [Z | x | y] holds its cross moments too
+    assert estimate_specs(data, enumerate_specs(3)).estimated.all()
+    assert len(calls) == 3
 
 
 def test_blocked_fits_keep_their_failure_codes():

@@ -7,7 +7,6 @@ directly, sharing no code with faskit.
 
 import itertools
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +15,7 @@ from hypothesis import strategies as st
 
 import faskit.cli as cli
 import faskit.fas as fas_module
-import faskit.specs as specs_module
-from conftest import random_corr, random_model
+from conftest import exact_gram, exact_solve, near_collinear_model, random_corr, random_model
 from faskit import (
     Dataset,
     Mode,
@@ -55,7 +53,7 @@ def _resid(v, B):
 
 
 def _reference(data, spec, flavor):
-    exog = np.column_stack([np.ones(data.n), data.controls])
+    exog = np.column_stack([np.ones((data.n, int(data.intercept))), data.controls])
     y, x, Z = _resid(data.y, exog), _resid(data.x, exog), _resid(data.Z, exog)
     w = _resid(Z[:, spec.instrument_index - 1], Z[:, [c - 1 for c in spec.control_subset]])
     wx, wy, ww = w @ x, w @ y, w @ w
@@ -82,6 +80,24 @@ def test_sweep_matches_the_per_spec_reference(k, n, flavor):
     assert table.specs == specs and table.estimated.all()
     reference = np.array([_reference(data, spec, flavor) for spec in specs])
     np.testing.assert_allclose(_table(table), reference, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_sample_with_fewer_rows_than_its_factor_has_columns(n):
+    # at k=3 with no intercept, R0 of [Z | x | y] has n < 5 rows; a spec
+    # with |C| >= n - 1 has too few observations, the rest are estimated
+    rng = np.random.default_rng(900 + n)
+    Z = rng.standard_normal((n, 3))
+    x = Z @ np.array([1.0, 0.5, -0.7]) + rng.standard_normal(n)
+    y = 0.6 * x + rng.standard_normal(n)
+    data = Dataset(y=y, x=x, Z=Z, z_names=("Z1", "Z2", "Z3"), intercept=False)
+    specs = enumerate_specs(3)
+    table = estimate_specs(data, specs)
+    estimated = np.array([len(spec.control_subset) <= n - 2 for spec in specs])
+    assert table.estimated.tolist() == estimated.tolist()
+    assert set(table.failure[~estimated]) <= {"insufficient-observations"}
+    reference = np.array([_reference(data, spec, "hc1") for spec in np.array(specs)[estimated]])
+    np.testing.assert_allclose(_table(table)[estimated], reference, rtol=1e-10, atol=0.0)
 
 
 def test_a_spec_estimate_does_not_depend_on_its_family(monkeypatch):
@@ -181,7 +197,7 @@ def test_the_sample_engine_on_population_moments_is_the_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the batched subset inverse against the per-spec least squares it replaces
+# the subset QR against per-spec least squares
 
 
 def _lstsq_reference(R, specs):
@@ -202,38 +218,51 @@ def _lstsq_reference(R, specs):
     return A, degenerate, n_controls
 
 
-def _stacked_lstsq_reference(R, specs):
-    """_lstsq_reference of each factor of a stack, shaped as spec_coefficients returns."""
-    A, degenerate, n_controls = zip(*(_lstsq_reference(r, specs) for r in R))
-    return np.stack(A), np.stack(degenerate), n_controls[0]
+def _reference_solve(R0, ids, step):
+    """``_subset_solve``'s one chunk for all ``ids``, from _lstsq_reference
+    on each factor's Z columns: ``w'w = |R a|^2``, ``w'x`` and ``w'y`` as
+    ``a'R'R0[:, x]`` and ``a'R'R0[:, y]``."""
+    k = R0.shape[2] - 2
+    A, degenerate, n_controls = zip(*(_lstsq_reference(r[:, :k], ids) for r in R0))
+    A, degenerate = np.stack(A), np.stack(degenerate)
+    RA = R0[:, :, :k] @ A
+    ww = np.sum(RA * RA, axis=1)
+    wx, wy = (np.sum(RA * R0[:, :, j, None], axis=1) for j in (k, k + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi, psi = wx / ww, wy / ww
+    yield np.arange(len(ids)), A, degenerate, n_controls[0], pi, psi, ww
 
 
-def _engine(R, specs):
-    """spec_coefficients, plus the mask of the specs it solved by lstsq."""
-    with mock.patch.object(
-        specs_module, "_lstsq_coefficients", wraps=specs_module._lstsq_coefficients
-    ) as per_spec:
-        A, degenerate, n_controls = spec_coefficients(R[None], specs)
-    A, degenerate = A[0], degenerate[0]
-    solved = {(call.args[1], tuple(call.args[2])) for call in per_spec.call_args_list}
-    fallback = np.array([
-        (s.instrument_index - 1, tuple(c - 1 for c in s.control_subset)) in solved for s in specs
-    ])
-    return A, degenerate, n_controls, fallback
+def _exact_coefficients(G, spec):
+    """A spec's ``a`` from the exact rational Gram ``G`` of its factor."""
+    ell, C = spec.instrument_index - 1, [c - 1 for c in spec.control_subset]
+    a = np.zeros(len(G))
+    a[ell] = 1.0
+    if C:
+        phi = exact_solve([[G[i][j] for j in C] for i in C], [G[i][ell] for i in C])
+        a[C] = [-float(v) for v in phi]
+    return a
 
 
 def _assert_engine_matches_lstsq(R, specs):
-    A, degenerate, n_controls, fallback = _engine(R, specs)
+    """spec_coefficients against _lstsq_reference: the same degenerate mask
+    and control counts, ``a = e_l`` for a degenerate spec, and every other
+    column within 1e-10 of the reference's largest entry. On a badly scaled
+    or nearly collinear Z_C, lstsq's own error exceeds that; such a column
+    must then be within 1e-10 of the exact rational solve. Returns the mask."""
+    (A,), (degenerate,), n_controls = spec_coefficients(R[None], specs)
     A_ref, degenerate_ref, n_controls_ref = _lstsq_reference(R, specs)
     assert np.array_equal(degenerate, degenerate_ref)
     assert np.array_equal(n_controls, n_controls_ref)
-    # the fallback is the reference itself; a batched column agrees to
-    # 1e-10 of its largest entry, and is never degenerate
-    assert np.array_equal(A[:, fallback], A_ref[:, fallback])
-    assert not degenerate[~fallback].any()
+    ell = [spec.instrument_index - 1 for spec in specs]
+    assert np.array_equal(A[:, degenerate], np.eye(R.shape[1])[:, ell][:, degenerate])
     error = np.abs(A - A_ref).max(axis=0)
-    assert np.all(error <= 1e-10 * np.abs(A_ref).max(axis=0))
-    return fallback
+    off = np.flatnonzero(~degenerate & (error > 1e-10 * np.abs(A_ref).max(axis=0)))
+    G = exact_gram(R.T) if off.size else None
+    for pos in off.tolist():
+        exact = _exact_coefficients(G, specs[pos])
+        assert np.abs(A[:, pos] - exact).max() <= 1e-10 * np.abs(exact).max(), specs[pos].label
+    return degenerate
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -294,15 +323,16 @@ EDGES = [
 
 @pytest.mark.parametrize("case", EDGES)
 def test_numerical_edges_take_the_fallback(case, monkeypatch):
-    # pytest turns a RuntimeWarning into an error, so none is raised here
+    # pytest turns a RuntimeWarning into an error, so none is raised here; an
+    # edge makes degenerate only specs of the subsets it leaves ill-conditioned
     data, affected = _edge_sample(case)
     specs = enumerate_specs(4)
     R = np.linalg.qr(data.Z, mode="r")
-    fallback = _assert_engine_matches_lstsq(R, specs)
+    degenerate = _assert_engine_matches_lstsq(R, specs)
     subsets = [{s.instrument_index - 1, *(c - 1 for c in s.control_subset)} for s in specs]
-    assert fallback.tolist() == [affected(S) for S in subsets]
+    assert not degenerate[[not affected(S) for S in subsets]].any()
     failure = estimate_specs(data, specs).failure
-    monkeypatch.setattr(fas_module, "spec_coefficients", _stacked_lstsq_reference)
+    monkeypatch.setattr(fas_module, "_subset_solve", _reference_solve)
     assert failure.tolist() == estimate_specs(data, specs).failure.tolist()
 
 
@@ -325,8 +355,8 @@ def test_large_k_takes_the_batched_path():
     )
     R = np.linalg.cholesky(sigma).T
     specs = enumerate_specs(k)
-    A, degenerate, n_controls, fallback = _engine(R, specs)
-    assert not fallback.any() and not degenerate.any()
+    (A,), (degenerate,), n_controls = spec_coefficients(R[None], specs)
+    assert not degenerate.any()
     sample = list(range(0, len(specs), 573))
     A_ref, _, n_controls_ref = _lstsq_reference(R, [specs[pos] for pos in sample])
     assert np.array_equal(n_controls[sample], n_controls_ref)
@@ -341,16 +371,6 @@ def test_large_k_takes_the_batched_path():
 
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def _near_collinear_model():
-    # cond(sigma_z) is about 2e9: the pairs of Z1 and Z3 fail the batch guard
-    # and take least squares, yet sigma_z passes validate()
-    sigma = np.array([[1.0, 0.2, 1.0 - 1e-9], [0.2, 1.0, 0.2], [1.0 - 1e-9, 0.2, 1.0]])
-    return PopulationModel(
-        beta=1.0, gamma=np.zeros(3), alpha=np.zeros(3), pi=np.array([0.5, 0.4, 0.3]),
-        sigma_z=sigma,
-    )
 
 
 def _duplicate_z1_in_odd_draws(index, dataset):
@@ -382,7 +402,7 @@ CHUNK_CASES = {
     "mixed": (_golden("mixed.model"), 300, "all", None, {None}),
     "irrelevant": (_golden("irrelevant.model"), 300, "all", _orthogonal_x, {"zero-first-stage"}),
     "k13-excl": (_golden("k13.model"), 500, "excl", None, {None}),
-    "near-collinear": (_near_collinear_model, 300, "all", _duplicate_z1_in_odd_draws,
+    "near-collinear": (near_collinear_model, 300, "all", _duplicate_z1_in_odd_draws,
                        {None, "degenerate"}),
 }
 
@@ -411,13 +431,9 @@ def test_a_chunk_gives_each_draw_the_table_it_gets_alone(case, monkeypatch):
             cli, "simulate", lambda config, setup: edit(next(index), simulate(config, setup))
         )
     failures = set()
-    lstsq = mock.patch.object(
-        specs_module, "_lstsq_coefficients", wraps=specs_module._lstsq_coefficients
-    )
     for reps in sorted({1, max(1, per_chunk - 1), per_chunk, per_chunk + 1}):
         chunks.clear()
-        with lstsq as per_spec:
-            cli.simulate_report(model, n, 5, replications=reps, mode=mode)
+        cli.simulate_report(model, n, 5, replications=reps, mode=mode)
         full, rest = divmod(reps, per_chunk)
         assert [len(draws) for draws, _ in chunks] == [per_chunk] * full + [rest] * (rest > 0)
         for draws, results in chunks:
@@ -432,6 +448,4 @@ def test_a_chunk_gives_each_draw_the_table_it_gets_alone(case, monkeypatch):
                 for each, result in fas_by_mode(draw, modes).items():
                     assert by_mode[each].interval == result.interval
                     assert np.array_equal(by_mode[each].selected, result.selected)
-        # only the near-collinear sigma_z leaves the batched inverse
-        assert per_spec.called == (case == "near-collinear")
     assert codes <= failures

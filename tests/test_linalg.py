@@ -182,3 +182,22 @@ def test_in_place_partialling_has_the_bits_of_the_copy(case):
     assert (in_place.n_absorbed, in_place.intercept, in_place.control_names) == (
         copied.n_absorbed, False, ()
     )
+
+
+@pytest.mark.parametrize("stack", [1, 2, 7])
+def test_stacked_lapack_calls_give_each_matrix_the_bits_of_its_own_call(stack):
+    # the spec engine's bit contract rests on this: a spec's numbers come
+    # from its subset's QR, triangular solve and singular values, taken in a
+    # stack whose other members depend on the family and the chunk
+    rng = np.random.default_rng(stack)
+    for k, s in ((4, 1), (4, 3), (10, 6), (13, 13)):
+        B = rng.standard_normal((stack, k + 2, s + 2)) * 10.0 ** rng.integers(-3, 4, s + 2)
+        T = np.linalg.qr(B, mode="r")
+        rhs = T[:, :s].copy()
+        rhs[:, :, :s] = np.eye(s)
+        X = np.linalg.solve(T[:, :s, :s], rhs)
+        sv = np.linalg.svd(T[:, :s, 1:s], compute_uv=False)
+        for i in range(stack):
+            assert T[i].tobytes() == np.linalg.qr(B[i], mode="r").tobytes()
+            assert X[i].tobytes() == np.linalg.solve(T[i, :s, :s], rhs[i]).tobytes()
+            assert sv[i].tobytes() == np.linalg.svd(T[i, :s, 1:s], compute_uv=False).tobytes()
